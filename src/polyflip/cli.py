@@ -24,8 +24,16 @@ from .verify import run_suite
 ENV_MAX_MN = "POLYFLIP_MAX_MN"
 
 
+class _UsageError(Exception):
+    """A usage error found after parsing, such as a bad environment value."""
+
+
 def _max_mn() -> int:
-    return int(os.environ.get(ENV_MAX_MN, DEFAULT_MAX_MN))
+    text = os.environ.get(ENV_MAX_MN, str(DEFAULT_MAX_MN))
+    try:
+        return int(text)
+    except ValueError:
+        raise _UsageError(f"{ENV_MAX_MN}={text!r} is not an integer") from None
 
 
 def _positive(text: str) -> int:
@@ -185,6 +193,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SizeGuardExceeded as exc:
         print(f"size guard: {exc} (override with {ENV_MAX_MN})", file=sys.stderr)
+        return 2
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except PolyflipError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -13,7 +13,10 @@ from polyflip import (
     weight,
     word_of_composition,
 )
+import polyflip.qsym as qsym
 from polyflip.qsym import (
+    annihilates,
+    certify_degree,
     ideal_graded_matrix,
     integer_matrix_rank,
     monomials_of_degree,
@@ -46,6 +49,15 @@ def test_fundamental_qsym_two_blocks():
         (0, 2, 0, 0, 1, 0): 1,  # y1^2 x3
         (0, 1, 0, 1, 1, 0): 1,  # y1 y2 x3
         (0, 0, 0, 2, 1, 0): 1,  # y2^2 x3
+    }
+
+
+def test_fundamental_qsym_cache_survives_caller_mutation():
+    f = fundamental_qsym(2, (0, 1), 2)
+    f.terms.clear()
+    assert fundamental_qsym(2, (0, 1), 2).terms == {
+        (0, 1, 0, 0): 1,
+        (0, 0, 0, 1): 1,
     }
 
 
@@ -151,3 +163,83 @@ def test_rank_is_row_order_invariant():
             shuffled = rows[:]
             rng.shuffle(shuffled)
             assert integer_matrix_rank(shuffled) == base
+
+
+def admissible_by_degree(m, n):
+    by_degree = {}
+    for v in enumerate_dyck(m, n):
+        by_degree.setdefault(sum(v), []).append(v)
+    return by_degree
+
+
+def count_exact_ranks(monkeypatch):
+    calls = []
+    exact = qsym.integer_matrix_rank
+
+    def counted(rows):
+        calls.append(len(rows))
+        return exact(rows)
+
+    monkeypatch.setattr(qsym, "integer_matrix_rank", counted)
+    return calls
+
+
+@pytest.mark.parametrize("m,n", [(1, 4), (2, 3), (3, 2), (2, 4)])
+def test_certificate_matches_exact_rank(m, n):
+    by_degree = admissible_by_degree(m, n)
+    for d in range(n + 1):
+        monomials, rows = ideal_graded_matrix(m, n, d)
+        admissible = by_degree.get(d, [])
+        witness = certify_degree(monomials, rows, admissible)
+        assert witness is not None
+        assert len(monomials) - len(witness) == integer_matrix_rank(rows)
+        # the witness, re-checked on the dense rows: an integer functional
+        # per admissible monomial, diagonal on the admissible columns
+        cols = [monomials.index(v) for v in admissible]
+        for lam, own in zip(witness, cols):
+            assert all(isinstance(x, int) for x in lam.values())
+            assert [lam.get(c, 0) != 0 for c in cols] == [c == own for c in cols]
+            for row in rows:
+                assert sum(row[c] * x for c, x in lam.items()) == 0
+
+
+@pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (4, 3)])
+def test_verify_basis_graded_larger_sizes(m, n, monkeypatch):
+    calls = count_exact_ranks(monkeypatch)
+    table = verify_basis_graded(m, n)["degrees"]
+    assert calls == []  # every degree closed by its certificate
+    assert sum(row["admissible"] for row in table) == fuss_catalan(m, n)
+    assert table[-1]["ideal_rank"] == table[-1]["monomials"]
+    for row in table:
+        assert row["ideal_rank"] == row["monomials"] - row["admissible"]
+
+
+def test_small_prime_falls_back_to_exact_rank(monkeypatch):
+    expected = {mn: verify_basis_graded(*mn) for mn in ((2, 2), (1, 4))}
+    calls = count_exact_ranks(monkeypatch)
+    monkeypatch.setattr(qsym, "PRIME", 2)
+    for mn, report in expected.items():
+        assert verify_basis_graded(*mn) == report
+    assert calls  # some degree did not close mod 2 and was decided exactly
+
+
+def test_certificate_rejects_false_claims():
+    monomials = [(0,), (1,), (2,)]  # three stand-in columns
+    rows = [[1, 1, 0], [0, 1, 1]]
+    witness = certify_degree(monomials, rows, [(2,)])
+    assert witness == [{2: 1, 1: -1, 0: 1}]
+    sparse = [{0: 1, 1: 1}, {1: 1, 2: 1}]
+    assert annihilates(sparse, witness)
+    assert not annihilates(sparse, [{2: 1, 1: -1, 0: 2}])
+    # claims the rows do not meet: rank short, a pivot on the admissible
+    # column, and a repeated admissible monomial
+    assert certify_degree(monomials, rows, []) is None
+    assert certify_degree(monomials, [[1, 1, 0], [0, 0, 1]], [(2,)]) is None
+    assert certify_degree(monomials, rows, [(2,), (2,)]) is None
+
+
+def test_certificate_checks_its_witness_over_z(monkeypatch):
+    # a reconstruction that lies must be caught by the check over Z
+    monkeypatch.setattr(qsym, "_rational", lambda u, p: (2, 1))
+    monomials = [(0,), (1,), (2,)]
+    assert certify_degree(monomials, [[1, 1, 0], [0, 1, 1]], [(2,)]) is None

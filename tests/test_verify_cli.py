@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import polyflip.qsym as qsym
 from polyflip import SUITES, run_suite
 from polyflip.cli import main
+from polyflip.qsym import ideal_graded_matrix, integer_matrix_rank
 
 EXPECTED_SUITES = ["poset", "bijection", "divisibility", "qsym", "intervals", "series"]
 
@@ -125,6 +127,32 @@ def test_cli_env_override_tightens_guard(capsys, monkeypatch):
     monkeypatch.setenv("POLYFLIP_MAX_MN", "5")
     code, out, _ = run_cli(capsys, "enumerate", "--m", "1", "--n", "5")
     assert code == 0 and json.loads(out)["count"] == 42
+
+
+def test_cli_bad_env_guard_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("POLYFLIP_MAX_MN", "abc")
+    code, out, err = run_cli(capsys, "enumerate", "--m", "1", "--n", "2")
+    assert code == 2 and out == ""
+    assert err == "error: POLYFLIP_MAX_MN='abc' is not an integer\n"
+
+
+def test_cli_qsym_failure_carries_counterexample(capsys, monkeypatch):
+    # drop one admissible vector: degree 1 of (2, 2) then claims rank 3
+    full = qsym.enumerate_dyck
+    monkeypatch.setattr(qsym, "enumerate_dyck", lambda m, n: full(m, n)[:-1])
+    code, out, _ = run_cli(capsys, "verify", "--m", "2", "--n", "2", "--suite", "qsym")
+    assert code == 1
+    (report,) = json.loads(out)
+    assert report["pass"] is False
+    _, rows = ideal_graded_matrix(2, 2, 1)
+    rank = integer_matrix_rank(rows)
+    assert report["detail"] == f"degree 1: ideal rank {rank}, expected 3"
+    assert report["counterexample"] == {
+        "degree": 1,
+        "monomials": 4,
+        "ideal_rank": rank,
+        "admissible": 1,
+    }
 
 
 def test_cli_rejects_bad_arguments(capsys):
