@@ -95,7 +95,9 @@ def cmd_poset(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = run_suite(args.suite, args.m, args.n)
+    # Unset, each suite keeps its own default guard (intervals is tighter).
+    guard = {"max_mn": _max_mn()} if ENV_MAX_MN in os.environ else {}
+    reports = run_suite(args.suite, args.m, args.n, **guard)
     _emit_json([r.to_json() for r in reports])
     for r in reports:
         status = "pass" if r.passed else "FAIL"

@@ -11,8 +11,22 @@ cutting along shared fan diagonals reduces a dissection to final pieces.
 Labelled vertices: vertex i >= 1 carries the letter ((i-2) mod m) + 1, so the
 letters 1..m repeat counter-clockwise and both neighbours of the apex carry
 the last letter.
+
+Validation policy: `Dissection.new` is the one validating constructor.  It
+takes chord data from outside (`from_json`) and the constructions whose
+validity is itself a claim of the paper (`make_q0`, `bijection.psi`, and in
+`poset` the descent swap, the interval cores and the one-block shrinks).
+Everything derived here from dissections already held (`flip_up` results,
+`cut_L` pieces, the `glue_G` result, `width_and_blocks` blocks, `reflect`)
+is built unchecked, and enumeration is correct by construction.  Flip
+results, glued images and cut pieces are checked by identity instead:
+`poset` looks each one up among the enumerated elements and raises
+MalformedDissection on a miss.  The poset suite runs `regions` once on
+every element, and the tests check all five constructions against an
+independent face computation.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product
 
@@ -47,6 +61,7 @@ def vertex_label(m: int, i: int) -> int:
     return (i - 2) % m + 1
 
 
+@dataclass(frozen=True, order=True, slots=True)
 class Dissection:
     """An M-angulation, stored canonically as a sorted tuple of diagonals.
 
@@ -55,39 +70,15 @@ class Dissection:
     normalize and validate chord data from outside.
     """
 
-    __slots__ = ("m", "n", "diagonals")
-
-    def __init__(self, m: int, n: int, diagonals: tuple[Chord, ...]):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "diagonals", diagonals)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Dissection is immutable")
-
-    def _key(self):
-        return (self.m, self.n, self.diagonals)
-
-    def __eq__(self, other):
-        return isinstance(other, Dissection) and self._key() == other._key()
-
-    def __lt__(self, other):
-        return self._key() < other._key()
-
-    def __le__(self, other):
-        return self._key() <= other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"Dissection(m={self.m}, n={self.n}, diagonals={self.diagonals})"
+    m: int
+    n: int
+    diagonals: tuple[Chord, ...]
 
     @classmethod
     def new(cls, m: int, n: int, chords) -> "Dissection":
         """Normalize, validate and return a dissection."""
         q = cls(m, n, tuple(sorted((a, b) for a, b in chords)))
-        validate(q)
+        regions(q)
         return q
 
     @property
@@ -113,6 +104,11 @@ class Dissection:
     @classmethod
     def from_json(cls, data: dict) -> "Dissection":
         return cls.new(data["m"], data["n"], (tuple(d) for d in data["diagonals"]))
+
+
+def _unchecked(m: int, n: int, chords) -> Dissection:
+    # A dissection valid by construction (see the validation policy above).
+    return Dissection(m, n, tuple(sorted(chords)))
 
 
 def _walk_regions(q: Dissection) -> list[tuple[int, ...]]:
@@ -152,41 +148,38 @@ def regions(q: Dissection) -> list[tuple[int, ...]]:
     """The n regions, each as its ascending (= counter-clockwise) vertex
     cycle, sorted by smallest vertex.
 
-    Raises MalformedDissection unless q is a valid M-angulation, so this
-    doubles as the validator.
+    Raises MalformedDissection, carrying q's JSON as its counterexample,
+    unless q is a valid M-angulation: this is the validator.
     """
     m, n = q.m, q.n
+
+    def bad(message: str) -> MalformedDissection:
+        return MalformedDissection(message, q.to_json())
+
     if m < 1 or n < 1:
-        raise MalformedDissection(f"need m, n >= 1, got m={m}, n={n}")
+        raise bad(f"need m, n >= 1, got m={m}, n={n}")
     top = m * n + 1
     if len(q.diagonals) != n - 1:
-        raise MalformedDissection(
-            f"{len(q.diagonals)} diagonals, a size-{n} dissection needs {n - 1}"
-        )
+        raise bad(f"{len(q.diagonals)} diagonals, a size-{n} dissection needs {n - 1}")
     prev = None
     for d in q.diagonals:
         a, b = d
         if not (0 <= a < b <= top) or b - a < 2 or (a, b) == (0, top):
-            raise MalformedDissection(f"{d} is not a diagonal of the {top + 1}-gon")
+            raise bad(f"{d} is not a diagonal of the {top + 1}-gon")
         if (b - a) % m != 1 % m:
-            raise MalformedDissection(f"{d} spans {b - a} != 1 (mod {m}) boundary steps")
+            raise bad(f"{d} spans {b - a} != 1 (mod {m}) boundary steps")
         if prev is not None and d <= prev:
-            raise MalformedDissection("diagonals not strictly sorted")
+            raise bad("diagonals not strictly sorted")
         prev = d
     for c1, c2 in combinations(q.diagonals, 2):
         if chords_cross(c1, c2):
-            raise MalformedDissection(f"{c1} crosses {c2}")
+            raise bad(f"{c1} crosses {c2}")
     regs = _walk_regions(q)
     if len(regs) != n or any(len(r) != m + 2 for r in regs):
-        raise MalformedDissection(
+        raise bad(
             f"regions have sizes {sorted(len(r) for r in regs)}, want {n} of size {m + 2}"
         )
     return regs
-
-
-def validate(q: Dissection) -> None:
-    """Raise MalformedDissection unless every invariant holds."""
-    regions(q)
 
 
 def is_final(q: Dissection) -> bool:
@@ -204,10 +197,7 @@ def apex_region(q: Dissection) -> tuple[int, ...]:
     """The region containing the apex; well defined only when q is final."""
     if not is_final(q):
         raise NotFinal("the apex region is only unique for final dissections")
-    regs = regions(q)
-    r0 = regs[0]
-    assert r0[0] == 0
-    return r0
+    return _walk_regions(q)[0]
 
 
 def _compositions(total: int, parts: int):
@@ -256,9 +246,7 @@ def enumerate_dissections(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> list[
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
     if m * n > max_mn:
         raise SizeGuardExceeded(f"m*n = {m * n} exceeds the guard {max_mn}")
-    quads = [
-        Dissection(m, n, tuple(sorted(ch))) for ch in _arc_fillings(m, m * n + 1)
-    ]
+    quads = [_unchecked(m, n, ch) for ch in _arc_fillings(m, m * n + 1)]
     quads.sort()
     return quads
 
@@ -274,7 +262,7 @@ def flip_up(q: Dissection, d: Chord) -> list[Dissection]:
     d = (d[0], d[1])
     if d not in q.diagonals or d[0] != 0:
         raise NotAQ0Diagonal(f"{d} is not a shared fan diagonal")
-    adj = [r for r in regions(q) if d[0] in r and d[1] in r]
+    adj = [r for r in _walk_regions(q) if d[0] in r and d[1] in r]
     assert len(adj) == 2, "a diagonal bounds exactly two regions"
     merged = sorted(set(adj[0]) | set(adj[1]))
     span = q.m + 1
@@ -284,7 +272,7 @@ def flip_up(q: Dissection, d: Chord) -> list[Dissection]:
     for i in range(span):
         chord = (merged[i], merged[i + span])
         if chord != d:
-            out.append(Dissection.new(q.m, q.n, rest | {chord}))
+            out.append(_unchecked(q.m, q.n, rest | {chord}))
     return out
 
 
@@ -303,7 +291,7 @@ def cut_L(q: Dissection) -> list[Dissection]:
             for a, b in q.diagonals
             if lo <= a and b <= hi
         ]
-        pieces.append(Dissection.new(m, (hi - lo) // m, chords))
+        pieces.append(_unchecked(m, (hi - lo) // m, chords))
     return pieces
 
 
@@ -338,7 +326,7 @@ def glue_G(b0: Dissection, parts: list[Dissection]) -> Dissection:
         raise ArityMismatch(f"b0 has {b0.n} regions but {len(parts)} parts given")
     chords, cycle = _glue_frame(b0.m, parts)
     chords.extend((cycle[a], cycle[b]) for a, b in b0.diagonals)
-    return Dissection.new(b0.m, sum(p.n for p in parts), chords)
+    return _unchecked(b0.m, sum(p.n for p in parts), chords)
 
 
 def width_and_blocks(q: Dissection) -> tuple[int, list[Dissection]]:
@@ -357,7 +345,7 @@ def width_and_blocks(q: Dissection) -> tuple[int, list[Dissection]]:
                 for a, b in q.diagonals
                 if u <= a and b <= w and (a, b) != (u, w)
             ]
-            blocks.append(Dissection.new(q.m, (w - u - 1) // q.m, chords))
+            blocks.append(_unchecked(q.m, (w - u - 1) // q.m, chords))
     return len(blocks), blocks
 
 
@@ -382,4 +370,4 @@ def reflect(q: Dissection) -> Dissection:
     for a, b in q.diagonals:
         x, y = (size - a) % size, (size - b) % size
         chords.append((min(x, y), max(x, y)))
-    return Dissection.new(q.m, q.n, chords)
+    return _unchecked(q.m, q.n, chords)

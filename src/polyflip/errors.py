@@ -2,7 +2,18 @@
 
 
 class PolyflipError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    The first argument is the message; an optional second argument is a
+    JSON-ready counterexample, which verification reports carry.
+    """
+
+    def __str__(self) -> str:
+        return str(self.args[0]) if self.args else ""
+
+    @property
+    def counterexample(self):
+        return self.args[1] if len(self.args) > 1 else None
 
 
 class MalformedDissection(PolyflipError):

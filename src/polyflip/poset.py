@@ -148,6 +148,24 @@ class Interval:
     def top_q(self) -> Dissection:
         return self.poset.elements[self.top]
 
+    def to_json(self) -> list[dict]:
+        """[bottom, top], the counterexample payload of interval checks."""
+        return [self.bottom_q.to_json(), self.top_q.to_json()]
+
+
+def _locate(index: dict, q: Dissection) -> int:
+    """Position of a derived dissection among the enumerated elements.
+
+    Flips, cuts and gluings build their results unchecked, so a miss here
+    is a malformed result, reported with the dissection as counterexample.
+    """
+    i = index.get(q)
+    if i is None:
+        raise MalformedDissection(
+            f"derived {q} is not among the enumerated M-angulations", q.to_json()
+        )
+    return i
+
 
 @lru_cache(maxsize=None)
 def build_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> FlipPoset:
@@ -158,11 +176,17 @@ def build_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> FlipPoset:
         ups = set()
         for d in q.diagonals:
             if d[0] == 0:
-                ups.update(index[r] for r in flip_up(q, d))
+                ups.update(_locate(index, r) for r in flip_up(q, d))
         covers.append(tuple(sorted(ups)))
     poset = FlipPoset(m, n, elements, tuple(covers))
     poset.__dict__["index"] = index
     return poset
+
+
+def _order_of_size(poset: FlipPoset, n: int) -> FlipPoset:
+    """The size-n order for poset's m: poset itself at its own size, so a
+    check never builds the order it was handed a second time."""
+    return poset if n == poset.n else build_poset(poset.m, n)
 
 
 def cover_count_check(poset: FlipPoset) -> bool:
@@ -202,7 +226,9 @@ def lemma_descent_witness(q: Dissection):
         crossed = [d for d in q.diagonals if chords_cross(cand, d)]
         if len(crossed) == 1:
             return cand
-    raise NoWitness(f"no apex diagonal crosses exactly one diagonal of {q}")
+    raise NoWitness(
+        f"no apex diagonal crosses exactly one diagonal of {q}", q.to_json()
+    )
 
 
 def descend_to_fan(q: Dissection) -> list[Dissection]:
@@ -255,9 +281,13 @@ def interval_decompose(interval: Interval) -> tuple[Dissection, list[Dissection]
         local = [(pos[a], pos[b]) for a, b in candidates]
         core = Dissection.new(bottom.m, k, local)
     except (KeyError, MalformedDissection) as exc:
-        raise DecompositionFailure(f"{top} does not glue over cut({bottom}): {exc}")
+        raise DecompositionFailure(
+            f"{top} does not glue over cut({bottom}): {exc}", interval.to_json()
+        )
     if glue_G(core, parts) != top:
-        raise DecompositionFailure(f"gluing {core} over cut({bottom}) missed {top}")
+        raise DecompositionFailure(
+            f"gluing {core} over cut({bottom}) missed {top}", interval.to_json()
+        )
     return core, parts
 
 
@@ -336,7 +366,9 @@ def interval_structure(interval: Interval) -> tuple[bool, ForestPoset]:
     poset = interval.poset
     ok, witness = is_lattice(poset, interval.mask)
     if not ok:
-        raise StructureViolation(f"no meet or join for {witness}")
+        raise StructureViolation(
+            f"no meet or join for {witness}", interval.to_json()
+        )
     irr = []
     for z in interval.indices():
         down_covers = sum(
@@ -355,14 +387,16 @@ def interval_structure(interval: Interval) -> tuple[bool, ForestPoset]:
         if len(minimal) > 1:
             raise StructureViolation(
                 f"irreducible {poset.elements[z]} covered by {len(minimal)} "
-                f"irreducibles in [{interval.bottom_q}, {interval.top_q}]"
+                f"irreducibles in [{interval.bottom_q}, {interval.top_q}]",
+                interval.to_json(),
             )
         parents.append(irr.index(minimal[0]) if minimal else -1)
     forest = ForestPoset(tuple(irr), tuple(parents))
     if forest.ideal_count() != interval.size:
         raise StructureViolation(
             f"{forest.ideal_count()} forest ideals for an interval of size "
-            f"{interval.size} at [{interval.bottom_q}, {interval.top_q}]"
+            f"{interval.size} at [{interval.bottom_q}, {interval.top_q}]",
+            interval.to_json(),
         )
     return True, forest
 
@@ -388,11 +422,10 @@ def upper_ideal_iso_check(poset: FlipPoset, bottom: Dissection) -> bool:
     exactly the elements above bottom and match covers both ways.
     """
     parts = cut_L(bottom)
-    small = build_poset(poset.m, len(parts))
-    image = [glue_G(b, parts) for b in small.elements]
+    small = _order_of_size(poset, len(parts))
     bi = poset.index[bottom]
     filter_idx = set(_bits(poset.up_masks[bi]))
-    image_idx = [poset.index[z] for z in image]
+    image_idx = [_locate(poset.index, glue_G(b, parts)) for b in small.elements]
     if set(image_idx) != filter_idx:
         raise VerificationFailure(f"glued image misses the filter above {bottom}")
     small_pairs = {
@@ -429,19 +462,21 @@ def _poly_mul(a, b):
     return tuple(out)
 
 
-def _initial_interval_poly(m: int, n: int, top: Dissection) -> tuple[int, ...]:
-    poset = build_poset(m, n)
-    iv = poset.interval(poset.minimum, top)
-    return _cover_degree_poly(poset, iv.mask)
+def _initial_interval_poly(poset: FlipPoset, top: Dissection) -> tuple[int, ...]:
+    """Cover-degree polynomial of [fan, top] in the order of top's size."""
+    order = _order_of_size(poset, top.n)
+    _locate(order.index, top)
+    iv = order.interval(order.minimum, top)
+    return _cover_degree_poly(order, iv.mask)
 
 
 def initial_factorization_check(poset: FlipPoset, top: Dissection) -> bool:
     """[fan, top] matches the product of the initial intervals of its cut
     pieces, compared through cover-degree generating polynomials."""
-    whole = _initial_interval_poly(poset.m, poset.n, top)
+    whole = _initial_interval_poly(poset, top)
     product = (1,)
     for piece in cut_L(top):
-        product = _poly_mul(product, _initial_interval_poly(piece.m, piece.n, piece))
+        product = _poly_mul(product, _initial_interval_poly(poset, piece))
     if whole != product:
         raise VerificationFailure(
             f"initial interval of {top}: degrees {whole} != pieces {product}"
@@ -470,17 +505,14 @@ def _one_block_final(q: Dissection, keep: tuple[int, int]) -> Dissection:
 def width_factorization_check(poset: FlipPoset, final_q: Dissection) -> bool:
     """[fan, final] matches the product over blocks of the one-block
     initial intervals, again by cover-degree polynomials."""
-    m, n = poset.m, poset.n
-    whole = _initial_interval_poly(m, n, final_q)
+    whole = _initial_interval_poly(poset, final_q)
     r0 = apex_region(final_q)
     product = (1,)
     for u, w in zip(r0[1:], r0[2:]):
         if w - u < 2:
             continue
         small = _one_block_final(final_q, (u, w))
-        product = _poly_mul(
-            product, _initial_interval_poly(small.m, small.n, small)
-        )
+        product = _poly_mul(product, _initial_interval_poly(poset, small))
     if whole != product:
         raise VerificationFailure(
             f"initial interval of final {final_q}: degrees {whole} != "

@@ -218,17 +218,16 @@ def residual_T(m: int, order: int) -> TruncatedSeries:
 
 
 def series_F(m: int, order: int) -> TruncatedSeries:
-    """x*(1+T)^m; x^n coefficient counts final M-angulations.  The
-    equivalent quotient form T/(1+T) is asserted on the way."""
+    """x*(1+T)^m; x^n coefficient counts final M-angulations."""
     t = series_T(m, order)
-    f = TruncatedSeries.x(order) * (t + 1) ** m
-    assert f.coeffs == (t * (t + 1).inverse_unit()).coeffs
-    return f
+    return TruncatedSeries.x(order) * (t + 1) ** m
 
 
 def residual_F(m: int, order: int) -> TruncatedSeries:
+    """F*(1+T) - T: the quotient form F = T/(1+T), independent of how
+    series_F is built."""
     t = series_T(m, order)
-    return series_F(m, order) - TruncatedSeries.x(order) * (t + 1) ** m
+    return series_F(m, order) * (t + 1) - t
 
 
 def series_G(m: int, order: int) -> TruncatedSeries:
@@ -264,9 +263,10 @@ def series_I(m: int, order: int) -> TruncatedSeries:
 
 
 def residual_I(m: int, order: int) -> TruncatedSeries:
-    t = series_T(m, order)
-    inner = TruncatedSeries.x(order) * (t + 1) ** m
-    return series_I(m, order) - t.compose(inner)
+    """I - F*(1+I)^(m+1): T's fixed-point equation evaluated at F, which
+    I = T(F) must satisfy; it uses no composition."""
+    i = series_I(m, order)
+    return i - series_F(m, order) * (i + 1) ** (m + 1)
 
 
 def residuals_vanish(m: int, order: int) -> bool:

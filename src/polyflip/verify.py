@@ -19,6 +19,7 @@ from .dissections import (
     is_final,
     make_q0,
     reflect,
+    regions,
 )
 from .dyck import enumerate_dyck, is_dyck
 from .errors import PolyflipError, SizeGuardExceeded, VerificationFailure
@@ -89,13 +90,11 @@ def _run(suite: str, m: int, n: int, check) -> VerificationReport:
         report = VerificationReport(suite, m, n, True, None, detail)
     except SizeGuardExceeded:
         raise
-    except VerificationFailure as exc:
-        payload = exc.args[1] if len(exc.args) > 1 else None
-        report = VerificationReport(suite, m, n, False, payload, str(exc.args[0]))
     except PolyflipError as exc:
-        report = VerificationReport(
-            suite, m, n, False, None, f"{type(exc).__name__}: {exc}"
-        )
+        detail = str(exc)
+        if not isinstance(exc, VerificationFailure):
+            detail = f"{type(exc).__name__}: {detail}"
+        report = VerificationReport(suite, m, n, False, exc.counterexample, detail)
     report.seconds = time.perf_counter() - start
     return report
 
@@ -107,6 +106,8 @@ def _fail(message: str, counterexample=None):
 def suite_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationReport:
     def check():
         poset = build_poset(m, n, max_mn)
+        for q in poset.elements:
+            regions(q)  # the one validation of each element
         size = len(poset.elements)
         if size != fuss_catalan(m, n):
             _fail(f"{size} elements, expected {fuss_catalan(m, n)}")
@@ -244,7 +245,7 @@ def suite_intervals(
             if mobius(iv) not in (-1, 0, 1):
                 _fail(
                     f"Mobius value {mobius(iv)} at [{iv.bottom_q}, {iv.top_q}]",
-                    [iv.bottom_q.to_json(), iv.top_q.to_json()],
+                    iv.to_json(),
                 )
             interval_decompose(iv)
         expect = series_I(m, n).coefficient(n)

@@ -40,16 +40,26 @@ def candidate_chords(m, n):
     ]
 
 
+def is_m_angulation(m, n, chords) -> bool:
+    """Whether the chords cut the (m*n+2)-gon into n faces of m+2 sides."""
+    chords = list(chords)
+    if len(chords) != n - 1 or len(set(chords)) != len(chords):
+        return False
+    if not set(chords) <= set(candidate_chords(m, n)):
+        return False
+    if any(crossing(c, d) for c, d in combinations(chords, 2)):
+        return False
+    faces = faces_by_splitting(list(range(m * n + 2)), chords)
+    return len(faces) == n and all(len(f) == m + 2 for f in faces)
+
+
 def brute_dissections(m, n):
     """All valid chord sets, by exhaustive subset filtering."""
-    size = m * n + 2
-    out = []
-    for combo in combinations(candidate_chords(m, n), n - 1):
-        if any(crossing(c, d) for c, d in combinations(combo, 2)):
-            continue
-        faces = faces_by_splitting(list(range(size)), list(combo))
-        if len(faces) == n and all(len(f) == m + 2 for f in faces):
-            out.append(tuple(sorted(combo)))
+    out = [
+        tuple(sorted(combo))
+        for combo in combinations(candidate_chords(m, n), n - 1)
+        if is_m_angulation(m, n, combo)
+    ]
     return sorted(out)
 
 

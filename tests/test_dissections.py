@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import polyflip.dissections as dissections_module
 from polyflip import (
     Dissection,
     MalformedDissection,
@@ -24,7 +25,7 @@ from polyflip import (
     width_and_blocks,
 )
 
-from oracles import brute_dissections
+from oracles import brute_dissections, is_m_angulation
 
 SMALL = [(m, n) for m in (1, 2, 3) for n in range(1, 6) if m * n <= 9]
 ALL_MN = [(m, n) for m in (1, 2, 3) for n in range(1, 6)]
@@ -169,3 +170,82 @@ def test_json_round_trip():
     q = Dissection.new(2, 3, ((1, 4), (4, 7)))
     blob = json.dumps(q.to_json())
     assert Dissection.from_json(json.loads(blob)) == q
+
+
+def _assert_valid(q):
+    """q is canonical and an M-angulation by the independent oracle."""
+    assert q.diagonals == tuple(sorted(q.diagonals))
+    assert is_m_angulation(q.m, q.n, q.diagonals), q
+
+
+@pytest.mark.parametrize("m,n", [(1, 5), (2, 3), (3, 2)])
+def test_derived_dissections_are_valid_by_oracle(m, n):
+    # flips, cuts, gluings, blocks and mirrors are built unchecked
+    for q in enumerate_dissections(m, n):
+        for d in q.diagonals:
+            if d[0] != 0:
+                continue
+            ups = flip_up(q, d)
+            assert len(ups) == m
+            for r in ups:
+                _assert_valid(r)
+                assert r.rank == q.rank + 1
+                assert len(set(q.diagonals) - set(r.diagonals)) == 1
+                assert d not in r.diagonals
+        parts = cut_L(q)
+        for p in parts:
+            _assert_valid(p)
+            assert is_final(p)
+        glued = glue_G(make_q0(m, len(parts)), parts)
+        _assert_valid(glued)
+        assert glued == q
+        _assert_valid(reflect(q))
+        if is_final(q):
+            width, blocks = width_and_blocks(q)
+            assert width == len(blocks)
+            for b in blocks:
+                _assert_valid(b)
+
+
+def test_derived_constructors_skip_validation(monkeypatch):
+    m, n = 2, 3
+    elements = enumerate_dissections(m, n)
+    fans = {k: make_q0(m, k) for k in range(1, n + 1)}  # cached before counting
+    calls = []
+    monkeypatch.setattr(
+        dissections_module, "regions", lambda q: calls.append(q) or []
+    )
+    for q in elements:
+        for d in q.diagonals:
+            if d[0] == 0:
+                flip_up(q, d)
+        parts = cut_L(q)
+        glue_G(fans[len(parts)], parts)
+        reflect(q)
+        if is_final(q):
+            apex_region(q)
+            width_and_blocks(q)
+    assert calls == []
+
+
+def test_dissection_identity_is_the_field_tuple():
+    q = Dissection.new(2, 3, ((4, 7), (1, 4)))
+    assert repr(q) == "Dissection(m=2, n=3, diagonals=((1, 4), (4, 7)))"
+    assert hash(q) == hash((2, 3, ((1, 4), (4, 7))))
+    assert q == Dissection(2, 3, ((1, 4), (4, 7)))
+    elements = enumerate_dissections(2, 3) + enumerate_dissections(1, 4)
+    keys = sorted((e.m, e.n, e.diagonals) for e in elements)
+    assert [(e.m, e.n, e.diagonals) for e in sorted(elements)] == keys
+    with pytest.raises(AttributeError):
+        q.n = 4
+
+
+def test_malformed_dissection_carries_its_chords():
+    with pytest.raises(MalformedDissection) as info:
+        Dissection.new(2, 3, ((1, 4), (3, 6)))
+    assert str(info.value) == "(1, 4) crosses (3, 6)"
+    assert info.value.counterexample == {
+        "m": 2,
+        "n": 3,
+        "diagonals": [[1, 4], [3, 6]],
+    }

@@ -2,12 +2,16 @@ import re
 
 import pytest
 
+import polyflip.dissections as dissections_module
+import polyflip.poset as poset_module
 from polyflip import (
     DecompositionFailure,
     Dissection,
     ForestPoset,
     Interval,
+    MalformedDissection,
     NoWitness,
+    StructureViolation,
     build_poset,
     chords_cross,
     descend_to_fan,
@@ -240,3 +244,62 @@ def test_to_json_dict():
     assert len(data["elements"]) == 3
     assert sorted(data["covers"]) == [[0, 1], [0, 2]]
     assert Dissection.from_json(data["elements"][0]) == poset.elements[0]
+
+
+def test_build_poset_validates_nothing(monkeypatch):
+    calls = []
+    real = dissections_module.regions
+    monkeypatch.setattr(
+        dissections_module, "regions", lambda q: calls.append(q) or real(q)
+    )
+    poset = build_poset.__wrapped__(1, 5)
+    assert len(poset.elements) == 42
+    assert calls == []
+
+
+def test_build_poset_rejects_a_derived_non_element(monkeypatch):
+    bogus = Dissection(2, 3, ((1, 4), (3, 6)))  # crossing chords
+    monkeypatch.setattr(poset_module, "flip_up", lambda q, d: [bogus])
+    with pytest.raises(MalformedDissection) as info:
+        build_poset.__wrapped__(2, 3)
+    assert str(bogus) in str(info.value)
+    assert info.value.counterexample == bogus.to_json()
+
+
+def test_glued_image_outside_the_order_is_malformed(monkeypatch):
+    poset = build_poset(2, 3)
+    bogus = Dissection(2, 3, ())
+    monkeypatch.setattr(poset_module, "glue_G", lambda b0, parts: bogus)
+    with pytest.raises(MalformedDissection) as info:
+        upper_ideal_iso_check(poset, poset.minimum)
+    assert info.value.counterexample == bogus.to_json()
+
+
+def test_cut_piece_outside_the_order_is_malformed(monkeypatch):
+    poset = build_poset(2, 3)
+    bogus = Dissection(2, 1, ((0, 2),))
+    monkeypatch.setattr(poset_module, "cut_L", lambda q: [bogus])
+    with pytest.raises(MalformedDissection) as info:
+        initial_factorization_check(poset, TOP)
+    assert info.value.counterexample == bogus.to_json()
+
+
+def test_interval_failures_carry_the_interval(monkeypatch):
+    poset = build_poset(2, 3)
+    iv = poset.interval(MID, TOP)
+    assert iv.to_json() == [MID.to_json(), TOP.to_json()]
+    monkeypatch.setattr(ForestPoset, "ideal_count", lambda self: 0)
+    with pytest.raises(StructureViolation) as info:
+        interval_structure(iv)
+    assert info.value.counterexample == iv.to_json()
+    monkeypatch.setattr(poset_module, "glue_G", lambda b0, parts: poset.minimum)
+    with pytest.raises(DecompositionFailure) as info:
+        interval_decompose(iv)
+    assert info.value.counterexample == iv.to_json()
+
+
+def test_no_witness_carries_the_element():
+    fan = make_q0(2, 3)
+    with pytest.raises(NoWitness) as info:
+        lemma_descent_witness(fan)
+    assert info.value.counterexample == fan.to_json()

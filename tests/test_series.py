@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+import polyflip.series as series_module
 from polyflip import (
     TruncatedSeries,
     ZPoly,
@@ -128,3 +129,30 @@ def test_inverse_unit_requires_unit_constant():
     x = TruncatedSeries.x(4)
     with pytest.raises(AssertionError):
         x.inverse_unit()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_residuals_vanish_at_order_10(m):
+    assert residual_F(m, 10).is_zero()
+    assert residual_I(m, 10).is_zero()
+
+
+def test_residual_I_catches_a_wrong_composition(monkeypatch):
+    real = TruncatedSeries.compose
+
+    def shifted(self, inner):
+        return real(self, inner) + TruncatedSeries.x(self.order) ** 2
+
+    monkeypatch.setattr(TruncatedSeries, "compose", shifted)
+    assert not residual_I(2, 6).is_zero()
+    assert not residuals_vanish(2, 6)
+
+
+def test_residual_F_catches_a_wrong_T(monkeypatch):
+    real = series_module.series_T
+    monkeypatch.setattr(
+        series_module,
+        "series_T",
+        lambda m, order: real(m, order) + TruncatedSeries.x(order) ** 3,
+    )
+    assert not residual_F(2, 6).is_zero()

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import polyflip.poset as poset_module
 import polyflip.qsym as qsym
-from polyflip import SUITES, run_suite
+import polyflip.verify as verify_module
+from polyflip import SUITES, Dissection, FlipPoset, ForestPoset, build_poset, run_suite
 from polyflip.cli import main
 from polyflip.qsym import ideal_graded_matrix, integer_matrix_rank
 
@@ -164,3 +166,78 @@ def test_cli_rejects_bad_arguments(capsys):
         main(["series", "--m", "2", "--which", "Q"])
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_cli_verify_env_tightens_guard(capsys, monkeypatch):
+    monkeypatch.setenv("POLYFLIP_MAX_MN", "4")
+    code, out, err = run_cli(capsys, "verify", "--suite", "poset", "--m", "1", "--n", "5")
+    assert code == 2 and out == "" and "size guard" in err
+
+
+def test_cli_verify_env_lifts_interval_cap(capsys, monkeypatch):
+    monkeypatch.delenv("POLYFLIP_MAX_MN", raising=False)
+    code, _, err = run_cli(capsys, "verify", "--suite", "intervals", "--m", "4", "--n", "3")
+    assert code == 2 and "size guard" in err  # the intervals default stays 10
+    monkeypatch.setenv("POLYFLIP_MAX_MN", "12")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "intervals", "--m", "4", "--n", "3")
+    assert code == 0
+    (report,) = json.loads(out)
+    assert report["pass"] is True
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (1, 5)])
+def test_intervals_suite_builds_each_order_once(m, n):
+    build_poset.cache_clear()
+    (report,) = run_suite("intervals", m, n)
+    assert report.passed
+    assert build_poset.cache_info().misses == n  # sizes 1..n, each once
+
+
+def test_poset_suite_validates_each_element_once(monkeypatch):
+    calls = []
+    real = verify_module.regions
+    monkeypatch.setattr(verify_module, "regions", lambda q: calls.append(q) or real(q))
+    (report,) = run_suite("poset", 2, 3)
+    assert report.passed
+    assert sorted(calls) == list(build_poset(2, 3).elements)
+
+
+def test_poset_suite_reports_a_malformed_element(monkeypatch):
+    good = build_poset(2, 3)
+    bogus = Dissection(2, 3, ((1, 4), (3, 6)))
+    broken = FlipPoset(2, 3, good.elements[:-1] + (bogus,), good.covers_up)
+    monkeypatch.setattr(verify_module, "build_poset", lambda m, n, max_mn: broken)
+    (report,) = run_suite("poset", 2, 3)
+    assert not report.passed
+    assert report.detail == "MalformedDissection: (1, 4) crosses (3, 6)"
+    assert report.counterexample == bogus.to_json()
+
+
+def test_poset_suite_reports_a_derived_non_element(monkeypatch):
+    bogus = Dissection(2, 3, ())
+    monkeypatch.setattr(poset_module, "flip_up", lambda q, d: [bogus])
+    monkeypatch.setattr(verify_module, "build_poset", build_poset.__wrapped__)
+    (report,) = run_suite("poset", 2, 3)
+    assert not report.passed
+    assert report.detail.startswith("MalformedDissection: derived ")
+    assert report.counterexample == bogus.to_json()
+
+
+def test_cli_structure_failure_carries_counterexample(capsys, monkeypatch):
+    monkeypatch.setattr(ForestPoset, "ideal_count", lambda self: 0)
+    code, out, _ = run_cli(capsys, "verify", "--m", "2", "--n", "2", "--suite", "intervals")
+    assert code == 1
+    (report,) = json.loads(out)
+    assert report["detail"].startswith("StructureViolation: ")
+    fan = build_poset(2, 2).minimum.to_json()
+    assert report["counterexample"] == [fan, fan]  # the first interval, [fan, fan]
+
+
+def test_decomposition_failure_carries_counterexample(monkeypatch):
+    fan = build_poset(2, 2).minimum
+    monkeypatch.setattr(poset_module, "glue_G", lambda b0, parts: fan)
+    (report,) = run_suite("intervals", 2, 2)
+    assert not report.passed
+    assert report.detail.startswith("DecompositionFailure: ")
+    bottom, top = report.counterexample
+    assert bottom == fan.to_json() and top != fan.to_json()
