@@ -60,6 +60,7 @@ from .polynomials import (
     expand,
     involution_image,
     leading_monomial,
+    multiples_masks,
     poly_for_dissection,
 )
 from .poset import (

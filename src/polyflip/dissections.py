@@ -111,32 +111,43 @@ def _unchecked(m: int, n: int, chords) -> Dissection:
     return Dissection(m, n, tuple(sorted(chords)))
 
 
-def _walk_regions(q: Dissection) -> list[tuple[int, ...]]:
-    # Peel off the region hugging the closing chord of each sub-polygon: from
-    # vertex u the next region vertex is the farthest chord endpoint <= hi
-    # (the closing chord itself excluded), else u+1.  Non-crossing chords make
-    # the walk well defined; it terminates because u strictly increases.
-    top = q.m * q.n + 1
+def _chord_ends(q: Dissection) -> dict[int, list[int]]:
+    # Each vertex's chord endpoints above it, farthest first.
     ends: dict[int, list[int]] = {}
     for a, b in q.diagonals:
         ends.setdefault(a, []).append(b)
     for a in ends:
         ends[a].sort(reverse=True)
+    return ends
+
+
+def _walk_region(ends: dict[int, list[int]], lo: int, hi: int) -> tuple[int, ...]:
+    # The region of the sub-polygon lo..hi hugging its closing chord (lo, hi),
+    # a chord of q or the side (0, m*n+1): from vertex u the next region
+    # vertex is the farthest chord endpoint <= hi (the closing chord itself
+    # excluded), else u+1.  Non-crossing chords make the walk well defined;
+    # it terminates because u strictly increases.
+    cycle = [lo]
+    u = lo
+    while u != hi:
+        nxt = u + 1
+        for b in ends.get(u, ()):
+            if b <= hi and not (u == lo and b == hi):
+                nxt = b
+                break
+        cycle.append(nxt)
+        u = nxt
+    return tuple(cycle)
+
+
+def _walk_regions(q: Dissection) -> list[tuple[int, ...]]:
+    # Peel off the region hugging the closing chord of each sub-polygon.
+    ends = _chord_ends(q)
     regs = []
-    stack = [(0, top)]
+    stack = [(0, q.m * q.n + 1)]
     while stack:
-        lo, hi = stack.pop()
-        cycle = [lo]
-        u = lo
-        while u != hi:
-            nxt = u + 1
-            for b in ends.get(u, ()):
-                if b <= hi and not (u == lo and b == hi):
-                    nxt = b
-                    break
-            cycle.append(nxt)
-            u = nxt
-        regs.append(tuple(cycle))
+        cycle = _walk_region(ends, *stack.pop())
+        regs.append(cycle)
         for x, y in zip(cycle, cycle[1:]):
             if y - x >= 2:
                 stack.append((x, y))
@@ -197,7 +208,7 @@ def apex_region(q: Dissection) -> tuple[int, ...]:
     """The region containing the apex; well defined only when q is final."""
     if not is_final(q):
         raise NotFinal("the apex region is only unique for final dissections")
-    return _walk_regions(q)[0]
+    return _walk_region(_chord_ends(q), 0, q.m * q.n + 1)
 
 
 def _compositions(total: int, parts: int):
@@ -236,6 +247,12 @@ def _arc_fillings(m: int, gap: int) -> tuple[tuple[Chord, ...], ...]:
     return tuple(out)
 
 
+def check_size_guard(m: int, n: int, max_mn: int) -> None:
+    """Raise SizeGuardExceeded when m*n > max_mn."""
+    if m * n > max_mn:
+        raise SizeGuardExceeded(f"m*n = {m * n} exceeds the guard {max_mn}")
+
+
 def enumerate_dissections(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> list[Dissection]:
     """All M-angulations of the (m*n+2)-gon, in canonical order.
 
@@ -244,8 +261,7 @@ def enumerate_dissections(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> list[
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
-    if m * n > max_mn:
-        raise SizeGuardExceeded(f"m*n = {m * n} exceeds the guard {max_mn}")
+    check_size_guard(m, n, max_mn)
     quads = [_unchecked(m, n, ch) for ch in _arc_fillings(m, m * n + 1)]
     quads.sort()
     return quads
@@ -262,9 +278,12 @@ def flip_up(q: Dissection, d: Chord) -> list[Dissection]:
     d = (d[0], d[1])
     if d not in q.diagonals or d[0] != 0:
         raise NotAQ0Diagonal(f"{d} is not a shared fan diagonal")
-    adj = [r for r in _walk_regions(q) if d[0] in r and d[1] in r]
-    assert len(adj) == 2, "a diagonal bounds exactly two regions"
-    merged = sorted(set(adj[0]) | set(adj[1]))
+    # The two regions beside d: the one d closes, and the one closed by the
+    # next fan chord above d (or by the side (0, m*n+1)), which starts 0, d[1].
+    ends = _chord_ends(q)
+    above = min((b for b in ends[0] if b > d[1]), default=q.m * q.n + 1)
+    below, beside = _walk_region(ends, 0, d[1]), _walk_region(ends, 0, above)
+    merged = sorted(set(below) | set(beside))
     span = q.m + 1
     assert len(merged) == 2 * span and (merged[0], merged[span]) == d
     rest = set(q.diagonals) - {d}

@@ -155,6 +155,31 @@ def divides(p: FactoredPoly, q: FactoredPoly) -> bool:
     return not (Counter(p.factors) - Counter(q.factors))
 
 
+def multiples_masks(polys) -> list[int]:
+    """Row i of the divisibility relation on polys, as one integer: bit j is
+    set iff polys[i] divides polys[j] in the sense of `divides`.
+
+    One mask per (factor, c) holds the polys with at least c copies of the
+    factor; row i is the AND of the masks of i's own factors at i's counts.
+    That costs O(N * rank) big-integer ANDs instead of N^2 `divides` calls.
+    """
+    counts = [Counter(p.factors) for p in polys]
+    at_least: dict[tuple[BinomialFactor, int], int] = {}
+    for j, count in enumerate(counts):
+        bit = 1 << j
+        for f, c in count.items():
+            for k in range(1, c + 1):
+                at_least[f, k] = at_least.get((f, k), 0) | bit
+    everything = (1 << len(polys)) - 1
+    rows = []
+    for count in counts:
+        row = everything
+        for f, c in count.items():
+            row &= at_least[f, c]
+        rows.append(row)
+    return rows
+
+
 def involution_image(p: FactoredPoly) -> tuple[FactoredPoly, int]:
     """Image under the mirror substitution and the accompanying sign.
 

@@ -207,6 +207,25 @@ def test_derived_dissections_are_valid_by_oracle(m, n):
                 _assert_valid(b)
 
 
+def test_flips_and_apex_regions_walk_only_the_regions_they_need(monkeypatch):
+    m, n = 2, 4
+    elements = enumerate_dissections(m, n)
+    want = {
+        (q, d): flip_up(q, d) for q in elements for d in q.diagonals if d[0] == 0
+    }
+    apexes = {q: apex_region(q) for q in elements if is_final(q)}
+    walked = []
+    real = dissections_module._walk_region
+    monkeypatch.setattr(
+        dissections_module, "_walk_region", lambda *a: walked.append(a) or real(*a)
+    )
+    monkeypatch.setattr(dissections_module, "_walk_regions", None)
+    assert all(flip_up(q, d) == ups for (q, d), ups in want.items())
+    assert len(walked) == 2 * len(want)
+    assert all(apex_region(q) == r for q, r in apexes.items())
+    assert len(walked) == 2 * len(want) + len(apexes)
+
+
 def test_derived_constructors_skip_validation(monkeypatch):
     m, n = 2, 3
     elements = enumerate_dissections(m, n)

@@ -16,6 +16,7 @@ from polyflip import (
     involution_image,
     leading_monomial,
     make_q0,
+    multiples_masks,
     poly_for_dissection,
     reflect,
 )
@@ -90,6 +91,32 @@ def test_divides():
     a = poly_for_dissection(Dissection.new(2, 2, ((1, 4),)))
     b = poly_for_dissection(Dissection.new(2, 2, ((2, 5),)))
     assert not divides(a, b) and not divides(b, a)
+
+
+@pytest.mark.parametrize("m,n", [(1, 5), (2, 3), (3, 2), (2, 4)])
+def test_multiples_masks_match_pairwise_divides(m, n):
+    polys = [poly_for_dissection(q) for q in enumerate_dissections(m, n)]
+    rows = multiples_masks(polys)
+    assert len(rows) == len(polys)
+    for i, p in enumerate(polys):
+        for j, q in enumerate(polys):
+            assert bool(rows[i] >> j & 1) == divides(p, q)
+
+
+def test_multiples_masks_count_repeated_factors():
+    f = BinomialFactor(Variable(1, 2), Variable(1, 1))
+    g = BinomialFactor(Variable(1, 3), Variable(1, 1))
+    polys = [
+        FactoredPoly.new(1, 3, factors)
+        for factors in ([], [f], [f, f], [f, g], [f, f, g], [g, g], [f, f, f])
+    ]
+    rows = multiples_masks(polys)
+    for i, p in enumerate(polys):
+        for j, q in enumerate(polys):
+            assert bool(rows[i] >> j & 1) == divides(p, q), (i, j)
+    assert rows[2] == 0b1010100  # f^2 divides f^2, f^2 g and f^3 only
+    assert rows[5] == 0b0100000  # g^2 divides itself, not f g or f^2 g
+    assert multiples_masks([]) == []
 
 
 def test_exact_quotient_agrees_with_factor_division():

@@ -1,11 +1,21 @@
 import json
+import random
 
 import pytest
 
 import polyflip.poset as poset_module
 import polyflip.qsym as qsym
 import polyflip.verify as verify_module
-from polyflip import SUITES, Dissection, FlipPoset, ForestPoset, build_poset, run_suite
+from polyflip import (
+    SUITES,
+    Dissection,
+    FlipPoset,
+    ForestPoset,
+    build_poset,
+    divides,
+    poly_for_dissection,
+    run_suite,
+)
 from polyflip.cli import main
 from polyflip.qsym import ideal_graded_matrix, integer_matrix_rank
 
@@ -241,3 +251,85 @@ def test_decomposition_failure_carries_counterexample(monkeypatch):
     assert report.detail.startswith("DecompositionFailure: ")
     bottom, top = report.counterexample
     assert bottom == fan.to_json() and top != fan.to_json()
+
+
+def test_run_all_builds_each_order_once():
+    build_poset.cache_clear()
+    reports = run_suite("all", 1, 5)
+    assert all(r.passed for r in reports)
+    assert build_poset.cache_info().misses == 5  # sizes 1..5, each once
+
+
+def _first_pairwise_disagreement(poset, polys):
+    # The independent i-then-j scan the row check must agree with.
+    elements = poset.elements
+    for i, p in enumerate(polys):
+        for j, q in enumerate(polys):
+            if divides(p, q) != bool(poset.up_masks[i] >> j & 1):
+                return [elements[i].to_json(), elements[j].to_json()]
+    return None
+
+
+def test_divisibility_reports_the_first_pair_of_a_wrong_closure(monkeypatch):
+    good = build_poset(2, 3)
+    broken = FlipPoset(2, 3, good.elements, good.covers_up)
+    up = list(good.up_masks)
+    for i, j in ((5, 1), (2, 7), (2, 4)):
+        up[i] ^= 1 << j
+    broken.__dict__["up_masks"] = tuple(up)
+    monkeypatch.setattr(verify_module, "build_poset", lambda m, n, max_mn: broken)
+    (report,) = run_suite("divisibility", 2, 3)
+    assert not report.passed
+    assert report.detail.startswith("divisibility and order disagree on ")
+    polys = [poly_for_dissection(q) for q in good.elements]
+    want = _first_pairwise_disagreement(broken, polys)
+    assert want == [good.elements[2].to_json(), good.elements[4].to_json()]
+    assert report.counterexample == want
+
+
+def test_divisibility_reports_the_first_pair_of_a_wrong_poly(monkeypatch):
+    poset = build_poset(2, 3)
+    a, b = [q for q in poset.elements if q.rank == 1][:2]
+    real = verify_module.poly_for_dissection
+
+    def fake(q):
+        return real(b) if q == a else real(q)  # same rank, wrong factor
+
+    monkeypatch.setattr(verify_module, "poly_for_dissection", fake)
+    (report,) = run_suite("divisibility", 2, 3)
+    assert not report.passed
+    assert report.detail.startswith("divisibility and order disagree on ")
+    want = _first_pairwise_disagreement(poset, [fake(q) for q in poset.elements])
+    assert want is not None and report.counterexample == want
+
+
+def test_divisibility_divides_only_the_spot_checks(monkeypatch):
+    calls = []
+    real = verify_module.divides
+    monkeypatch.setattr(
+        verify_module, "divides", lambda p, q: calls.append((p, q)) or real(p, q)
+    )
+    monkeypatch.setattr(FlipPoset, "leq", None)  # the row check never asks leq
+    (report,) = run_suite("divisibility", 1, 5)
+    assert report.passed
+    assert report.detail == "checked 1764 pairs, 120 divisions"
+    assert len(calls) == 120
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 11, 42])
+def test_spot_check_pairs_are_distinct_and_off_diagonal(size):
+    pairs = verify_module._spot_check_pairs(random.Random(7), size, 120)
+    assert len(pairs) == min(120, size * (size - 1))
+    assert len(set(pairs)) == len(pairs)
+    assert all(0 <= i < size and 0 <= j < size and i != j for i, j in pairs)
+    if size * (size - 1) <= 120:
+        assert set(pairs) == {(i, j) for i in range(size) for j in range(size) if i != j}
+
+
+@pytest.mark.parametrize(
+    "m,n,detail",
+    [(1, 1, "checked 1 pairs, 0 divisions"), (1, 2, "checked 4 pairs, 2 divisions")],
+)
+def test_divisibility_suite_on_one_and_two_elements(m, n, detail):
+    (report,) = run_suite("divisibility", m, n)
+    assert report.passed and report.detail == detail
