@@ -10,13 +10,19 @@ letter; finish by drawing every apex diagonal that still fits.
 from .dissections import Dissection, chords_cross, vertex_label
 from .dyck import check_m_vector, is_dyck
 from .errors import ConstructionStuck, NotDyck
-from .polynomials import leading_monomial, poly_for_dissection
+from .polynomials import Monomial, leading_monomial, poly_for_dissection
 
 
 def phi(q: Dissection) -> tuple[int, ...]:
     """Exponent vector of the leading monomial of q's polynomial."""
-    v = leading_monomial(poly_for_dissection(q)).exponents
-    if not is_dyck(q.m, v):
+    return admissible_exponents(leading_monomial(poly_for_dissection(q)))
+
+
+def admissible_exponents(lead: Monomial) -> tuple[int, ...]:
+    """The exponent vector of a leading monomial the caller already has;
+    raises NotDyck, as phi does, when it violates the prefix bound."""
+    v = lead.exponents
+    if not is_dyck(lead.m, v):
         raise NotDyck(f"leading exponents {v} violate the prefix bound")
     return v
 

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .bijection import phi
+from .bijection import admissible_exponents
 from .dissections import DEFAULT_MAX_MN, enumerate_dissections, is_final
 from .errors import PolyflipError, SizeGuardExceeded
 from .polynomials import leading_monomial, poly_for_dissection
@@ -55,14 +55,17 @@ def cmd_enumerate(args) -> int:
     for q in enumerate_dissections(args.m, args.n, _max_mn()):
         if args.final and not is_final(q):
             continue
+        # One polynomial per row: vector (phi(q)), poly and leading are all
+        # read off p and its leading monomial.
         p = poly_for_dissection(q)
+        lead = leading_monomial(p)
         rows.append(
             {
                 "diagonals": [list(d) for d in q.diagonals],
                 "rank": q.rank,
-                "vector": list(phi(q)),
+                "vector": list(admissible_exponents(lead)),
                 "poly": p.text(),
-                "leading": leading_monomial(p).text(),
+                "leading": lead.text(),
             }
         )
     if args.format == "json":
@@ -106,14 +109,12 @@ def cmd_verify(args) -> int:
 
 
 def _series_payload(which: str, m: int, order: int):
-    if which == "T":
-        return [series_T(m, order).coefficient(k) for k in range(1, order + 1)]
-    if which == "F":
-        return [series_F(m, order).coefficient(k) for k in range(1, order + 1)]
-    if which == "I":
-        return [series_I(m, order).coefficient(k) for k in range(1, order + 1)]
-    g = series_G(m, order)
-    return [list(g.coefficient(k).int_coeffs()) for k in range(1, order + 1)]
+    if which == "G":
+        g = series_G(m, order)
+        return [list(g.coefficient(k).int_coeffs()) for k in range(1, order + 1)]
+    build = {"T": series_T, "F": series_F, "I": series_I}[which]
+    s = build(m, order)
+    return [s.coefficient(k) for k in range(1, order + 1)]
 
 
 def cmd_series(args) -> int:

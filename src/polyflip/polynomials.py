@@ -7,10 +7,16 @@ with k, so the linear position of (letter r, block k) is m*(k-1) + r.
 Monomials compare lexicographically with respect to the LAST differing
 position; products of the canonical binomials then have the product of the
 high variables as leading term, with coefficient +1.
+
+The factor of each diagonal, each variable name and each factor's text are
+memoized in private tables (`lru_cache`, unbounded: there are O((mn)^2)
+distinct diagonals).  Every cached value is an immutable NamedTuple or str,
+so the tables hand out nothing a caller can mutate.
 """
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .dissections import Dissection, vertex_label
@@ -39,12 +45,22 @@ def variable_at_position(m: int, pos: int) -> Variable:
     return Variable((pos - 1) % m + 1, (pos - 1) // m + 1)
 
 
+@lru_cache(maxsize=None)
+def _name_at(m: int, pos: int) -> str:
+    return variable_at_position(m, pos).name
+
+
 class BinomialFactor(NamedTuple):
     """high - low; canonical orientation puts the strictly larger block on
     the high side."""
 
     high: Variable
     low: Variable
+
+
+@lru_cache(maxsize=None)
+def _factor_text(f: BinomialFactor) -> str:
+    return f"({f.high.name}-{f.low.name})"
 
 
 @dataclass(frozen=True)
@@ -70,7 +86,7 @@ class Monomial:
         parts = []
         for pos, e in enumerate(self.exponents, start=1):
             if e:
-                name = variable_at_position(self.m, pos).name
+                name = _name_at(self.m, pos)
                 parts.append(name if e == 1 else f"{name}^{e}")
         return " ".join(parts)
 
@@ -94,7 +110,7 @@ class FactoredPoly:
     def text(self) -> str:
         if not self.factors:
             return "1"
-        return "".join(f"({f.high.name}-{f.low.name})" for f in self.factors)
+        return "".join(map(_factor_text, self.factors))
 
     def to_json(self) -> dict:
         return {
@@ -126,11 +142,16 @@ def binomial_for_diagonal(m: int, n: int, d) -> BinomialFactor | None:
     )
 
 
+# The memo of the definition above, under a private name, so a tracer that
+# wraps the public functions does not wrap a per-diagonal call.
+_binomial = lru_cache(maxsize=None)(binomial_for_diagonal)
+
+
 def poly_for_dissection(q: Dissection) -> FactoredPoly:
     """Product of the binomial factors over all diagonals of q."""
     factors = []
     for d in q.diagonals:
-        f = binomial_for_diagonal(q.m, q.n, d)
+        f = _binomial(q.m, q.n, d)
         if f is not None:
             factors.append(f)
     return FactoredPoly.new(q.m, q.n, factors)

@@ -183,10 +183,17 @@ def build_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> FlipPoset:
     return poset
 
 
+def cache_guard(m: int, n: int) -> int:
+    """The guard every cached (m, n) order is built with, so `build_poset`
+    holds one cache key per order.  It never refuses: callers check their
+    own cap before asking for the order."""
+    return max(m * n, DEFAULT_MAX_MN)
+
+
 def _order_of_size(poset: FlipPoset, n: int) -> FlipPoset:
     """The size-n order for poset's m: poset itself at its own size, so a
     check never builds the order it was handed a second time."""
-    return poset if n == poset.n else build_poset(poset.m, n)
+    return poset if n == poset.n else build_poset(poset.m, n, cache_guard(poset.m, n))
 
 
 def cover_count_check(poset: FlipPoset) -> bool:

@@ -35,6 +35,7 @@ from .polynomials import (
 from .poset import (
     apex_chords_avoid_downset_check,
     build_poset,
+    cache_guard,
     cover_count_check,
     descend_to_fan,
     expected_maximal_chain_count,
@@ -108,11 +109,12 @@ def _fail(message: str, counterexample=None):
 def _order(m: int, n: int, max_mn: int):
     """The (m, n) flip order, once the suite's own cap is checked.
 
-    Every suite then hands `build_poset` the same guard value for one
-    (m, n), so `verify --suite all` builds and caches each order once.
+    Every suite and every structure check then hands `build_poset` the
+    same guard value for one (m, n), `cache_guard(m, n)`, so `verify
+    --suite all` builds and caches each order once.
     """
     check_size_guard(m, n, max_mn)
-    return build_poset(m, n, max(m * n, DEFAULT_MAX_MN))
+    return build_poset(m, n, cache_guard(m, n))
 
 
 def suite_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationReport:

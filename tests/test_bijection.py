@@ -2,9 +2,12 @@ from itertools import product
 
 import pytest
 
+import polyflip.bijection as bijection_module
 from polyflip import (
     ConstructionStuck,
     Dissection,
+    Monomial,
+    NotDyck,
     enumerate_dissections,
     enumerate_dyck,
     first_violation,
@@ -12,6 +15,7 @@ from polyflip import (
     phi,
     psi,
 )
+from polyflip.bijection import admissible_exponents
 
 EXAMPLE_VECTOR = (0, 0, 0, 0, 0, 0, 0, 0, 1, 3, 0, 0, 0, 1)
 EXAMPLE_Q = Dissection.new(2, 7, ((0, 11), (2, 11), (4, 11), (6, 11), (7, 10), (12, 15)))
@@ -67,3 +71,13 @@ def test_psi_input_validation():
         psi(2, (0, 1, 0))  # length not a multiple of m
     with pytest.raises(ValueError):
         psi(2, ())
+
+
+def test_non_admissible_leading_vector_raises_not_dyck(monkeypatch):
+    bad = Monomial(1, (1, 0))  # m * v_1 = 1 >= position 1
+    message = r"leading exponents \(1, 0\) violate the prefix bound"
+    with pytest.raises(NotDyck, match=message):
+        admissible_exponents(bad)
+    monkeypatch.setattr(bijection_module, "leading_monomial", lambda p: bad)
+    with pytest.raises(NotDyck, match=message):
+        phi(Dissection.new(1, 2, ((0, 2),)))

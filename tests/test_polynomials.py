@@ -20,7 +20,13 @@ from polyflip import (
     poly_for_dissection,
     reflect,
 )
-from polyflip.polynomials import letter_name, variable_at_position
+from polyflip.polynomials import (
+    _binomial,
+    _factor_text,
+    _name_at,
+    letter_name,
+    variable_at_position,
+)
 
 EXAMPLE_Q = Dissection.new(2, 7, ((0, 11), (2, 11), (4, 11), (6, 11), (7, 10), (12, 15)))
 
@@ -165,3 +171,33 @@ def test_monomial_lex_key_orders_by_last_position():
     a = Monomial(2, (0, 2, 0, 0))
     b = Monomial(2, (5, 0, 0, 1))
     assert a.lex_key() < b.lex_key()  # later positions dominate
+
+
+@pytest.mark.parametrize(
+    "m,n", [(m, n) for m in (1, 2, 3) for n in range(1, 10) if m * n <= 9]
+)
+def test_memoized_factor_is_the_definition(m, n):
+    for a in range(m * n + 1):
+        for b in range(a + 2, m * n + 2):
+            try:
+                want = binomial_for_diagonal(m, n, (a, b))
+            except EmptyCrossing:
+                with pytest.raises(EmptyCrossing):
+                    _binomial(m, n, (a, b))
+                continue
+            got = _binomial(m, n, (a, b))
+            assert got == want
+            assert _binomial(m, n, (a, b)) is got  # served from the table
+            if got is not None:
+                assert type(got) is BinomialFactor
+                assert _factor_text(got) == f"({got.high.name}-{got.low.name})"
+    for pos in range(1, m * n + 1):
+        assert _name_at(m, pos) == variable_at_position(m, pos).name
+
+
+def test_empty_crossing_raises_on_every_call():
+    before = _binomial.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(EmptyCrossing, match=r"\(1, 2\) crosses no fan diagonal"):
+            _binomial(1, 3, (1, 2))
+    assert _binomial.cache_info().currsize == before  # nothing was stored

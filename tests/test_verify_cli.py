@@ -1,8 +1,12 @@
+import csv
+import io
 import json
 import random
 
 import pytest
 
+import polyflip.bijection as bijection_module
+import polyflip.cli as cli_module
 import polyflip.poset as poset_module
 import polyflip.qsym as qsym
 import polyflip.verify as verify_module
@@ -11,12 +15,17 @@ from polyflip import (
     Dissection,
     FlipPoset,
     ForestPoset,
+    binomial_for_diagonal,
     build_poset,
     divides,
+    enumerate_dissections,
+    phi,
     poly_for_dissection,
     run_suite,
+    series_F,
 )
 from polyflip.cli import main
+from polyflip.polynomials import variable_at_position
 from polyflip.qsym import ideal_graded_matrix, integer_matrix_rank
 
 EXPECTED_SUITES = ["poset", "bijection", "divisibility", "qsym", "intervals", "series"]
@@ -333,3 +342,96 @@ def test_spot_check_pairs_are_distinct_and_off_diagonal(size):
 def test_divisibility_suite_on_one_and_two_elements(m, n, detail):
     (report,) = run_suite("divisibility", m, n)
     assert report.passed and report.detail == detail
+
+
+def _rebuilt_poly_and_leading(q):
+    """poly and leading text of q, rebuilt from binomial_for_diagonal alone."""
+    m = q.m
+    factors = [binomial_for_diagonal(m, q.n, d) for d in q.diagonals]
+    factors = sorted(
+        (f for f in factors if f is not None),
+        key=lambda f: (f.high.position(m), -f.low.position(m)),
+    )
+    poly = "".join(f"({f.high.name}-{f.low.name})" for f in factors) or "1"
+    exponents = [0] * (m * q.n)
+    for f in factors:
+        exponents[f.high.position(m) - 1] += 1
+    terms = []
+    for pos, e in enumerate(exponents, start=1):
+        if e:
+            name = variable_at_position(m, pos).name
+            terms.append(name if e == 1 else f"{name}^{e}")
+    return poly, " ".join(terms) or "1"
+
+
+def _enumerate_rows(capsys, m, n, fmt):
+    """(diagonals, rank, vector, poly, leading) of every enumerate row."""
+    argv = ["enumerate", "--m", str(m), "--n", str(n), "--format", fmt]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    if fmt == "json":
+        return [
+            (r["diagonals"], r["rank"], r["vector"], r["poly"], r["leading"])
+            for r in json.loads(out)["items"]
+        ]
+    rows = []
+    for rank, diagonals, vector, poly, leading in list(csv.reader(io.StringIO(out)))[1:]:
+        chords = [[int(x) for x in d.strip("()").split(",")] for d in diagonals.split()]
+        vector = [int(x) for x in vector.split()]
+        rows.append((chords, int(rank), vector, poly, leading))
+    return rows
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("m,n", [(1, 5), (2, 3), (3, 2)])
+def test_enumerate_rows_match_an_independent_recomputation(capsys, m, n, fmt):
+    rows = _enumerate_rows(capsys, m, n, fmt)
+    assert len(rows) == len(enumerate_dissections(m, n))
+    for diagonals, rank, vector, poly, leading in rows:
+        q = Dissection.new(m, n, [tuple(d) for d in diagonals])
+        assert rank == q.rank
+        assert tuple(vector) == phi(q)
+        assert (poly, leading) == _rebuilt_poly_and_leading(q)
+
+
+def test_enumerate_builds_one_polynomial_per_element(capsys, monkeypatch):
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return poly_for_dissection(q)
+
+    # phi builds its own polynomial through the bijection module's name
+    monkeypatch.setattr(cli_module, "poly_for_dissection", counting)
+    monkeypatch.setattr(bijection_module, "poly_for_dissection", counting)
+    code, _, _ = run_cli(capsys, "enumerate", "--m", "2", "--n", "3")
+    assert code == 0
+    assert sorted(calls) == enumerate_dissections(2, 3)
+
+
+PINNED_SERIES = [
+    ("T", 2, 5, [1, 3, 12, 55, 273]),
+    ("G", 2, 3, [[1], [1, 2], [1, 4, 7]]),
+    ("I", 1, 3, [1, 3, 11]),
+    ("F", 2, 5, [series_F(2, 5).coefficient(k) for k in range(1, 6)]),
+]
+
+
+@pytest.mark.parametrize("which,m,order,want", PINNED_SERIES)
+def test_series_payload_builds_one_series(monkeypatch, which, m, order, want):
+    name = f"series_{which}"
+    real = getattr(cli_module, name)
+    calls = []
+    monkeypatch.setattr(
+        cli_module, name, lambda m, order: calls.append((m, order)) or real(m, order)
+    )
+    assert cli_module._series_payload(which, m, order) == want
+    assert calls == [(m, order)]
+
+
+def test_structure_checks_and_suites_share_one_cache_key():
+    build_poset.cache_clear()
+    (intervals,) = run_suite("intervals", 1, 5)
+    (poset,) = run_suite("poset", 1, 4)
+    assert intervals.passed and poset.passed
+    assert build_poset.cache_info().misses == 5  # sizes 1..5, each once
