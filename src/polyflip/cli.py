@@ -195,7 +195,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except SizeGuardExceeded as exc:
-        print(f"size guard: {exc} (override with {ENV_MAX_MN})", file=sys.stderr)
+        # Only the m*n guard (payload with max_mn) is lifted by the variable.
+        lifts = "max_mn" in (exc.counterexample or {})
+        hint = f" (override with {ENV_MAX_MN})" if lifts else ""
+        print(f"size guard: {exc}{hint}", file=sys.stderr)
         return 2
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,12 +15,13 @@ the last letter.
 Validation policy: `Dissection.new` is the one validating constructor.  It
 takes chord data from outside (`from_json`) and the constructions whose
 validity is itself a claim of the paper (`make_q0`, `bijection.psi`, and in
-`poset` the descent swap, the interval cores and the one-block shrinks).
-Everything derived here from dissections already held (`flip_up` results,
-`cut_L` pieces, the `glue_G` result, `width_and_blocks` blocks, `reflect`)
-is built unchecked, and enumeration is correct by construction.  Flip
-results, glued images and cut pieces are checked by identity instead:
-`poset` looks each one up among the enumerated elements and raises
+`poset` each step of `descend_to_fan`, the interval cores and the one-block
+shrinks).  Everything derived here from dissections already held
+(`flip_up` results, `cut_L` pieces, the `glue_G` result, `width_and_blocks`
+blocks, `reflect`) is built unchecked, and enumeration is correct by
+construction.  Flip results, glued images, cut pieces and, in the poset
+suite, descent swaps are checked by identity instead: `poset` looks each
+one up among the enumerated elements (`_locate`) and raises
 MalformedDissection on a miss.  The poset suite runs `regions` once on
 every element, and the tests check all five constructions against an
 independent face computation.
@@ -248,9 +249,13 @@ def _arc_fillings(m: int, gap: int) -> tuple[tuple[Chord, ...], ...]:
 
 
 def check_size_guard(m: int, n: int, max_mn: int) -> None:
-    """Raise SizeGuardExceeded when m*n > max_mn."""
+    """Raise SizeGuardExceeded when m*n > max_mn, with {m, n, max_mn} as
+    its payload."""
     if m * n > max_mn:
-        raise SizeGuardExceeded(f"m*n = {m * n} exceeds the guard {max_mn}")
+        raise SizeGuardExceeded(
+            f"m*n = {m * n} exceeds the guard {max_mn}",
+            {"m": m, "n": n, "max_mn": max_mn},
+        )
 
 
 def enumerate_dissections(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> list[Dissection]:

@@ -9,8 +9,7 @@ dissection, so it runs over 0 .. n-1 and the count is the Fuss-Catalan
 number.
 """
 
-from .dissections import DEFAULT_MAX_MN
-from .errors import SizeGuardExceeded
+from .dissections import DEFAULT_MAX_MN, check_size_guard
 from .polynomials import Monomial
 
 
@@ -51,10 +50,7 @@ def enumerate_dyck(m: int, n: int, max_mn: int = DEFAULT_MAX_MN):
     """All admissible vectors of length m*n, ascending lexicographic."""
     if m < 1 or n < 1:
         raise ValueError(f"m and n must be positive, got m={m}, n={n}")
-    if m * n > max_mn:
-        raise SizeGuardExceeded(
-            f"m*n = {m * n} exceeds the limit {max_mn}; raise max_mn to proceed"
-        )
+    check_size_guard(m, n, max_mn)
     ln = m * n
     out: list[tuple[int, ...]] = []
     vec = [0] * ln

@@ -17,8 +17,10 @@ from math import factorial
 
 from .dissections import (
     DEFAULT_MAX_MN,
+    Chord,
     Dissection,
     _glue_frame,
+    _unchecked,
     apex_diagonal_set_D,
     apex_region,
     chords_cross,
@@ -222,38 +224,65 @@ def expected_maximal_chain_count(m: int, n: int) -> int:
     return m ** (n - 1) * factorial(n - 1)
 
 
+def _descent_swap(q: Dissection) -> tuple[Chord, Dissection]:
+    """The descent lemma's witness for q and the swap it gives.
+
+    The witness is an apex diagonal crossing exactly one diagonal d of q;
+    trading d for it gives `lower`, which q should cover.  `lower` is built
+    unchecked: the poset suite looks it up among the enumerated elements,
+    and `descend_to_fan` validates it.
+    """
+    for k in range(1, q.n):
+        cand = (0, q.m * k + 1)
+        crossed = [d for d in q.diagonals if chords_cross(cand, d)]
+        if len(crossed) == 1:
+            kept = [d for d in q.diagonals if d != crossed[0]]
+            return cand, _unchecked(q.m, q.n, kept + [cand])
+    raise NoWitness(
+        f"no apex diagonal crosses exactly one diagonal of {q}", q.to_json()
+    )
+
+
 def lemma_descent_witness(q: Dissection):
     """An apex diagonal crossing exactly one diagonal of q.
 
     Such a chord always exists away from the fan; swapping it for the
     crossed diagonal steps one rank down.
     """
-    for k in range(1, q.n):
-        cand = (0, q.m * k + 1)
-        crossed = [d for d in q.diagonals if chords_cross(cand, d)]
-        if len(crossed) == 1:
-            return cand
-    raise NoWitness(
-        f"no apex diagonal crosses exactly one diagonal of {q}", q.to_json()
-    )
+    return _descent_swap(q)[0]
 
 
 def descend_to_fan(q: Dissection) -> list[Dissection]:
-    """A saturated chain from q down to the fan, witness by witness."""
+    """A saturated chain from q down to the fan, witness by witness, each
+    step validated and checked to flip back up to the one before."""
     chain = [q]
-    cur = q
     q0 = make_q0(q.m, q.n)
-    while cur != q0:
-        cand = lemma_descent_witness(cur)
-        crossed = [d for d in cur.diagonals if chords_cross(cand, d)]
-        assert len(crossed) == 1
-        nxt = Dissection.new(
-            q.m, q.n, [d for d in cur.diagonals if d != crossed[0]] + [cand]
-        )
+    while chain[-1] != q0:
+        cur = chain[-1]
+        cand, lower = _descent_swap(cur)
+        nxt = Dissection.new(q.m, q.n, lower.diagonals)
         assert cur in flip_up(nxt, cand), (cur, nxt)
         chain.append(nxt)
-        cur = nxt
     return chain
+
+
+def descent_check(poset: FlipPoset) -> bool:
+    """Every element but the fan covers its descent swap.
+
+    The swap must be an enumerated element with q among its upward covers.
+    With every cover one rank up (checked by the poset suite), induction on
+    rank gives each element a saturated chain of length `rank` to the fan.
+    """
+    q0 = poset.minimum
+    for i, q in enumerate(poset.elements):
+        if q == q0:
+            continue
+        _, lower = _descent_swap(q)
+        if i not in poset.covers_up[_locate(poset.index, lower)]:
+            raise VerificationFailure(
+                f"descent swap {lower} of {q} is not a lower cover", q.to_json()
+            )
+    return True
 
 
 def mobius(interval: Interval) -> int:

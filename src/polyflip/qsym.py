@@ -109,16 +109,27 @@ def monomials_of_degree(nvars: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _check_columns(nvars: int, d: int, max_columns: int) -> None:
+    """Raise SizeGuardExceeded when degree d in nvars variables has more
+    than max_columns monomials, with {columns, max_columns} as its payload.
+
+    The count C(nvars+d-1, d) grows with d, so checking the top degree
+    first refuses a run before any degree is built.
+    """
+    ncols = comb(nvars + d - 1, d) if d else 1
+    if ncols > max_columns:
+        raise SizeGuardExceeded(
+            f"{ncols} monomial columns exceed the limit {max_columns}",
+            {"columns": ncols, "max_columns": max_columns},
+        )
+
+
 def ideal_graded_matrix(
     m: int, n: int, d: int, max_columns: int = DEFAULT_MAX_COLUMNS
 ) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     """Degree-d rows of the ideal in the degree-d monomial basis."""
     nvars = m * n
-    ncols = comb(nvars + d - 1, d) if d else 1
-    if ncols > max_columns:
-        raise SizeGuardExceeded(
-            f"{ncols} monomial columns exceed the limit {max_columns}"
-        )
+    _check_columns(nvars, d, max_columns)
     monomials = monomials_of_degree(nvars, d)
     col = {e: i for i, e in enumerate(monomials)}
     rows = []
@@ -280,7 +291,9 @@ def verify_basis_graded(
     m: int, n: int, max_columns: int = DEFAULT_MAX_COLUMNS
 ) -> dict:
     """Per-degree certificate for sizes 0..n; raises VerificationFailure
-    with the offending degree on any mismatch."""
+    with the offending degree on any mismatch.  The column cap is checked
+    at the top degree, the largest, before any work."""
+    _check_columns(m * n, n, max_columns)
     dyck_by_degree: dict[int, list[tuple[int, ...]]] = {}
     for v in enumerate_dyck(m, n):
         dyck_by_degree.setdefault(sum(v), []).append(v)

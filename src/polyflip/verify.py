@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .bijection import phi, psi
 from .dissections import (
     DEFAULT_MAX_MN,
-    Dissection,
     check_size_guard,
     enumerate_dissections,
     is_final,
@@ -37,13 +36,12 @@ from .poset import (
     build_poset,
     cache_guard,
     cover_count_check,
-    descend_to_fan,
+    descent_check,
     expected_maximal_chain_count,
     initial_factorization_check,
     interval_decompose,
     interval_structure,
     is_lattice,
-    lemma_descent_witness,
     maximal_chain_count,
     mobius,
     upper_ideal_iso_check,
@@ -141,14 +139,7 @@ def suite_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationRep
                 f"{chains} maximal chains, expected "
                 f"{expected_maximal_chain_count(m, n)}"
             )
-        q0 = make_q0(m, n)
-        for q in poset.elements:
-            if q == q0:
-                continue
-            lemma_descent_witness(q)
-            chain = descend_to_fan(q)
-            if len(chain) != q.rank + 1:
-                _fail(f"descent from {q} took {len(chain) - 1} steps", q.to_json())
+        descent_check(poset)
         census = Counter(poset.ranks)
         want = rank_polynomial(m, n)
         got = tuple(census.get(k, 0) for k in range(n))

@@ -3,6 +3,7 @@ import pytest
 from polyflip import (
     SizeGuardExceeded,
     enumerate_compositions,
+    enumerate_dissections,
     enumerate_dyck,
     first_violation,
     fuss_catalan,
@@ -72,6 +73,17 @@ def test_enumerate_guard():
     with pytest.raises(SizeGuardExceeded):
         enumerate_dyck(2, 9)
     assert len(enumerate_dyck(2, 9, max_mn=18)) == fuss_catalan(2, 9)
+
+
+def test_dyck_and_dissection_guards_refuse_alike():
+    with pytest.raises(SizeGuardExceeded) as dyck_info:
+        enumerate_dyck(2, 9)
+    with pytest.raises(SizeGuardExceeded) as dissection_info:
+        enumerate_dissections(2, 9)
+    assert str(dyck_info.value) == str(dissection_info.value)
+    assert str(dyck_info.value) == "m*n = 18 exceeds the guard 16"
+    assert dyck_info.value.counterexample == {"m": 2, "n": 9, "max_mn": 16}
+    assert dissection_info.value.counterexample == dyck_info.value.counterexample
 
 
 def test_lattice_path_agrees_with_prefix_test():

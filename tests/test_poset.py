@@ -130,6 +130,33 @@ def test_descent_witness_and_chains():
             assert poset.leq(lo, hi)
 
 
+@pytest.mark.parametrize("m,n", [(1, 5), (2, 3), (3, 2)])
+def test_descend_to_fan_walks_covers_to_the_fan(m, n):
+    poset = build_poset(m, n)
+    for q in poset.elements:
+        chain = descend_to_fan(q)
+        assert len(chain) == q.rank + 1
+        assert chain[0] == q and chain[-1] == poset.minimum
+        for hi, lo in zip(chain, chain[1:]):
+            assert poset.index[hi] in poset.covers_up[poset.index[lo]]
+
+
+@pytest.mark.parametrize("m,n", [(1, 5), (2, 3), (3, 2)])
+def test_descent_swap_is_the_witness_trade(m, n):
+    poset = build_poset(m, n)
+    for q in poset.elements:
+        if q == poset.minimum:
+            with pytest.raises(NoWitness):
+                poset_module._descent_swap(q)
+            continue
+        cand, lower = poset_module._descent_swap(q)
+        assert cand == lemma_descent_witness(q)
+        (crossed,) = [d for d in q.diagonals if chords_cross(cand, d)]
+        want = set(q.diagonals) - {crossed} | {cand}
+        assert lower == Dissection.new(m, n, want)
+    assert poset_module.descent_check(poset)
+
+
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2)])
 def test_mobius_matches_textbook_recursion(m, n):
     poset = build_poset(m, n)

@@ -87,6 +87,31 @@ def test_ideal_matrix_guard():
         ideal_graded_matrix(2, 2, 2, max_columns=5)
 
 
+def test_ideal_matrix_guard_carries_the_column_count():
+    with pytest.raises(SizeGuardExceeded) as info:
+        ideal_graded_matrix(2, 2, 2, max_columns=5)
+    assert info.value.counterexample == {"columns": 10, "max_columns": 5}
+
+
+def test_column_cap_refuses_before_any_degree(monkeypatch):
+    calls = []
+    real = qsym.ideal_graded_matrix
+    monkeypatch.setattr(
+        qsym, "ideal_graded_matrix", lambda *args: calls.append(args) or real(*args)
+    )
+    with pytest.raises(SizeGuardExceeded) as info:
+        verify_basis_graded(2, 3, max_columns=20)
+    assert calls == []
+    # the top degree, 3 in 6 variables, has the most columns: C(8, 3)
+    assert info.value.counterexample == {"columns": 56, "max_columns": 20}
+
+
+def test_column_cap_admits_a_top_degree_at_the_cap():
+    # (2, 2): degree 2 in 4 variables has C(5, 2) = 10 columns, the most
+    report = verify_basis_graded(2, 2, max_columns=10)
+    assert [row["monomials"] for row in report["degrees"]] == [1, 4, 10]
+
+
 def test_verify_basis_graded_2_2():
     report = verify_basis_graded(2, 2)
     assert report["m"] == 2 and report["n"] == 2

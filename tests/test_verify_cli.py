@@ -242,6 +242,72 @@ def test_poset_suite_reports_a_derived_non_element(monkeypatch):
     assert report.counterexample == bogus.to_json()
 
 
+def test_poset_suite_fails_on_a_descent_swap_to_a_non_cover(monkeypatch):
+    poset = build_poset(2, 3)
+    target = next(q for q in poset.elements if q.rank == 2)
+    real = poset_module._descent_swap
+
+    def swap(q):
+        cand, lower = real(q)
+        return (cand, poset.minimum) if q == target else (cand, lower)
+
+    monkeypatch.setattr(poset_module, "_descent_swap", swap)
+    (report,) = run_suite("poset", 2, 3)
+    assert not report.passed
+    assert report.detail == (
+        f"descent swap {poset.minimum} of {target} is not a lower cover"
+    )
+    assert report.counterexample == target.to_json()
+
+
+def test_poset_suite_reports_a_descent_swap_outside_the_order(monkeypatch):
+    bogus = Dissection(2, 3, ())
+    monkeypatch.setattr(poset_module, "_descent_swap", lambda q: ((0, 3), bogus))
+    (report,) = run_suite("poset", 2, 3)
+    assert not report.passed
+    assert report.detail.startswith("MalformedDissection: derived ")
+    assert report.counterexample == bogus.to_json()
+
+
+def test_poset_suite_walks_no_chain_and_validates_only_the_fan(monkeypatch):
+    walks = []
+    real_descend = poset_module.descend_to_fan
+
+    def counting_descend(q):
+        walks.append(q)
+        return real_descend(q)
+
+    validated = []
+    real_new = Dissection.new.__func__
+
+    def counting_new(cls, m, n, chords):
+        validated.append(real_new(cls, m, n, chords))
+        return validated[-1]
+
+    monkeypatch.setattr(poset_module, "descend_to_fan", counting_descend)
+    # also where a suite would find it by name
+    monkeypatch.setattr(verify_module, "descend_to_fan", counting_descend, raising=False)
+    monkeypatch.setattr(Dissection, "new", classmethod(counting_new))
+    (report,) = run_suite("poset", 2, 3)
+    assert report.passed
+    assert walks == []
+    # only the fan, which make_q0 validates once and caches
+    assert set(validated) <= {build_poset(2, 3).minimum}
+
+
+def test_cli_qsym_column_cap_refuses_before_any_work(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a degree was built before the refusal")
+
+    monkeypatch.delenv("POLYFLIP_MAX_MN", raising=False)
+    monkeypatch.setattr(qsym, "ideal_graded_matrix", no_work)
+    monkeypatch.setattr(qsym, "enumerate_dyck", no_work)
+    code, out, err = run_cli(capsys, "verify", "--suite", "qsym", "--m", "1", "--n", "8")
+    assert code == 2 and out == ""
+    assert err == "size guard: 6435 monomial columns exceed the limit 4000\n"
+    assert "POLYFLIP_MAX_MN" not in err
+
+
 def test_cli_structure_failure_carries_counterexample(capsys, monkeypatch):
     monkeypatch.setattr(ForestPoset, "ideal_count", lambda self: 0)
     code, out, _ = run_cli(capsys, "verify", "--m", "2", "--n", "2", "--suite", "intervals")
