@@ -15,16 +15,17 @@ the last letter.
 Validation policy: `Dissection.new` is the one validating constructor.  It
 takes chord data from outside (`from_json`) and the constructions whose
 validity is itself a claim of the paper (`make_q0`, `bijection.psi`, and in
-`poset` each step of `descend_to_fan`, the interval cores and the one-block
-shrinks).  Everything derived here from dissections already held
-(`flip_up` results, `cut_L` pieces, the `glue_G` result, `width_and_blocks`
-blocks, `reflect`) is built unchecked, and enumeration is correct by
-construction.  Flip results, glued images, cut pieces and, in the poset
-suite, descent swaps are checked by identity instead: `poset` looks each
-one up among the enumerated elements (`_locate`) and raises
-MalformedDissection on a miss.  The poset suite runs `regions` once on
-every element, and the tests check all five constructions against an
-independent face computation.
+`poset` each step of `descend_to_fan` and the one-block shrinks).
+Everything derived here from dissections already held (`flip_up` results,
+`cut_L` pieces, the `glue_G` result, `width_and_blocks` blocks, `reflect`)
+is built unchecked, and enumeration is correct by construction.  Flip
+results, glued images, cut pieces, interval cores and, in the poset suite,
+descent swaps are checked by identity instead: `poset` looks each one up
+among the enumerated elements (`_locate`) and raises MalformedDissection on
+a miss; a core is looked up among the elements of its own size, and its
+miss is the interval's DecompositionFailure.  The poset suite runs
+`regions` once on every element, and the tests check all five
+constructions against an independent face computation.
 """
 
 from dataclasses import dataclass

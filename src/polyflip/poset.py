@@ -11,9 +11,11 @@ degrees, maximal chain counts, descent witnesses, interval lattices and
 their order-ideal forests, and the cut/glue factorizations of intervals.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial
+from types import MappingProxyType
 
 from .dissections import (
     DEFAULT_MAX_MN,
@@ -48,12 +50,13 @@ def _bits(mask: int):
         mask ^= low
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FlipPoset:
     """All M-angulations for one (m, n) with their cover relation.
 
     Elements sit in canonical (sorted) order; comparisons run on cached
-    reachability bitmasks, so `leq` is O(1) after the first use.
+    reachability bitmasks, so `leq` is O(1) after the first use.  Frozen,
+    with a read-only `index`: `build_poset` shares one instance per order.
     """
 
     m: int
@@ -62,8 +65,8 @@ class FlipPoset:
     covers_up: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def index(self) -> dict:
-        return {q: i for i, q in enumerate(self.elements)}
+    def index(self) -> MappingProxyType:
+        return MappingProxyType({q: i for i, q in enumerate(self.elements)})
 
     @cached_property
     def ranks(self) -> tuple[int, ...]:
@@ -155,7 +158,7 @@ class Interval:
         return [self.bottom_q.to_json(), self.top_q.to_json()]
 
 
-def _locate(index: dict, q: Dissection) -> int:
+def _locate(index: Mapping, q: Dissection) -> int:
     """Position of a derived dissection among the enumerated elements.
 
     Flips, cuts and gluings build their results unchecked, so a miss here
@@ -181,7 +184,7 @@ def build_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> FlipPoset:
                 ups.update(_locate(index, r) for r in flip_up(q, d))
         covers.append(tuple(sorted(ups)))
     poset = FlipPoset(m, n, elements, tuple(covers))
-    poset.__dict__["index"] = index
+    poset.__dict__["index"] = MappingProxyType(index)
     return poset
 
 
@@ -297,6 +300,41 @@ def mobius(interval: Interval) -> int:
     return mu[interval.top]
 
 
+def _cores_above(poset: FlipPoset, bi: int, tops):
+    """Decompose each of `tops` over the pieces cut from element bi.
+
+    The bottom's work is done once: its cut, the glue frame and the frame's
+    position map.  A top's core is its diagonals outside the bottom's inner
+    ones, read in frame positions and looked up by identity in the order of
+    the pieces' count; gluing the core over the pieces must give back the
+    top, again by identity.  Returns the pieces, that order and the map
+    top -> core index; raises DecompositionFailure with [bottom, top].
+    """
+    bottom = poset.elements[bi]
+    parts = cut_L(bottom)
+    small = _order_of_size(poset, len(parts))
+    inner = {d for d in bottom.diagonals if d[0] != 0}
+    _, cycle = _glue_frame(bottom.m, parts)
+    pos = {v: i for i, v in enumerate(cycle)}
+
+    def failure(message: str, top: Dissection) -> DecompositionFailure:
+        return DecompositionFailure(message, [bottom.to_json(), top.to_json()])
+
+    cores = {}
+    for ti in tops:
+        top = poset.elements[ti]
+        try:
+            local = [(pos[a], pos[b]) for a, b in top.diagonals if (a, b) not in inner]
+            ci = _locate(small.index, _unchecked(bottom.m, len(parts), local))
+        except (KeyError, MalformedDissection) as exc:
+            raise failure(f"{top} does not glue over cut({bottom}): {exc}", top)
+        core = small.elements[ci]
+        if _locate(poset.index, glue_G(core, parts)) != ti:
+            raise failure(f"gluing {core} over cut({bottom}) missed {top}", top)
+        cores[ti] = ci
+    return parts, small, cores
+
+
 def interval_decompose(interval: Interval) -> tuple[Dissection, list[Dissection]]:
     """Split [bottom, top] as a gluing over the pieces cut from bottom.
 
@@ -305,26 +343,8 @@ def interval_decompose(interval: Interval) -> tuple[Dissection, list[Dissection]
     Returns that dissection together with the pieces; raises
     DecompositionFailure when the round trip does not reproduce the top.
     """
-    bottom, top = interval.bottom_q, interval.top_q
-    parts = cut_L(bottom)
-    k = len(parts)
-    shared = {d for d in bottom.diagonals if d[0] == 0}
-    inner = set(bottom.diagonals) - shared
-    candidates = [d for d in top.diagonals if d not in inner]
-    _, cycle = _glue_frame(bottom.m, parts)
-    pos = {v: i for i, v in enumerate(cycle)}
-    try:
-        local = [(pos[a], pos[b]) for a, b in candidates]
-        core = Dissection.new(bottom.m, k, local)
-    except (KeyError, MalformedDissection) as exc:
-        raise DecompositionFailure(
-            f"{top} does not glue over cut({bottom}): {exc}", interval.to_json()
-        )
-    if glue_G(core, parts) != top:
-        raise DecompositionFailure(
-            f"gluing {core} over cut({bottom}) missed {top}", interval.to_json()
-        )
-    return core, parts
+    parts, small, cores = _cores_above(interval.poset, interval.bottom, [interval.top])
+    return small.elements[cores[interval.top]], parts
 
 
 @dataclass(frozen=True)
@@ -356,7 +376,8 @@ class ForestPoset:
 
 
 def _unique_extreme(poset: FlipPoset, pool: int, masks) -> int | None:
-    """Index of the one element of pool above/below all of pool, if any."""
+    """Index of the one element of pool whose masks entry holds all of pool:
+    with down_masks the greatest element of pool, with up_masks the least."""
     found = None
     for z in _bits(pool):
         if masks[z] & pool == pool:
@@ -366,26 +387,21 @@ def _unique_extreme(poset: FlipPoset, pool: int, masks) -> int | None:
     return found
 
 
-def is_lattice(poset: FlipPoset, mask: int | None = None):
-    """Whether every pair in the mask has a meet and a join inside it.
+def is_lattice(poset: FlipPoset):
+    """Whether every pair of elements has a meet and a join.
 
-    Returns (True, None) or (False, witness pair); used both as the
-    interval certificate and as the ambient observation.
+    Returns (True, None) or (False, witness pair): the poset suite's
+    ambient observation.  Intervals are certified by `interval_structure`.
     """
-    if mask is None:
-        mask = (1 << len(poset.elements)) - 1
-    idx = list(_bits(mask))
-    for a in idx:
-        for b in idx:
-            if b >= a:
-                break
-            lowers = poset.down_masks[a] & poset.down_masks[b] & mask
-            uppers = poset.up_masks[a] & poset.up_masks[b] & mask
+    for a in range(len(poset.elements)):
+        for b in range(a):
+            lowers = poset.down_masks[a] & poset.down_masks[b]
+            uppers = poset.up_masks[a] & poset.up_masks[b]
             if (
                 not lowers
                 or not uppers
-                or _unique_extreme(poset, lowers, poset.up_masks) is None
-                or _unique_extreme(poset, uppers, poset.down_masks) is None
+                or _unique_extreme(poset, lowers, poset.down_masks) is None
+                or _unique_extreme(poset, uppers, poset.up_masks) is None
             ):
                 return False, (poset.elements[a], poset.elements[b])
     return True, None
@@ -394,46 +410,64 @@ def is_lattice(poset: FlipPoset, mask: int | None = None):
 def interval_structure(interval: Interval) -> tuple[bool, ForestPoset]:
     """Certify one interval: a distributive lattice of forest order ideals.
 
-    The join-irreducible elements (one in-interval downward cover) must
-    form a forest under the induced order, and the forest's order-ideal
-    count must equal the interval size; with the lattice check this pins
-    distributivity exactly.  Raises StructureViolation otherwise.
+    The join-irreducibles (one in-interval lower cover) must form a forest,
+    each with at most one minimal irreducible above it, and the forest must
+    have as many order ideals as the interval has elements.  Birkhoff's map
+    x -> J(x), the irreducibles below x, then goes into those ideals; it
+    must be injective, each in-interval cover x < y must add exactly one
+    irreducible, and x must have as many in-interval up-covers as J(x) has
+    one-element extensions.  Then the map is a bijection that takes covers
+    onto covers, so the interval is the forest's ideal lattice, which is
+    distributive (Birkhoff 1937).  Raises StructureViolation otherwise.
     """
     poset = interval.poset
-    ok, witness = is_lattice(poset, interval.mask)
-    if not ok:
-        raise StructureViolation(
-            f"no meet or join for {witness}", interval.to_json()
+    up, down = poset.up_masks, poset.down_masks
+
+    def violation(message: str) -> StructureViolation:
+        return StructureViolation(
+            f"{message} in [{interval.bottom_q}, {interval.top_q}]", interval.to_json()
         )
-    irr = []
-    for z in interval.indices():
-        down_covers = sum(
-            1 for w in poset.covers_down[z] if interval.mask >> w & 1
-        )
-        if down_covers == 1:
-            irr.append(z)
+
+    idx = interval.indices()
+    lower = dict.fromkeys(idx, 0)
+    covers = {z: [w for w in poset.covers_up[z] if w in lower] for z in idx}
+    for ws in covers.values():
+        for w in ws:
+            lower[w] += 1
+    irr = [z for z in idx if lower[z] == 1]
+    irr_mask = sum(1 << z for z in irr)
     parents = []
     for z in irr:
-        uppers = [w for w in irr if w != z and poset.up_masks[z] >> w & 1]
-        minimal = [
-            w
-            for w in uppers
-            if not any(u != w and poset.up_masks[u] >> w & 1 for u in uppers)
-        ]
+        uppers = (up[z] & irr_mask) ^ (1 << z)
+        minimal = [w for w in _bits(uppers) if down[w] & uppers == 1 << w]
         if len(minimal) > 1:
-            raise StructureViolation(
+            raise violation(
                 f"irreducible {poset.elements[z]} covered by {len(minimal)} "
-                f"irreducibles in [{interval.bottom_q}, {interval.top_q}]",
-                interval.to_json(),
+                f"irreducibles"
             )
         parents.append(irr.index(minimal[0]) if minimal else -1)
     forest = ForestPoset(tuple(irr), tuple(parents))
     if forest.ideal_count() != interval.size:
-        raise StructureViolation(
+        raise violation(
             f"{forest.ideal_count()} forest ideals for an interval of size "
-            f"{interval.size} at [{interval.bottom_q}, {interval.top_q}]",
-            interval.to_json(),
+            f"{interval.size}"
         )
+    ideal = {z: down[z] & irr_mask for z in idx}
+    if len(set(ideal.values())) != interval.size:
+        raise violation("two elements have the same irreducibles below them")
+    for x in idx:
+        jx = ideal[x]
+        for y in covers[x]:
+            if jx & ~ideal[y] or (ideal[y] ^ jx).bit_count() != 1:
+                raise violation(
+                    f"a cover above {poset.elements[x]} does not add one irreducible"
+                )
+        grows = sum(ideal[e] & ~jx == 1 << e for e in irr)
+        if grows != len(covers[x]):
+            raise violation(
+                f"{poset.elements[x]} has {len(covers[x])} up-covers but its ideal "
+                f"{grows} one-element extensions"
+            )
     return True, forest
 
 
@@ -454,26 +488,17 @@ def width_cover_check(poset: FlipPoset) -> bool:
 def upper_ideal_iso_check(poset: FlipPoset, bottom: Dissection) -> bool:
     """The filter above bottom is the glued copy of a full smaller order.
 
-    Gluing every element of the k-piece order over cut(bottom) must hit
-    exactly the elements above bottom and match covers both ways.
+    Every element above bottom decomposes over cut(bottom), one gluing
+    each (`_cores_above`); the cores must be exactly the elements of the
+    k-piece order, and gluing must match covers both ways.
     """
-    parts = cut_L(bottom)
-    small = _order_of_size(poset, len(parts))
     bi = poset.index[bottom]
-    filter_idx = set(_bits(poset.up_masks[bi]))
-    image_idx = [_locate(poset.index, glue_G(b, parts)) for b in small.elements]
-    if set(image_idx) != filter_idx:
+    _, small, cores = _cores_above(poset, bi, _bits(poset.up_masks[bi]))
+    if sorted(cores.values()) != list(range(len(small.elements))):
         raise VerificationFailure(f"glued image misses the filter above {bottom}")
-    small_pairs = {
-        (image_idx[i], image_idx[j])
-        for i in range(len(small.elements))
-        for j in small.covers_up[i]
-    }
+    small_pairs = {(i, j) for i, ups in enumerate(small.covers_up) for j in ups}
     big_pairs = {
-        (i, j)
-        for i in filter_idx
-        for j in poset.covers_up[i]
-        if j in filter_idx
+        (cores[i], cores[j]) for i in cores for j in poset.covers_up[i] if j in cores
     }
     if small_pairs != big_pairs:
         raise VerificationFailure(f"cover relation not preserved above {bottom}")

@@ -39,7 +39,6 @@ from .poset import (
     descent_check,
     expected_maximal_chain_count,
     initial_factorization_check,
-    interval_decompose,
     interval_structure,
     is_lattice,
     maximal_chain_count,
@@ -48,7 +47,7 @@ from .poset import (
     width_cover_check,
     width_factorization_check,
 )
-from .qsym import verify_basis_graded
+from .qsym import DEFAULT_MAX_COLUMNS, _check_columns, verify_basis_graded
 from .series import (
     fuss_catalan,
     rank_polynomial,
@@ -104,20 +103,36 @@ def _fail(message: str, counterexample=None):
     raise VerificationFailure(message, counterexample)
 
 
-def _order(m: int, n: int, max_mn: int):
-    """The (m, n) flip order, once the suite's own cap is checked.
+def _guard(suite: str, m: int, n: int, max_mn: int) -> None:
+    """Refuse (m, n) for one suite before any of its work.
+
+    Each suite's guard is stated here once; `run_suite("all")` checks every
+    suite's before the first one runs, so no report is thrown away.  Every
+    suite but series caps m*n at max_mn, and qsym also caps the columns of
+    its top degree, the largest.  Series runs its brute-force parts only
+    for small m*n; the m*n guard it checks there refuses nothing that the
+    poset suite's guard lets through.
+    """
+    if suite != "series":
+        check_size_guard(m, n, max_mn)
+    if suite == "qsym":
+        _check_columns(m * n, n, DEFAULT_MAX_COLUMNS)
+
+
+def _order(m: int, n: int):
+    """The (m, n) flip order, once the caller has checked its guard.
 
     Every suite and every structure check then hands `build_poset` the
     same guard value for one (m, n), `cache_guard(m, n)`, so `verify
     --suite all` builds and caches each order once.
     """
-    check_size_guard(m, n, max_mn)
     return build_poset(m, n, cache_guard(m, n))
 
 
 def suite_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationReport:
     def check():
-        poset = _order(m, n, max_mn)
+        _guard("poset", m, n, max_mn)
+        poset = _order(m, n)
         for q in poset.elements:
             regions(q)  # the one validation of each element
         size = len(poset.elements)
@@ -156,6 +171,7 @@ def suite_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationRep
 
 def suite_bijection(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationReport:
     def check():
+        _guard("bijection", m, n, max_mn)
         dissections = enumerate_dissections(m, n, max_mn)
         vectors = enumerate_dyck(m, n, max_mn)
         if len(vectors) != fuss_catalan(m, n):
@@ -207,7 +223,8 @@ def suite_divisibility(
     """
 
     def check():
-        poset = _order(m, n, max_mn)
+        _guard("divisibility", m, n, max_mn)
+        poset = _order(m, n)
         polys = [poly_for_dissection(q) for q in poset.elements]
         for q, p in zip(poset.elements, polys):
             if len(p.factors) != q.rank:
@@ -246,6 +263,7 @@ def suite_divisibility(
 
 def suite_qsym(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationReport:
     def check():
+        _guard("qsym", m, n, max_mn)
         report = verify_basis_graded(m, n)
         degrees = report["degrees"]
         total = sum(row["admissible"] for row in degrees)
@@ -260,7 +278,8 @@ def suite_intervals(
     m: int, n: int, max_mn: int = INTERVAL_SUITE_MAX_MN
 ) -> VerificationReport:
     def check():
-        poset = _order(m, n, max_mn)
+        _guard("intervals", m, n, max_mn)
+        poset = _order(m, n)
         count = 0
         for iv in poset.all_intervals():
             count += 1
@@ -270,7 +289,6 @@ def suite_intervals(
                     f"Mobius value {mobius(iv)} at [{iv.bottom_q}, {iv.top_q}]",
                     iv.to_json(),
                 )
-            interval_decompose(iv)
         expect = series_I(m, n).coefficient(n)
         if count != expect:
             _fail(f"{count} intervals, series says {expect}")
@@ -311,7 +329,8 @@ def suite_series(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationRe
                 _fail(f"{len(finals)} final dissections, series says "
                       f"{f.coefficient(n)}")
         if m * n <= INTERVAL_SUITE_MAX_MN:
-            poset = _order(m, n, max_mn)
+            check_size_guard(m, n, max_mn)
+            poset = _order(m, n)
             count = sum(1 for _ in poset.all_intervals())
             if count != series_I(m, order).coefficient(n):
                 _fail(f"{count} intervals disagree with the composed series")
@@ -331,6 +350,9 @@ SUITES = {
 
 
 def run_suite(name: str, m: int, n: int, **kwargs) -> list[VerificationReport]:
-    if name == "all":
-        return [fn(m, n, **kwargs) for fn in SUITES.values()]
-    return [SUITES[name](m, n, **kwargs)]
+    if name != "all":
+        return [SUITES[name](m, n, **kwargs)]
+    for suite in SUITES:
+        default = INTERVAL_SUITE_MAX_MN if suite == "intervals" else DEFAULT_MAX_MN
+        _guard(suite, m, n, kwargs.get("max_mn", default))
+    return [fn(m, n, **kwargs) for fn in SUITES.values()]

@@ -100,3 +100,33 @@ def closure_from_covers(count, covers_up):
     for i in range(count):
         walk(i)
     return above
+
+
+def is_distributive_lattice(above, members):
+    """Whether `members`, ordered by the closure sets `above` (as returned by
+    `closure_from_covers`), form a distributive lattice: every pair has a
+    least upper and a greatest lower bound among the members, found by
+    scanning all of them, and every triple obeys the distributive law."""
+    members = sorted(members)
+
+    def leq(a, b):
+        return b in above[a]
+
+    def only(found):
+        return found[0] if len(found) == 1 else None
+
+    join, meet = {}, {}
+    for a in members:
+        for b in members:
+            ups = [u for u in members if leq(a, u) and leq(b, u)]
+            downs = [d for d in members if leq(d, a) and leq(d, b)]
+            join[a, b] = only([u for u in ups if all(leq(u, v) for v in ups)])
+            meet[a, b] = only([d for d in downs if all(leq(v, d) for v in downs)])
+            if join[a, b] is None or meet[a, b] is None:
+                return False
+    return all(
+        meet[a, join[b, c]] == join[meet[a, b], meet[a, c]]
+        for a in members
+        for b in members
+        for c in members
+    )

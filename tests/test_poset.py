@@ -1,4 +1,5 @@
 import re
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -7,6 +8,7 @@ import polyflip.poset as poset_module
 from polyflip import (
     DecompositionFailure,
     Dissection,
+    FlipPoset,
     ForestPoset,
     Interval,
     MalformedDissection,
@@ -41,7 +43,7 @@ from polyflip.poset import (
     width_factorization_check,
 )
 
-from oracles import closure_from_covers
+from oracles import closure_from_covers, is_distributive_lattice
 
 PAIRS = [(1, 3), (1, 4), (2, 2), (2, 3), (3, 2)]
 
@@ -330,3 +332,104 @@ def test_no_witness_carries_the_element():
     with pytest.raises(NoWitness) as info:
         lemma_descent_witness(fan)
     assert info.value.counterexample == fan.to_json()
+
+
+def _hand_made(covers_up):
+    """The whole of a hand-made bounded order as one Interval, element 0 at
+    the bottom and the last at the top.  The elements are labels only: n
+    tells them apart and the rank, each element's height, grades the covers
+    as `up_masks` needs."""
+    height = [0] * len(covers_up)
+    for i, ups in enumerate(covers_up):
+        for j in ups:
+            height[j] = max(height[j], height[i] + 1)
+    elements = tuple(Dissection(1, i + 1, ((1, 1),) * h) for i, h in enumerate(height))
+    poset = FlipPoset(1, len(elements), elements, tuple(map(tuple, covers_up)))
+    return Interval(poset, 0, len(elements) - 1, (1 << len(elements)) - 1)
+
+
+HAND_MADE = {
+    # non-distributive lattices
+    "M3": [[1, 2, 3], [4], [4], [4], []],
+    "N5": [[1, 2], [3], [4], [4], []],
+    # not a lattice (5 and 6 both cover 1 and 4), yet its irreducibles form
+    # a forest with 8 ideals: Birkhoff's map, not injective, tells it apart
+    "bowtie-8": [[1, 2, 3], [5, 6], [4], [4], [5, 6], [7], [7], []],
+    # a square with a shortcut bottom -> top: that "cover" adds two irreducibles
+    "shortcut": [[1, 2, 3], [3], [3], []],
+}
+
+
+@pytest.mark.parametrize("name", HAND_MADE)
+def test_hand_made_non_distributive_intervals_fail(name):
+    iv = _hand_made(HAND_MADE[name])
+    poset = iv.poset
+    above = closure_from_covers(len(poset.elements), poset.covers_up)
+    if name != "shortcut":  # a shortcut is no cover graph of an order
+        assert not is_distributive_lattice(above, iv.indices())
+    with pytest.raises(StructureViolation) as info:
+        interval_structure(iv)
+    assert info.value.counterexample == iv.to_json()
+
+
+def test_hand_made_boolean_square_passes():
+    iv = _hand_made([[1, 2], [3], [3], []])
+    ok, forest = interval_structure(iv)
+    assert ok and forest.ideal_count() == 4
+
+
+def test_an_element_off_the_interval_fails_the_extension_count():
+    # the cube [0, 7] with 6 ({b, c}) cut off from the top: a mask that
+    # still holds 6 meets every check but the count of up-covers
+    covers = [[1, 2, 3], [4, 5], [4, 6], [5, 6], [7], [7], [], []]
+    iv = _hand_made(covers)
+    with pytest.raises(StructureViolation) as info:
+        interval_structure(iv)
+    assert "one-element extensions" in str(info.value)
+    assert info.value.counterexample == iv.to_json()
+
+
+@pytest.mark.parametrize("m,n", [(1, 5), (2, 3), (3, 2), (2, 4)])
+def test_interval_structure_agrees_with_the_lattice_oracle(m, n):
+    poset = build_poset(m, n)
+    above = closure_from_covers(len(poset.elements), poset.covers_up)
+    for iv in poset.all_intervals():
+        assert is_distributive_lattice(above, iv.indices())
+        ok, forest = interval_structure(iv)
+        assert ok and forest.ideal_count() == iv.size
+
+
+def test_decompositions_validate_no_core(monkeypatch):
+    poset = build_poset(2, 3)
+    validated = []
+    real_new = Dissection.new.__func__
+
+    def counting_new(cls, m, n, chords):
+        validated.append(real_new(cls, m, n, chords))
+        return validated[-1]
+
+    monkeypatch.setattr(Dissection, "new", classmethod(counting_new))
+    for iv in poset.all_intervals():
+        interval_decompose(iv)
+    for q in poset.elements:
+        upper_ideal_iso_check(poset, q)
+    assert validated == []
+
+
+def test_the_shared_order_is_read_only():
+    poset = build_poset(2, 3)
+    with pytest.raises(FrozenInstanceError):
+        poset.covers_up = ()
+    with pytest.raises(TypeError):
+        poset.index[poset.minimum] = 5
+    assert poset.index[poset.minimum] == 0 and poset.covers_up
+
+
+def test_is_lattice_needs_least_upper_and_greatest_lower_bounds():
+    # bounded, so every pair has some upper and lower bound: only the
+    # least/greatest ones tell the bowtie apart
+    bowtie = _hand_made(HAND_MADE["bowtie-8"]).poset
+    ok, witness = is_lattice(bowtie)
+    assert not ok and witness == (bowtie.elements[2], bowtie.elements[1])
+    for name in ("M3", "N5"):
+        assert is_lattice(_hand_made(HAND_MADE[name]).poset) == (True, None)

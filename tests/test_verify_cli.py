@@ -15,6 +15,7 @@ from polyflip import (
     Dissection,
     FlipPoset,
     ForestPoset,
+    SizeGuardExceeded,
     binomial_for_diagonal,
     build_poset,
     divides,
@@ -501,3 +502,37 @@ def test_structure_checks_and_suites_share_one_cache_key():
     (poset,) = run_suite("poset", 1, 4)
     assert intervals.passed and poset.passed
     assert build_poset.cache_info().misses == 5  # sizes 1..5, each once
+
+
+def test_intervals_suite_glues_once_per_interval_and_scans_no_lattice(monkeypatch):
+    calls = {"glue_G": 0, "is_lattice": 0}
+
+    def counting(name, real):
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(poset_module, "glue_G", counting("glue_G", poset_module.glue_G))
+    lattice = counting("is_lattice", poset_module.is_lattice)
+    monkeypatch.setattr(poset_module, "is_lattice", lattice)
+    monkeypatch.setattr(verify_module, "is_lattice", lattice)
+    (report,) = run_suite("intervals", 2, 3)
+    assert report.passed and report.detail == "31 intervals certified"
+    assert calls == {"glue_G": 31, "is_lattice": 0}
+
+
+def test_cli_qsym_honours_the_env_guard(capsys, monkeypatch):
+    monkeypatch.setenv("POLYFLIP_MAX_MN", "4")
+    code, out, err = run_cli(capsys, "verify", "--suite", "qsym", "--m", "2", "--n", "3")
+    assert code == 2 and out == ""
+    assert "POLYFLIP_MAX_MN" in err
+
+
+def test_run_all_refuses_before_any_suite_runs():
+    build_poset.cache_clear()
+    with pytest.raises(SizeGuardExceeded) as info:
+        run_suite("all", 1, 8)  # qsym's top degree has 6435 columns
+    assert info.value.counterexample == {"columns": 6435, "max_columns": 4000}
+    assert build_poset.cache_info().misses == 0
