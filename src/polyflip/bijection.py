@@ -7,7 +7,7 @@ starting vertices are the last c visible vertices carrying the predecessor
 letter; finish by drawing every apex diagonal that still fits.
 """
 
-from .dissections import Dissection, chords_cross, vertex_label
+from .dissections import Dissection, vertex_label
 from .dyck import check_m_vector, is_dyck
 from .errors import ConstructionStuck, NotDyck
 from .polynomials import Monomial, leading_monomial, poly_for_dissection
@@ -39,36 +39,36 @@ def psi(m: int, v) -> Dissection:
         raise ValueError("the vector must be nonempty")
     n = len(v) // m
     chords: list[tuple[int, int]] = []
+    # the vertices a chord to the next end can reach: none lies strictly
+    # inside a chord drawn so far, and every chord ends at or before pos
+    visible: list[int] = []
     prefix = 0
     for pos, c in enumerate(v, start=1):
         prefix += c
+        visible.append(pos)
         if c == 0:
             continue
         end = pos + 1
-        avail = [
-            s
-            for s in range(1, end)
-            if not any(chords_cross((s, end), ch) for ch in chords)
-        ]
         target = (vertex_label(m, end) - 2) % m + 1  # cyclic predecessor letter
-        cands = [s for s in avail[:-1] if vertex_label(m, s) == target]
+        cands = [k for k, s in enumerate(visible[:-1]) if vertex_label(m, s) == target]
         if len(cands) < c:
             raise ConstructionStuck(
                 f"entry {c} at position {pos} exceeds the {len(cands)} "
                 f"visible predecessor-letter vertices"
             )
-        starts = cands[-c:]
+        starts = [visible[k] for k in cands[-c:]]
         # visible vertices run one per letter in cyclic order, and the first
         # chosen start sits at visible index pos - m*prefix
-        assert len(avail) == pos - m * (prefix - c), (pos, avail)
+        assert len(visible) == pos - m * (prefix - c), (pos, visible)
         assert all(
             vertex_label(m, s) == vertex_label(m, i)
-            for i, s in enumerate(avail, start=1)
-        ), (pos, avail)
-        assert avail[pos - m * prefix - 1] == starts[0], (pos, avail, starts)
+            for i, s in enumerate(visible, start=1)
+        ), (pos, visible)
+        assert visible[pos - m * prefix - 1] == starts[0], (pos, visible, starts)
         chords.extend((s, end) for s in starts)
-    for k in range(1, n):
-        cand = (0, m * k + 1)
-        if not any(chords_cross(cand, ch) for ch in chords):
-            chords.append(cand)
+        del visible[cands[-c] + 1 :]
+    # an apex diagonal (0, u) crosses a drawn chord exactly when u lies
+    # strictly inside it
+    seen = set(visible)
+    chords.extend((0, m * k + 1) for k in range(1, n) if m * k + 1 in seen)
     return Dissection.new(m, n, chords)

@@ -320,11 +320,16 @@ def cut_L(q: Dissection) -> list[Dissection]:
     return pieces
 
 
-def _glue_frame(m: int, parts: list[Dissection]) -> tuple[list[Chord], list[int]]:
+@lru_cache(maxsize=1)
+def _glue_frame(
+    m: int, parts: tuple[Dissection, ...]
+) -> tuple[tuple[Chord, ...], tuple[int, ...]]:
     # Embed the pieces side by side (piece i's arc re-indexed after piece
     # i-1's, consecutive pieces sharing the cut vertex) WITHOUT drawing the
     # cut diagonals, and return the cycle of the (m*k+2)-gon this leaves
     # around the apex: the apex regions of the pieces merged along the cuts.
+    # Memoized for the last pieces: every gluing over one bottom's cut
+    # reuses its frame, handed out as tuples so no caller can change it.
     chords: list[Chord] = []
     cycle = [0]
     offset = 0
@@ -338,7 +343,7 @@ def _glue_frame(m: int, parts: list[Dissection]) -> tuple[list[Chord], list[int]
         cycle.extend(rim if i == 0 else rim[1:])
         offset += m * p.n
     assert len(cycle) == m * len(parts) + 2
-    return chords, cycle
+    return tuple(chords), tuple(cycle)
 
 
 def glue_G(b0: Dissection, parts: list[Dissection]) -> Dissection:
@@ -349,9 +354,9 @@ def glue_G(b0: Dissection, parts: list[Dissection]) -> Dissection:
     """
     if len(parts) != b0.n:
         raise ArityMismatch(f"b0 has {b0.n} regions but {len(parts)} parts given")
-    chords, cycle = _glue_frame(b0.m, parts)
-    chords.extend((cycle[a], cycle[b]) for a, b in b0.diagonals)
-    return _unchecked(b0.m, sum(p.n for p in parts), chords)
+    chords, cycle = _glue_frame(b0.m, tuple(parts))
+    glued = chords + tuple((cycle[a], cycle[b]) for a, b in b0.diagonals)
+    return _unchecked(b0.m, sum(p.n for p in parts), glued)
 
 
 def width_and_blocks(q: Dissection) -> tuple[int, list[Dissection]]:

@@ -41,6 +41,7 @@ from .errors import (
     StructureViolation,
     VerificationFailure,
 )
+from .series import fuss_catalan
 
 
 def _bits(mask: int):
@@ -50,13 +51,30 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _reach(covers, start: int, keep=None) -> list[int]:
+    """Indices reachable from start over `covers` (start included), by DFS,
+    ascending; with `keep`, only through the indices it accepts."""
+    seen = {start}
+    todo = [start]
+    while todo:
+        for y in covers[todo.pop()]:
+            if y not in seen and (keep is None or keep(y)):
+                seen.add(y)
+                todo.append(y)
+    return sorted(seen)
+
+
 @dataclass(frozen=True, eq=False)
 class FlipPoset:
     """All M-angulations for one (m, n) with their cover relation.
 
-    Elements sit in canonical (sorted) order; comparisons run on cached
-    reachability bitmasks, so `leq` is O(1) after the first use.  Frozen,
-    with a read-only `index`: `build_poset` shares one instance per order.
+    Elements sit in canonical (sorted) order.  Comparisons read the flip
+    order as inclusion of non-apex diagonal sets (`diagonal_masks`, a few
+    dozen bits per element; `inclusion_check` certifies the theorem for an
+    order), and intervals walk the covers, so no query builds the O(N^2)
+    reachability closure.  `up_masks` and `down_masks` still build it on
+    demand, for `is_lattice` and the divisibility suite.  Frozen, with a
+    read-only `index`: `build_poset` shares one instance per order.
     """
 
     m: int
@@ -104,8 +122,23 @@ class FlipPoset:
             down[i] = acc
         return tuple(down)
 
+    @cached_property
+    def diagonal_masks(self) -> tuple[int, ...]:
+        """Element i's non-apex diagonals as a bitmask, one bit per chord in
+        order of first appearance."""
+        bit: dict[Chord, int] = {}
+        masks = []
+        for q in self.elements:
+            acc = 0
+            for d in q.diagonals:
+                if d[0]:
+                    acc |= 1 << bit.setdefault(d, len(bit))
+            masks.append(acc)
+        return tuple(masks)
+
     def leq(self, a: Dissection, b: Dissection) -> bool:
-        return bool(self.up_masks[self.index[a]] >> self.index[b] & 1)
+        D = self.diagonal_masks
+        return not D[self.index[a]] & ~D[self.index[b]]
 
     @property
     def minimum(self) -> Dissection:
@@ -115,17 +148,35 @@ class FlipPoset:
         return [q for i, q in enumerate(self.elements) if not self.covers_up[i]]
 
     def interval(self, bottom: Dissection, top: Dissection) -> "Interval":
+        """[bottom, top]: the elements reached from bottom over the covers
+        through elements whose diagonal set lies inside top's."""
         bi, ti = self.index[bottom], self.index[top]
-        mask = self.up_masks[bi] & self.down_masks[ti]
-        if not mask >> ti & 1:
+        D = self.diagonal_masks
+        dt = D[ti]
+        if D[bi] & ~dt:
             raise ValueError(f"{bottom} is not below {top}")
-        return Interval(self, bi, ti, mask)
+        inside = _reach(self.covers_up, bi, lambda j: not D[j] & ~dt)
+        return Interval(self, bi, ti, sum(1 << j for j in inside))
 
     def all_intervals(self):
+        """Every interval, by bottom and then ascending top.
+
+        One bottom at a time: its up-set by DFS over the covers, then the
+        down-closure of each element inside that up-set from its lower
+        covers, in rank order, which is the interval up to that element.
+        """
+        ranks, lower = self.ranks, self.covers_down
         for bi in range(len(self.elements)):
-            up = self.up_masks[bi]
-            for ti in _bits(up):
-                yield Interval(self, bi, ti, up & self.down_masks[ti])
+            up = _reach(self.covers_up, bi)
+            down: dict[int, int] = {}
+            for x in sorted(up, key=ranks.__getitem__):
+                acc = 1 << x
+                for w in lower[x]:
+                    if w in down:
+                        acc |= down[w]
+                down[x] = acc
+            for ti in up:
+                yield Interval(self, bi, ti, down[ti])
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,6 +207,52 @@ class Interval:
     def to_json(self) -> list[dict]:
         """[bottom, top], the counterexample payload of interval checks."""
         return [self.bottom_q.to_json(), self.top_q.to_json()]
+
+    @cached_property
+    def closure(self) -> "LocalClosure":
+        """The order on the mask's elements from the covers among them
+        alone, shared by `mobius` and `interval_structure`."""
+        idx = tuple(self.indices())
+        pos = {z: k for k, z in enumerate(idx)}
+        ups = tuple(
+            tuple(pos[w] for w in self.poset.covers_up[z] if w in pos) for z in idx
+        )
+        downs = [[] for _ in idx]
+        for k, ws in enumerate(ups):
+            for w in ws:
+                downs[w].append(k)
+        ranks = self.poset.ranks
+        order = tuple(sorted(range(len(idx)), key=lambda k: ranks[idx[k]]))
+        below = [0] * len(idx)
+        for k in order:
+            acc = 1 << k
+            for w in downs[k]:
+                acc |= below[w]
+            below[k] = acc
+        above = [0] * len(idx)
+        for k in reversed(order):
+            acc = 1 << k
+            for w in ups[k]:
+                acc |= above[w]
+            above[k] = acc
+        return LocalClosure(
+            idx, ups, tuple(map(tuple, downs)), order, tuple(below), tuple(above)
+        )
+
+
+@dataclass(frozen=True)
+class LocalClosure:
+    """An interval's order in local positions: position k is element
+    `idx[k]`, `ups[k]` and `downs[k]` its covers inside the interval,
+    `order` the positions by rank, and bit j of `below[k]` (`above[k]`)
+    marks j at or below (above) k."""
+
+    idx: tuple[int, ...]
+    ups: tuple[tuple[int, ...], ...]
+    downs: tuple[tuple[int, ...], ...]
+    order: tuple[int, ...]
+    below: tuple[int, ...]
+    above: tuple[int, ...]
 
 
 def _locate(index: Mapping, q: Dissection) -> int:
@@ -212,6 +309,71 @@ def cover_count_check(poset: FlipPoset) -> bool:
                 f"{q} has {got} covers, expected {want}"
             )
     return True
+
+
+@lru_cache(maxsize=None)
+def _fillings(m: int, vertices: int) -> int:
+    """M-angulations of a polygon with this many vertices: FC(m, k) for
+    m*k+2 of them, else none."""
+    k, r = divmod(vertices - 2, m)
+    return 0 if r else fuss_catalan(m, k)
+
+
+def _containing_count(m: int, n: int, chords) -> int:
+    """How many M-angulations of the (m*n+2)-gon contain `chords`, pairwise
+    non-crossing diagonals off the apex: the product of FC(m, k) over the
+    regions they cut, a region of m*k+2 vertices having FC(m, k) of its own.
+
+    Spans are the chords and the side (0, m*n+1); each closes the region
+    made of its own vertices minus those strictly inside its maximal
+    sub-spans, found with a stack of the open spans.
+    """
+    total = 1
+    stack: list[list[int]] = []  # [end, vertices] of each open span
+    for a, b in sorted([(0, m * n + 1), *chords], key=lambda c: (c[0], -c[1])):
+        while stack and stack[-1][0] <= a:
+            total *= _fillings(m, stack.pop()[1])
+        if stack:
+            stack[-1][1] -= b - a - 1
+        stack.append([b, b - a + 1])
+    for _, vertices in stack:
+        total *= _fillings(m, vertices)
+    return total
+
+
+def inclusion_check(poset: FlipPoset) -> int:
+    """Certify that the order is inclusion of non-apex diagonal sets, the
+    theorem `leq` and `interval` read it by.
+
+    (a) Every cover adds exactly one non-apex diagonal, so each up-set lies
+    among the elements holding the bottom's non-apex diagonals.  (b) Each
+    up-set, counted by DFS over the covers, is as large as the number of
+    M-angulations holding those diagonals (`_containing_count`, a closed
+    form that flips nothing), so it is all of them.  Returns the sum of the
+    up-set sizes, the number of intervals; raises VerificationFailure with
+    the element's JSON.
+    """
+    D = poset.diagonal_masks
+    for i, q in enumerate(poset.elements):
+        for j in poset.covers_up[i]:
+            if D[i] & ~D[j] or (D[i] ^ D[j]).bit_count() != 1:
+                raise VerificationFailure(
+                    f"cover {q} -> {poset.elements[j]} does not add exactly one "
+                    f"non-apex diagonal",
+                    q.to_json(),
+                )
+    total = 0
+    for i, q in enumerate(poset.elements):
+        size = len(_reach(poset.covers_up, i))
+        want = _containing_count(poset.m, poset.n, [d for d in q.diagonals if d[0]])
+        if size != want:
+            raise VerificationFailure(
+                f"{size} elements above {q}, but {want} M-angulations hold its "
+                f"non-apex diagonals",
+                q.to_json(),
+            )
+        total += size
+    return total
 
 
 def maximal_chain_count(poset: FlipPoset) -> int:
@@ -289,15 +451,13 @@ def descent_check(poset: FlipPoset) -> bool:
 
 
 def mobius(interval: Interval) -> int:
-    poset = interval.poset
-    order = sorted(interval.indices(), key=lambda i: poset.ranks[i])
-    mu = {interval.bottom: 1}
-    for z in order:
-        if z == interval.bottom:
-            continue
-        below = interval.mask & poset.down_masks[z] & ~(1 << z)
-        mu[z] = -sum(mu[w] for w in _bits(below))
-    return mu[interval.top]
+    local = interval.closure
+    bottom = local.idx.index(interval.bottom)
+    mu = {bottom: 1}
+    for z in local.order:
+        if z != bottom:
+            mu[z] = -sum(mu[w] for w in _bits(local.below[z] ^ 1 << z))
+    return mu[local.idx.index(interval.top)]
 
 
 def _cores_above(poset: FlipPoset, bi: int, tops):
@@ -314,7 +474,7 @@ def _cores_above(poset: FlipPoset, bi: int, tops):
     parts = cut_L(bottom)
     small = _order_of_size(poset, len(parts))
     inner = {d for d in bottom.diagonals if d[0] != 0}
-    _, cycle = _glue_frame(bottom.m, parts)
+    _, cycle = _glue_frame(bottom.m, tuple(parts))
     pos = {v: i for i, v in enumerate(cycle)}
 
     def failure(message: str, top: Dissection) -> DecompositionFailure:
@@ -421,51 +581,45 @@ def interval_structure(interval: Interval) -> tuple[bool, ForestPoset]:
     distributive (Birkhoff 1937).  Raises StructureViolation otherwise.
     """
     poset = interval.poset
-    up, down = poset.up_masks, poset.down_masks
+    local = interval.closure
+    up, down, covers = local.above, local.below, local.ups
 
     def violation(message: str) -> StructureViolation:
         return StructureViolation(
             f"{message} in [{interval.bottom_q}, {interval.top_q}]", interval.to_json()
         )
 
-    idx = interval.indices()
-    lower = dict.fromkeys(idx, 0)
-    covers = {z: [w for w in poset.covers_up[z] if w in lower] for z in idx}
-    for ws in covers.values():
-        for w in ws:
-            lower[w] += 1
-    irr = [z for z in idx if lower[z] == 1]
-    irr_mask = sum(1 << z for z in irr)
+    def name(k: int) -> Dissection:
+        return poset.elements[local.idx[k]]
+
+    irr = [k for k, ws in enumerate(local.downs) if len(ws) == 1]
+    irr_mask = sum(1 << k for k in irr)
     parents = []
     for z in irr:
         uppers = (up[z] & irr_mask) ^ (1 << z)
         minimal = [w for w in _bits(uppers) if down[w] & uppers == 1 << w]
         if len(minimal) > 1:
             raise violation(
-                f"irreducible {poset.elements[z]} covered by {len(minimal)} "
-                f"irreducibles"
+                f"irreducible {name(z)} covered by {len(minimal)} irreducibles"
             )
         parents.append(irr.index(minimal[0]) if minimal else -1)
-    forest = ForestPoset(tuple(irr), tuple(parents))
+    forest = ForestPoset(tuple(local.idx[k] for k in irr), tuple(parents))
     if forest.ideal_count() != interval.size:
         raise violation(
             f"{forest.ideal_count()} forest ideals for an interval of size "
             f"{interval.size}"
         )
-    ideal = {z: down[z] & irr_mask for z in idx}
-    if len(set(ideal.values())) != interval.size:
+    ideal = [d & irr_mask for d in down]
+    if len(set(ideal)) != interval.size:
         raise violation("two elements have the same irreducibles below them")
-    for x in idx:
-        jx = ideal[x]
+    for x, jx in enumerate(ideal):
         for y in covers[x]:
             if jx & ~ideal[y] or (ideal[y] ^ jx).bit_count() != 1:
-                raise violation(
-                    f"a cover above {poset.elements[x]} does not add one irreducible"
-                )
+                raise violation(f"a cover above {name(x)} does not add one irreducible")
         grows = sum(ideal[e] & ~jx == 1 << e for e in irr)
         if grows != len(covers[x]):
             raise violation(
-                f"{poset.elements[x]} has {len(covers[x])} up-covers but its ideal "
+                f"{name(x)} has {len(covers[x])} up-covers but its ideal "
                 f"{grows} one-element extensions"
             )
     return True, forest
@@ -493,7 +647,7 @@ def upper_ideal_iso_check(poset: FlipPoset, bottom: Dissection) -> bool:
     k-piece order, and gluing must match covers both ways.
     """
     bi = poset.index[bottom]
-    _, small, cores = _cores_above(poset, bi, _bits(poset.up_masks[bi]))
+    _, small, cores = _cores_above(poset, bi, _reach(poset.covers_up, bi))
     if sorted(cores.values()) != list(range(len(small.elements))):
         raise VerificationFailure(f"glued image misses the filter above {bottom}")
     small_pairs = {(i, j) for i, ups in enumerate(small.covers_up) for j in ups}
@@ -585,8 +739,7 @@ def width_factorization_check(poset: FlipPoset, final_q: Dissection) -> bool:
 def apex_chords_avoid_downset_check(poset: FlipPoset, final_q: Dissection) -> bool:
     """The apex chords of a final element cross nothing anywhere below it."""
     chords = apex_diagonal_set_D(final_q)
-    ti = poset.index[final_q]
-    for i in _bits(poset.down_masks[ti]):
+    for i in _reach(poset.covers_down, poset.index[final_q]):
         q = poset.elements[i]
         for c in chords:
             for d in q.diagonals:

@@ -38,6 +38,7 @@ from .poset import (
     cover_count_check,
     descent_check,
     expected_maximal_chain_count,
+    inclusion_check,
     initial_factorization_check,
     interval_structure,
     is_lattice,
@@ -130,6 +131,18 @@ def _order(m: int, n: int):
 
 
 def suite_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationReport:
+    """The order's shape, and the inclusion theorem its queries rely on.
+
+    Beyond the element count, the unique minimum, covers one rank up, cover
+    degrees, chain count, descent swaps and the rank census, the suite
+    certifies that the order is inclusion of non-apex diagonal sets
+    (`inclusion_check`): every cover adds exactly one such diagonal, and
+    each element's up-set, by DFS over the covers, is as large as the
+    closed-form count of M-angulations holding its non-apex diagonals.  The
+    up-set sizes must then add up to the interval count of the I series.
+    Whether the whole order is a lattice is observed, not asserted.
+    """
+
     def check():
         _guard("poset", m, n, max_mn)
         poset = _order(m, n)
@@ -147,6 +160,10 @@ def suite_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationRep
             for j in poset.covers_up[i]:
                 if poset.ranks[j] != poset.ranks[i] + 1:
                     _fail(f"cover {q} -> {poset.elements[j]} skips a rank")
+        intervals = inclusion_check(poset)
+        expect = series_I(m, n).coefficient(n)
+        if intervals != expect:
+            _fail(f"up-sets hold {intervals} intervals, series says {expect}")
         cover_count_check(poset)
         chains = maximal_chain_count(poset)
         if chains != expected_maximal_chain_count(m, n):

@@ -5,6 +5,7 @@ import pytest
 
 import polyflip.dissections as dissections_module
 import polyflip.poset as poset_module
+import polyflip.verify as verify_module
 from polyflip import (
     DecompositionFailure,
     Dissection,
@@ -14,8 +15,10 @@ from polyflip import (
     MalformedDissection,
     NoWitness,
     StructureViolation,
+    VerificationFailure,
     build_poset,
     chords_cross,
+    cut_L,
     descend_to_fan,
     expected_maximal_chain_count,
     flip_up,
@@ -28,6 +31,8 @@ from polyflip import (
     maximal_chain_count,
     mobius,
     rank_polynomial,
+    run_suite,
+    series_I,
     to_dot,
     to_json_dict,
 )
@@ -36,6 +41,7 @@ from polyflip.poset import (
     _poly_mul,
     apex_chords_avoid_downset_check,
     cover_count_check,
+    inclusion_check,
     initial_factorization_check,
     is_lattice,
     upper_ideal_iso_check,
@@ -43,7 +49,7 @@ from polyflip.poset import (
     width_factorization_check,
 )
 
-from oracles import closure_from_covers, is_distributive_lattice
+from oracles import brute_dissections, closure_from_covers, is_distributive_lattice
 
 PAIRS = [(1, 3), (1, 4), (2, 2), (2, 3), (3, 2)]
 
@@ -433,3 +439,185 @@ def test_is_lattice_needs_least_upper_and_greatest_lower_bounds():
     assert not ok and witness == (bowtie.elements[2], bowtie.elements[1])
     for name in ("M3", "N5"):
         assert is_lattice(_hand_made(HAND_MADE[name]).poset) == (True, None)
+
+
+@pytest.mark.parametrize("m,n", PAIRS)
+def test_leq_and_interval_agree_with_the_dfs_closure(m, n):
+    poset = build_poset(m, n)
+    above = closure_from_covers(len(poset.elements), poset.covers_up)
+    for a, qa in enumerate(poset.elements):
+        for b, qb in enumerate(poset.elements):
+            assert poset.leq(qa, qb) == (b in above[a])
+            if b not in above[a]:
+                with pytest.raises(ValueError):
+                    poset.interval(qa, qb)
+                continue
+            iv = poset.interval(qa, qb)
+            want = {z for z in above[a] if b in above[z]}
+            assert (iv.bottom, iv.top, set(iv.indices())) == (a, b, want)
+
+
+@pytest.mark.parametrize("m,n", PAIRS)
+def test_all_intervals_match_the_reachability_masks(m, n):
+    poset = build_poset.__wrapped__(m, n)
+    got = [(iv.bottom, iv.top, iv.mask) for iv in poset.all_intervals()]
+    assert "up_masks" not in poset.__dict__ and "down_masks" not in poset.__dict__
+    want = [
+        (b, t, poset.up_masks[b] & poset.down_masks[t])
+        for b in range(len(poset.elements))
+        for t in range(len(poset.elements))
+        if poset.up_masks[b] >> t & 1
+    ]
+    assert got == want
+
+
+def test_order_queries_build_no_reachability_closure():
+    poset = build_poset.__wrapped__(1, 6)
+    top = next(q for q in poset.maximal_elements() if poset.leq(poset.minimum, q))
+    assert poset.leq(poset.minimum, top) and not poset.leq(top, poset.minimum)
+    iv = poset.interval(poset.minimum, top)
+    assert mobius(iv) in (-1, 0, 1)
+    assert interval_structure(iv)[0]
+    for q in poset.elements:
+        assert upper_ideal_iso_check(poset, q)
+        if is_final(q):
+            assert apex_chords_avoid_downset_check(poset, q)
+    assert "up_masks" not in poset.__dict__ and "down_masks" not in poset.__dict__
+
+
+def test_interval_closure_is_built_once_and_shared():
+    poset = build_poset(2, 3)
+    iv = poset.interval(poset.minimum, TOP)
+    local = iv.closure
+    mobius(iv)
+    interval_structure(iv)
+    assert iv.closure is local
+    assert list(local.idx) == iv.indices()
+    assert all(isinstance(x, tuple) for x in (local.ups, local.downs, local.below))
+
+
+@pytest.mark.parametrize("m,n", [(1, 4), (1, 5), (2, 3), (3, 2)])
+def test_containing_count_matches_brute_force(m, n):
+    full = brute_dissections(m, n)
+    for q in build_poset(m, n).elements:
+        chords = {d for d in q.diagonals if d[0]}
+        want = sum(1 for other in full if chords <= set(other))
+        assert poset_module._containing_count(m, n, sorted(chords)) == want
+
+
+@pytest.mark.parametrize("m,n", [(1, 7), (2, 5), (3, 3), (2, 2), (1, 1)])
+def test_inclusion_check_counts_the_intervals(m, n):
+    poset = build_poset(m, n)
+    assert inclusion_check(poset) == series_I(m, n).coefficient(n)
+
+
+def _broken_covers(poset, change):
+    """A copy of poset whose covers_up went through `change`, a function of
+    the cover lists (as lists)."""
+    covers = [list(ups) for ups in poset.covers_up]
+    change(covers)
+    return FlipPoset(
+        poset.m, poset.n, poset.elements, tuple(tuple(sorted(u)) for u in covers)
+    )
+
+
+def _redirect(poset):
+    """(i, j, k): i covers j; k is of j's rank, not a superset of i's
+    diagonals, and j keeps another lower cover, so only the inclusion
+    theorem tells a cover i -> k apart."""
+    D = poset.diagonal_masks
+    for i, ups in enumerate(poset.covers_up):
+        for j in ups:
+            if len(poset.covers_down[j]) < 2:
+                continue
+            for k, r in enumerate(poset.ranks):
+                if r == poset.ranks[j] and k not in ups and D[i] & ~D[k]:
+                    return i, j, k
+    raise AssertionError("no cover to redirect")
+
+
+def _assert_suite_fails_at(monkeypatch, broken, q, message):
+    monkeypatch.setattr(verify_module, "build_poset", lambda m, n, max_mn: broken)
+    (report,) = run_suite("poset", broken.m, broken.n)
+    assert not report.passed and message in report.detail
+    assert report.counterexample == q.to_json()
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (1, 5)])
+def test_a_redirected_cover_fails_the_inclusion_check(monkeypatch, m, n):
+    poset = build_poset(m, n)
+    i, j, k = _redirect(poset)
+
+    def redirect(covers):
+        covers[i][covers[i].index(j)] = k
+
+    broken = _broken_covers(poset, redirect)
+    q = poset.elements[i]
+    message = f"cover {q} -> {poset.elements[k]} does not add exactly one"
+    with pytest.raises(VerificationFailure, match=re.escape(message)) as info:
+        inclusion_check(broken)
+    assert info.value.counterexample == q.to_json()
+    _assert_suite_fails_at(monkeypatch, broken, q, message)
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (1, 5)])
+def test_an_extra_cover_fails_the_inclusion_check(monkeypatch, m, n):
+    poset = build_poset(m, n)
+    i, _, k = _redirect(poset)
+    broken = _broken_covers(poset, lambda covers: covers[i].append(k))
+    q = poset.elements[i]
+    message = f"cover {q} -> {poset.elements[k]} does not add exactly one"
+    with pytest.raises(VerificationFailure, match=re.escape(message)) as info:
+        inclusion_check(broken)
+    assert info.value.counterexample == q.to_json()
+    _assert_suite_fails_at(monkeypatch, broken, q, message)
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (1, 5)])
+def test_a_missing_cover_fails_the_up_set_count(monkeypatch, m, n):
+    poset = build_poset(m, n)
+    i, j, _ = _redirect(poset)
+    broken = _broken_covers(poset, lambda covers: covers[i].remove(j))
+    size = len(poset.elements)
+    pairs = zip(
+        closure_from_covers(size, broken.covers_up),
+        closure_from_covers(size, poset.covers_up),
+    )
+    q = poset.elements[next(z for z, (got, want) in enumerate(pairs) if got != want)]
+    with pytest.raises(VerificationFailure, match="M-angulations hold its") as info:
+        inclusion_check(broken)
+    assert info.value.counterexample == q.to_json()
+    _assert_suite_fails_at(monkeypatch, broken, q, "M-angulations hold its")
+
+
+def test_poset_suite_checks_the_up_sets_against_the_interval_series(monkeypatch):
+    real = verify_module.inclusion_check
+    monkeypatch.setattr(verify_module, "inclusion_check", lambda poset: real(poset) + 1)
+    (report,) = run_suite("poset", 2, 3)
+    assert not report.passed
+    assert report.detail == "up-sets hold 32 intervals, series says 31"
+
+
+def test_glue_frame_is_built_once_per_bottom_and_frozen():
+    poset = build_poset(1, 6)
+    q = next(q for q in poset.elements if len(cut_L(q)) == 3)
+    dissections_module._glue_frame.cache_clear()
+    assert upper_ideal_iso_check(poset, q)
+    info = dissections_module._glue_frame.cache_info()
+    above = closure_from_covers(len(poset.elements), poset.covers_up)
+    assert (info.misses, info.hits) == (1, len(above[poset.index[q]]))
+    chords, cycle = dissections_module._glue_frame(1, tuple(cut_L(q)))
+    assert isinstance(chords, tuple) and isinstance(cycle, tuple)
+
+
+def test_a_shortcut_cover_fails_the_inclusion_check():
+    # the fan -> a rank-2 element holds the fan's (empty) non-apex set but
+    # adds two diagonals: an order relation, yet no cover
+    poset = build_poset(2, 3)
+    k = poset.ranks.index(2)
+    broken = _broken_covers(poset, lambda covers: covers[0].append(k))
+    fan = poset.minimum
+    message = f"cover {fan} -> {poset.elements[k]} does not add exactly one"
+    with pytest.raises(VerificationFailure, match=re.escape(message)) as info:
+        inclusion_check(broken)
+    assert info.value.counterexample == fan.to_json()
