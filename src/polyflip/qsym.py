@@ -4,8 +4,10 @@ generated by the fundamental quasisymmetric polynomials.
 Per degree d the ideal's component (rows mu * F_c over compositions with
 1 <= |c| <= d) must have rank #monomials - #admissible vectors of that
 degree over Q, and appending one unit row per admissible vector must reach
-full rank.  `certify_degree` proves both with one sparse elimination modulo
-PRIME, columns ordered non-admissible first:
+full rank.  Each degree's rows are built once, sparse ({column:
+coefficient}, `_ideal_rows`), and `_certify` proves both claims on them
+with one sparse elimination modulo PRIME, rows sparsest first and columns
+ordered non-admissible first:
 
 - lower bound: rank mod p never exceeds rank over Q, so pivots on exactly
   the non-admissible columns give rank >= #monomials - #admissible, and
@@ -16,12 +18,16 @@ PRIME, columns ordered non-admissible first:
   independent, so rank <= #monomials - #admissible.
 
 When any step does not close (an unlucky prime, or a false claim), the
-degree is decided by the exact fraction-free `integer_matrix_rank`.
+degree's rows are densified and the degree is decided by the exact
+fraction-free `integer_matrix_rank`.  That fallback and the public dense
+API (`ideal_graded_matrix`, `certify_degree`) are the only places that
+hold a row as a list over all monomials.
 """
 
 from functools import lru_cache
 from itertools import combinations_with_replacement, compress
 from math import comb, gcd, isqrt, lcm
+from operator import add
 
 from .dyck import enumerate_compositions, enumerate_dyck, is_m_composition
 from .errors import SizeGuardExceeded, VerificationFailure
@@ -124,27 +130,45 @@ def _check_columns(nvars: int, d: int, max_columns: int) -> None:
         )
 
 
-def ideal_graded_matrix(
-    m: int, n: int, d: int, max_columns: int = DEFAULT_MAX_COLUMNS
-) -> tuple[list[tuple[int, ...]], list[list[int]]]:
-    """Degree-d rows of the ideal in the degree-d monomial basis."""
+def _ideal_rows(
+    m: int, n: int, d: int, max_columns: int
+) -> tuple[list[tuple[int, ...]], list[dict[int, int]]]:
+    """Degree-d rows of the ideal as {column: coefficient} over the
+    degree-d monomials, nonzeros only: one row mu * F_c per nonzero F_c
+    and monomial mu of degree d - |c|, compositions in enumeration order."""
     nvars = m * n
     _check_columns(nvars, d, max_columns)
     monomials = monomials_of_degree(nvars, d)
     col = {e: i for i, e in enumerate(monomials)}
     rows = []
     for c in enumerate_compositions(m, d):
-        f = fundamental_qsym(m, c, n)
-        if f.is_zero():
+        terms = _fundamental_terms(m, c, n)
+        if not terms:
             continue
-        w = sum(c)
-        for mu in monomials_of_degree(nvars, d - w):
-            row = [0] * len(monomials)
-            for e, coef in f.terms.items():
-                shifted = tuple(a + b for a, b in zip(e, mu))
-                row[col[shifted]] += coef
-            rows.append(row)
+        for mu in monomials_of_degree(nvars, d - sum(c)):
+            # Shifting by mu is injective, so distinct terms of F_c land
+            # in distinct columns and no coefficient needs adding up.
+            rows.append({col[tuple(map(add, e, mu))]: x for e, x in terms})
     return monomials, rows
+
+
+def _densify(rows: list[dict[int, int]], ncols: int) -> list[list[int]]:
+    """Sparse rows as lists over all `ncols` columns."""
+    dense = []
+    for row in rows:
+        full = [0] * ncols
+        for c, x in row.items():
+            full[c] = x
+        dense.append(full)
+    return dense
+
+
+def ideal_graded_matrix(
+    m: int, n: int, d: int, max_columns: int = DEFAULT_MAX_COLUMNS
+) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """Degree-d rows of the ideal in the degree-d monomial basis, dense."""
+    monomials, rows = _ideal_rows(m, n, d, max_columns)
+    return monomials, _densify(rows, len(monomials))
 
 
 def integer_matrix_rank(rows) -> int:
@@ -181,12 +205,23 @@ def integer_matrix_rank(rows) -> int:
 
 def annihilates(rows, witness) -> bool:
     """Exact check over Z: every functional in `witness` ({column: integer})
-    vanishes on every sparse row ({column: integer})."""
-    return all(
-        sum(x * lam.get(c, 0) for c, x in row.items()) == 0
-        for lam in witness
-        for row in rows
-    )
+    vanishes on every sparse row ({column: integer}).
+
+    A row that meets none of a functional's columns contributes exactly 0
+    to it, so the rows are indexed by column once and each functional is
+    summed only on the rows that meet its support."""
+    meeting: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            meeting.setdefault(c, []).append(i)
+    for lam in witness:
+        hit = set()
+        for c in lam:
+            hit.update(meeting.get(c, ()))
+        for i in hit:
+            if sum(x * lam.get(c, 0) for c, x in rows[i].items()):
+                return False
+    return True
 
 
 def _rational(u: int, p: int) -> tuple[int, int] | None:
@@ -210,7 +245,18 @@ def certify_degree(monomials, rows, admissible) -> list[dict[int, int]] | None:
     per admissible monomial, nonzero on that monomial's column and zero on
     the other admissible ones, checked over Z against every row.  Returns
     None when the certificate does not close; the claim is then undecided.
+
+    This is the dense front of `_certify`, which `verify_basis_graded`
+    calls on its sparse rows directly: each row keeps only its nonzeros.
     """
+    ncols = len(monomials)
+    sparse = [{c: row[c] for c in compress(range(ncols), row)} for row in rows]
+    return _certify(monomials, sparse, admissible)
+
+
+def _certify(monomials, rows, admissible) -> list[dict[int, int]] | None:
+    """`certify_degree` on sparse rows ({column: integer}, over
+    `monomials`)."""
     p = PRIME
     ncols = len(monomials)
     target = ncols - len(admissible)
@@ -227,30 +273,12 @@ def certify_degree(monomials, rows, admissible) -> list[dict[int, int]] | None:
     order += admissible_cols
     pos = {c: i for i, c in enumerate(order)}
 
-    sparse = [{c: row[c] for c in compress(range(ncols), row)} for row in rows]
-    pivots: dict[int, dict[int, int]] = {}  # position -> row, 1 at position
-    for srow in sparse:
-        if len(pivots) == target:
-            break  # the remaining rows are left to the check over Z
-        row = {pos[c]: x % p for c, x in srow.items()}
-        while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                if lead >= target:
-                    return None  # a pivot on an admissible column
-                inv = pow(row[lead], -1, p)
-                pivots[lead] = {j: x * inv % p for j, x in row.items()}
-                break
-            f = row[lead]
-            for j, x in pivot.items():
-                y = (row.get(j, 0) - f * x) % p
-                if y:
-                    row[j] = y
-                else:
-                    del row[j]
-    if len(pivots) < target:
-        return None  # rank mod p short of the claim
+    # Sparsest rows first: at the top degree of (1, 7), where the claim is
+    # full rank and the rows are densest, this cut the certificate from
+    # 8.6 s to 5.5 s.
+    pivots = _eliminate(sorted(rows, key=len), pos, target, p)
+    if pivots is None or len(pivots) < target:
+        return None  # a pivot on an admissible column, or rank mod p short
     if not admissible:
         return []
 
@@ -282,9 +310,38 @@ def certify_degree(monomials, rows, admissible) -> list[dict[int, int]] | None:
                 fractions[order[lead]] = frac
         scale = lcm(*(s for _, s in fractions.values()))
         witness.append({c: r * (scale // s) for c, (r, s) in fractions.items()})
-    if not annihilates(sparse, witness):
+    if not annihilates(rows, witness):
         return None
     return witness
+
+
+def _eliminate(rows, pos, target, p) -> dict[int, dict[int, int]] | None:
+    """Sparse elimination mod p of `rows` ({column: integer}) in the given
+    order, columns at positions `pos`: the pivot rows (position -> row,
+    1 at that position), up to `target` of them.  None when a pivot falls
+    at a position >= target."""
+    pivots: dict[int, dict[int, int]] = {}
+    for srow in rows:
+        if len(pivots) == target:
+            break  # the remaining rows are left to the check over Z
+        row = {pos[c]: y for c, x in srow.items() if (y := x % p)}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                if lead >= target:
+                    return None
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {j: x * inv % p for j, x in row.items()}
+                break
+            f = row[lead]
+            for j, x in pivot.items():
+                y = (row.get(j, 0) - f * x) % p
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+    return pivots
 
 
 def verify_basis_graded(
@@ -299,7 +356,7 @@ def verify_basis_graded(
         dyck_by_degree.setdefault(sum(v), []).append(v)
     table = []
     for d in range(n + 1):
-        monomials, rows = ideal_graded_matrix(m, n, d, max_columns)
+        monomials, rows = _ideal_rows(m, n, d, max_columns)
         admissible = dyck_by_degree.get(d, [])
         expected = len(monomials) - len(admissible)
         # The counterexample of any failure at this degree.
@@ -309,8 +366,9 @@ def verify_basis_graded(
             "ideal_rank": expected,
             "admissible": len(admissible),
         }
-        if certify_degree(monomials, rows, admissible) is None:
+        if _certify(monomials, rows, admissible) is None:
             # The certificate did not close: exact elimination decides.
+            rows = _densify(rows, len(monomials))
             ideal_rank = entry["ideal_rank"] = integer_matrix_rank(rows)
             if ideal_rank != expected:
                 raise VerificationFailure(

@@ -3,10 +3,14 @@
 Everything here recomputes objects from first principles with different
 algorithms than the package: dissections by filtering chord subsets with a
 split-based face computation, admissible vectors by filtering full product
-spaces with a lattice-path walk, and order relations by plain set DFS.
+spaces with a lattice-path walk, order relations by plain set DFS, and
+the ideal's graded rows densely, one zero row per generator filled in place.
 """
 
-from itertools import combinations, product
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, product
+
+from polyflip import enumerate_compositions, fundamental_qsym
 
 
 def crossing(c1, c2) -> bool:
@@ -130,3 +134,32 @@ def is_distributive_lattice(above, members):
         for b in members
         for c in members
     )
+
+
+def dense_ideal_matrix(m, n, d):
+    """The degree-d rows mu * F_c of the qsym ideal, as dense lists over the
+    degree-d monomials in lexicographic order: each exponent of each nonzero
+    F_c (1 <= |c| <= d) is shifted by every monomial mu of degree d - |c|
+    into a zero row."""
+    nvars = m * n
+
+    def monomials(k):
+        out = []
+        for chosen in combinations_with_replacement(range(nvars), k):
+            count = Counter(chosen)
+            out.append(tuple(count[i] for i in range(nvars)))
+        return sorted(out)
+
+    cols = monomials(d)
+    col = {e: i for i, e in enumerate(cols)}
+    rows = []
+    for c in enumerate_compositions(m, d):
+        f = fundamental_qsym(m, c, n)
+        if f.is_zero():
+            continue
+        for mu in monomials(d - sum(c)):
+            row = [0] * len(cols)
+            for e, coef in f.terms.items():
+                row[col[tuple(a + b for a, b in zip(e, mu))]] += coef
+            rows.append(row)
+    return cols, rows

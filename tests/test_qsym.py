@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -21,6 +23,7 @@ from polyflip.qsym import (
     integer_matrix_rank,
     monomials_of_degree,
 )
+from oracles import dense_ideal_matrix
 
 
 def test_word_of_composition():
@@ -268,3 +271,95 @@ def test_certificate_checks_its_witness_over_z(monkeypatch):
     monkeypatch.setattr(qsym, "_rational", lambda u, p: (2, 1))
     monomials = [(0,), (1,), (2,)]
     assert certify_degree(monomials, [[1, 1, 0], [0, 1, 1]], [(2,)]) is None
+
+
+@pytest.mark.parametrize("m,n", [(1, 4), (2, 3), (3, 2), (2, 4)])
+def test_ideal_graded_matrix_matches_the_dense_oracle(m, n):
+    for d in range(n + 1):
+        assert ideal_graded_matrix(m, n, d) == dense_ideal_matrix(m, n, d)
+
+
+@pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (4, 3)])
+def test_certified_degrees_build_no_dense_row(m, n, monkeypatch):
+    def dense(*args):
+        raise AssertionError("a dense row was built on the success path")
+
+    monkeypatch.setattr(qsym, "ideal_graded_matrix", dense)
+    monkeypatch.setattr(qsym, "_densify", dense)
+    calls = count_exact_ranks(monkeypatch)
+    table = verify_basis_graded(m, n)["degrees"]
+    assert calls == []
+    assert sum(row["admissible"] for row in table) == fuss_catalan(m, n)
+
+
+def test_certified_degrees_stay_below_the_dense_rows():
+    _, rows = ideal_graded_matrix(2, 4, 4)
+    dense_bytes = sum(map(sys.getsizeof, rows))
+    del rows
+    tracemalloc.start()
+    try:
+        verify_basis_graded(2, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 2
+
+
+def test_annihilates_matches_the_all_rows_definition():
+    rng = random.Random(2029)
+    for _ in range(200):
+        ncols = rng.randint(1, 12)
+
+        def sparse(columns, most, size):
+            support = rng.sample(range(columns), rng.randint(0, min(most, columns)))
+            return {c: rng.randint(-size, size) for c in support}
+
+        rows = [sparse(ncols, 4, 3) for _ in range(rng.randint(0, 6))]
+        # functionals reach past the rows' columns, so some meet no row
+        witness = [sparse(ncols + 4, 3, 2) for _ in range(rng.randint(0, 3))]
+        expected = all(
+            sum(x * lam.get(c, 0) for c, x in row.items()) == 0
+            for lam in witness
+            for row in rows
+        )
+        assert annihilates(rows, witness) == expected
+    assert annihilates([{}, {0: 5}], [{1: 7}])  # an empty row, a disjoint support
+    assert not annihilates([{}, {0: 5, 1: 1}], [{1: 7}])
+
+
+def record_eliminations(monkeypatch):
+    counts = []
+    eliminate = qsym._eliminate
+
+    def recorded(rows, *args):
+        counts.append([len(row) for row in rows])
+        return eliminate(rows, *args)
+
+    monkeypatch.setattr(qsym, "_eliminate", recorded)
+    return counts
+
+
+@pytest.mark.parametrize("prime", [qsym.PRIME, 2])
+def test_elimination_takes_the_sparsest_rows_first(prime, monkeypatch):
+    expected = {mn: verify_basis_graded(*mn) for mn in ((2, 3), (1, 4))}
+    counts = record_eliminations(monkeypatch)
+    exact = count_exact_ranks(monkeypatch)
+    monkeypatch.setattr(qsym, "PRIME", prime)
+    for (m, n), report in expected.items():
+        counts.clear()
+        assert verify_basis_graded(m, n) == report
+        built = [
+            sorted(map(len, qsym._ideal_rows(m, n, d, qsym.DEFAULT_MAX_COLUMNS)[1]))
+            for d in range(n + 1)
+        ]
+        assert counts == built  # every row, in nondecreasing nonzero count
+    assert bool(exact) == (prime == 2)  # mod 2 some degree falls back
+
+
+def test_certificate_drops_entries_that_vanish_mod_p():
+    monomials = [(0,), (1,), (2,)]
+    p = qsym.PRIME
+    # mod p the first row is (0, 1, 0), and the second then pivots on the
+    # admissible column: undecided, not a failed reduction
+    assert certify_degree(monomials, [[p, 1, 0], [0, 1, 1]], [(2,)]) is None
+    assert certify_degree(monomials, [[1, 0, 0], [p, 1, 0]], [(2,)]) == [{2: 1}]
