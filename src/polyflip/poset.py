@@ -64,6 +64,18 @@ def _reach(covers, start: int, keep=None) -> list[int]:
     return sorted(seen)
 
 
+def _fold(order, covers) -> tuple[int, ...]:
+    """Bit j of entry k marks j reached from k over `covers` (k included);
+    `order` lists every k after all of its covers."""
+    masks = [0] * len(covers)
+    for k in order:
+        acc = 1 << k
+        for w in covers[k]:
+            acc |= masks[w]
+        masks[k] = acc
+    return tuple(masks)
+
+
 @dataclass(frozen=True, eq=False)
 class FlipPoset:
     """All M-angulations for one (m, n) with their cover relation.
@@ -72,8 +84,9 @@ class FlipPoset:
     order as inclusion of non-apex diagonal sets (`diagonal_masks`, a few
     dozen bits per element; `inclusion_check` certifies the theorem for an
     order), and intervals walk the covers, so no query builds the O(N^2)
-    reachability closure.  `up_masks` and `down_masks` still build it on
-    demand, for `is_lattice` and the divisibility suite.  Frozen, with a
+    reachability closure.  `up_masks` and `down_masks` build it on demand:
+    the divisibility suite reads `up_masks`, as does `is_lattice` on a
+    bounded order, and `down_masks` is kept as an oracle.  Frozen, with a
     read-only `index`: `build_poset` shares one instance per order.
     """
 
@@ -99,28 +112,15 @@ class FlipPoset:
         return tuple(tuple(sorted(d)) for d in down)
 
     @cached_property
-    def _by_rank_desc(self) -> list[int]:
-        return sorted(range(len(self.elements)), key=lambda i: -self.ranks[i])
-
-    @cached_property
     def up_masks(self) -> tuple[int, ...]:
-        up = [0] * len(self.elements)
-        for i in self._by_rank_desc:
-            acc = 1 << i
-            for j in self.covers_up[i]:
-                acc |= up[j]
-            up[i] = acc
-        return tuple(up)
+        ranks = self.ranks
+        order = sorted(range(len(ranks)), key=ranks.__getitem__, reverse=True)
+        return _fold(order, self.covers_up)
 
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
-        down = [0] * len(self.elements)
-        for i in reversed(self._by_rank_desc):
-            acc = 1 << i
-            for j in self.covers_down[i]:
-                acc |= down[j]
-            down[i] = acc
-        return tuple(down)
+        ranks = self.ranks
+        return _fold(sorted(range(len(ranks)), key=ranks.__getitem__), self.covers_down)
 
     @cached_property
     def diagonal_masks(self) -> tuple[int, ...]:
@@ -223,21 +223,8 @@ class Interval:
                 downs[w].append(k)
         ranks = self.poset.ranks
         order = tuple(sorted(range(len(idx)), key=lambda k: ranks[idx[k]]))
-        below = [0] * len(idx)
-        for k in order:
-            acc = 1 << k
-            for w in downs[k]:
-                acc |= below[w]
-            below[k] = acc
-        above = [0] * len(idx)
-        for k in reversed(order):
-            acc = 1 << k
-            for w in ups[k]:
-                acc |= above[w]
-            above[k] = acc
-        return LocalClosure(
-            idx, ups, tuple(map(tuple, downs)), order, tuple(below), tuple(above)
-        )
+        below, above = _fold(order, downs), _fold(reversed(order), ups)
+        return LocalClosure(idx, ups, tuple(map(tuple, downs)), order, below, above)
 
 
 @dataclass(frozen=True)
@@ -378,8 +365,9 @@ def inclusion_check(poset: FlipPoset) -> int:
 
 def maximal_chain_count(poset: FlipPoset) -> int:
     """Number of saturated chains from the fan to a maximal element."""
-    counts = [0] * len(poset.elements)
-    for i in poset._by_rank_desc:
+    ranks = poset.ranks
+    counts = [0] * len(ranks)
+    for i in sorted(range(len(ranks)), key=ranks.__getitem__, reverse=True):
         ups = poset.covers_up[i]
         counts[i] = sum(counts[j] for j in ups) if ups else 1
     return counts[poset.index[poset.minimum]]
@@ -535,34 +523,25 @@ class ForestPoset:
         return total
 
 
-def _unique_extreme(poset: FlipPoset, pool: int, masks) -> int | None:
-    """Index of the one element of pool whose masks entry holds all of pool:
-    with down_masks the greatest element of pool, with up_masks the least."""
-    found = None
-    for z in _bits(pool):
-        if masks[z] & pool == pool:
-            if found is not None:
-                return None
-            found = z
-    return found
-
-
 def is_lattice(poset: FlipPoset):
-    """Whether every pair of elements has a meet and a join.
+    """Whether the order is a lattice.  Being finite, it is one exactly when
+    it has a least element and every pair has a least upper bound.
 
-    Returns (True, None) or (False, witness pair): the poset suite's
-    ambient observation.  Intervals are certified by `interval_structure`.
+    Two minimal elements have no meet, and two maximal ones no join, so the
+    covers alone answer for every flip order but n = 1 and (1, 2).  Only a
+    bounded order is scanned, pair by pair on `up_masks`.  Returns
+    (True, None) or (False, witness pair): the poset suite's ambient
+    observation.  Intervals are certified by `interval_structure`.
     """
-    for a in range(len(poset.elements)):
+    for covers in (poset.covers_down, poset.covers_up):
+        extremes = [i for i, ws in enumerate(covers) if not ws]
+        if len(extremes) > 1:
+            return False, (poset.elements[extremes[1]], poset.elements[extremes[0]])
+    up = poset.up_masks
+    for a in range(len(up)):
         for b in range(a):
-            lowers = poset.down_masks[a] & poset.down_masks[b]
-            uppers = poset.up_masks[a] & poset.up_masks[b]
-            if (
-                not lowers
-                or not uppers
-                or _unique_extreme(poset, lowers, poset.down_masks) is None
-                or _unique_extreme(poset, uppers, poset.up_masks) is None
-            ):
+            uppers = up[a] & up[b]
+            if not any(up[z] & uppers == uppers for z in _bits(uppers)):
                 return False, (poset.elements[a], poset.elements[b])
     return True, None
 
@@ -678,11 +657,11 @@ def _poly_mul(a, b):
 
 
 def _initial_interval_poly(poset: FlipPoset, top: Dissection) -> tuple[int, ...]:
-    """Cover-degree polynomial of [fan, top] in the order of top's size."""
+    """Cover-degree polynomial of [fan, top] in the order of top's size:
+    top's down-set, walked over the lower covers."""
     order = _order_of_size(poset, top.n)
-    _locate(order.index, top)
-    iv = order.interval(order.minimum, top)
-    return _cover_degree_poly(order, iv.mask)
+    below = _reach(order.covers_down, _locate(order.index, top))
+    return _cover_degree_poly(order, sum(1 << j for j in below))
 
 
 def initial_factorization_check(poset: FlipPoset, top: Dissection) -> bool:

@@ -349,10 +349,11 @@ def verify_basis_graded(
 ) -> dict:
     """Per-degree certificate for sizes 0..n; raises VerificationFailure
     with the offending degree on any mismatch.  The column cap is checked
-    at the top degree, the largest, before any work."""
+    at the top degree, the largest, before any work; it bounds the work,
+    so the vectors are enumerated without an m*n guard of their own."""
     _check_columns(m * n, n, max_columns)
     dyck_by_degree: dict[int, list[tuple[int, ...]]] = {}
-    for v in enumerate_dyck(m, n):
+    for v in enumerate_dyck(m, n, m * n):
         dyck_by_degree.setdefault(sum(v), []).append(v)
     table = []
     for d in range(n + 1):

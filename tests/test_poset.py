@@ -441,6 +441,58 @@ def test_is_lattice_needs_least_upper_and_greatest_lower_bounds():
         assert is_lattice(_hand_made(HAND_MADE[name]).poset) == (True, None)
 
 
+def _dual(covers_up):
+    """The opposite order, relabelled k -> N-1-k so covers still go up."""
+    last = len(covers_up) - 1
+    dual = [[] for _ in covers_up]
+    for i, ups in enumerate(covers_up):
+        for j in ups:
+            dual[last - j].append(last - i)
+    return dual
+
+
+def _lattice_scan_orders():
+    covers = {name: cov for name, cov in HAND_MADE.items() if name != "shortcut"}
+    covers["two-tops"] = [[1, 2], [], []]  # a bottom and two maximal elements
+    covers.update({f"dual-{name}": _dual(cov) for name, cov in covers.items()})
+    orders = [pytest.param(_hand_made(c).poset, id=name) for name, c in covers.items()]
+    for m, n in [(1, 1), (1, 2), *PAIRS]:
+        orders.append(pytest.param(build_poset(m, n), id=f"flip-{m}-{n}"))
+    return orders
+
+
+def _bounds_lacking(poset):
+    """Pairs (a, b) lacking a meet or a join, by scanning every element
+    against the oracle's closure sets."""
+    size = len(poset.elements)
+    above = closure_from_covers(size, poset.covers_up)
+
+    def extreme(found, leq):
+        return len([x for x in found if all(leq(x, y) for y in found)]) == 1
+
+    lacking = set()
+    for a in range(size):
+        for b in range(size):
+            ups = [u for u in range(size) if u in above[a] and u in above[b]]
+            downs = [d for d in range(size) if a in above[d] and b in above[d]]
+            has_join = extreme(ups, lambda x, y: y in above[x])
+            has_meet = extreme(downs, lambda x, y: x in above[y])
+            if not (has_join and has_meet):
+                lacking.add((a, b))
+    return lacking
+
+
+@pytest.mark.parametrize("poset", _lattice_scan_orders())
+def test_is_lattice_agrees_with_a_brute_force_bound_scan(poset):
+    lacking = _bounds_lacking(poset)
+    ok, witness = is_lattice(poset)
+    assert ok == (not lacking)
+    if ok:
+        assert witness is None
+    else:
+        assert tuple(poset.index[q] for q in witness) in lacking
+
+
 @pytest.mark.parametrize("m,n", PAIRS)
 def test_leq_and_interval_agree_with_the_dfs_closure(m, n):
     poset = build_poset(m, n)

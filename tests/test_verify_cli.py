@@ -161,7 +161,7 @@ def test_cli_bad_env_guard_exits_2(capsys, monkeypatch):
 def test_cli_qsym_failure_carries_counterexample(capsys, monkeypatch):
     # drop one admissible vector: degree 1 of (2, 2) then claims rank 3
     full = qsym.enumerate_dyck
-    monkeypatch.setattr(qsym, "enumerate_dyck", lambda m, n: full(m, n)[:-1])
+    monkeypatch.setattr(qsym, "enumerate_dyck", lambda m, n, *guard: full(m, n, *guard)[:-1])
     code, out, _ = run_cli(capsys, "verify", "--m", "2", "--n", "2", "--suite", "qsym")
     assert code == 1
     (report,) = json.loads(out)
@@ -536,3 +536,32 @@ def test_run_all_refuses_before_any_suite_runs():
         run_suite("all", 1, 8)  # qsym's top degree has 6435 columns
     assert info.value.counterexample == {"columns": 6435, "max_columns": 4000}
     assert build_poset.cache_info().misses == 0
+
+
+def test_cli_qsym_env_guard_lifts_the_vector_enumeration(capsys, monkeypatch):
+    monkeypatch.setenv("POLYFLIP_MAX_MN", "20")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "qsym", "--m", "6", "--n", "3")
+    assert code == 0
+    (report,) = json.loads(out)
+    assert report["pass"] is True
+
+
+@pytest.mark.parametrize("m,n", [(1, 6), (2, 4), (3, 3)])
+def test_poset_suite_builds_no_reachability_table(m, n):
+    build_poset.cache_clear()
+    (report,) = run_suite("poset", m, n)
+    assert report.passed
+    assert report.detail == "ambient_lattice=False (observed, not asserted)"
+    poset = verify_module._order(m, n)
+    assert build_poset.cache_info().misses == 1  # the suite's own order
+    assert "up_masks" not in poset.__dict__ and "down_masks" not in poset.__dict__
+
+
+def test_intervals_suite_reads_no_diagonal_sets():
+    # only the poset suite certifies the inclusion theorem they stand for
+    build_poset.cache_clear()
+    (report,) = run_suite("intervals", 2, 4)
+    assert report.passed
+    orders = [verify_module._order(2, k) for k in range(1, 5)]
+    assert build_poset.cache_info().misses == 4  # the suite's own orders
+    assert not any("diagonal_masks" in order.__dict__ for order in orders)
