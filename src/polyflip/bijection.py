@@ -45,6 +45,9 @@ def psi(m: int, v) -> Dissection:
     prefix = 0
     for pos, c in enumerate(v, start=1):
         prefix += c
+        # visible vertices run one per letter in cyclic order; entries are
+        # only appended or truncated, so each is checked once, here
+        assert vertex_label(m, pos) == vertex_label(m, len(visible) + 1), (pos, visible)
         visible.append(pos)
         if c == 0:
             continue
@@ -57,13 +60,8 @@ def psi(m: int, v) -> Dissection:
                 f"visible predecessor-letter vertices"
             )
         starts = [visible[k] for k in cands[-c:]]
-        # visible vertices run one per letter in cyclic order, and the first
-        # chosen start sits at visible index pos - m*prefix
+        # the first chosen start sits at visible index pos - m*prefix
         assert len(visible) == pos - m * (prefix - c), (pos, visible)
-        assert all(
-            vertex_label(m, s) == vertex_label(m, i)
-            for i, s in enumerate(visible, start=1)
-        ), (pos, visible)
         assert visible[pos - m * prefix - 1] == starts[0], (pos, visible, starts)
         chords.extend((s, end) for s in starts)
         del visible[cands[-c] + 1 :]

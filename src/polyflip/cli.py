@@ -4,20 +4,29 @@ stdout carries only the requested data (JSON, CSV, or DOT) and is
 byte-stable for fixed arguments; progress and timing go to stderr.  Exit
 codes: 0 success, 1 failed verification or domain error, 2 usage or size
 guard.
+
+`_emit_json` is the one JSON writer.  It writes exactly
+`json.dumps(obj, sort_keys=True)` and a newline, but streams: a list field
+may be a generator, and its items are encoded and written in chunks, so
+`enumerate` and `poset --emit json` never hold their rows or the output
+text whole.  CSV rows are written straight to stdout.  So an export that
+fails partway exits 1 with part of its data already on stdout: stdout is
+whole only when the exit code is 0.
 """
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
+from collections.abc import Iterator
+from itertools import islice
 
 from .bijection import admissible_exponents
 from .dissections import DEFAULT_MAX_MN, enumerate_dissections, is_final
 from .errors import PolyflipError, SizeGuardExceeded
 from .polynomials import leading_monomial, poly_for_dissection
-from .poset import build_poset, to_dot, to_json_dict
+from .poset import _json_fields, build_poset, to_dot
 from .series import series_F, series_G, series_I, series_T
 from .verify import run_suite
 
@@ -46,33 +55,63 @@ def _positive(text: str) -> int:
     return value
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True)
+_CHUNK = 512  # list items encoded per write
+
+
+def _json_chunks(obj):
+    # json.dumps(obj, sort_keys=True) in pieces.  Dicts are walked; a list,
+    # tuple or iterator, at the top or as a dict value, is encoded one item
+    # at a time, so a generator of rows is never held whole.  Anything else,
+    # list items included, is encoded whole.
+    if isinstance(obj, dict):
+        yield "{"
+        for k, (key, value) in enumerate(sorted(obj.items())):
+            # the encoder's own text for the key: {key: 0} less "{" and ": 0}"
+            yield ("" if k == 0 else ", ") + _ENCODER.encode({key: 0})[1:-4] + ": "
+            yield from _json_chunks(value)
+        yield "}"
+    elif isinstance(obj, (list, tuple, Iterator)):
+        yield "["
+        items, sep = iter(obj), ""
+        while batch := list(islice(items, _CHUNK)):
+            yield sep + ", ".join(map(_ENCODER.encode, batch))
+            sep = ", "
+        yield "]"
+    else:
+        yield _ENCODER.encode(obj)
+
+
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    """Write json.dumps(obj, sort_keys=True) and a newline to stdout, in
+    chunks; list-valued fields may be given as iterators."""
+    sys.stdout.writelines(_json_chunks(obj))
+    sys.stdout.write("\n")
+
+
+def _enumerate_row(q) -> dict:
+    # One polynomial per row: vector (phi(q)), poly and leading are all read
+    # off p and its leading monomial.
+    p = poly_for_dissection(q)
+    lead = leading_monomial(p)
+    return {
+        "diagonals": [list(d) for d in q.diagonals],
+        "rank": q.rank,
+        "vector": list(admissible_exponents(lead)),
+        "poly": p.text(),
+        "leading": lead.text(),
+    }
 
 
 def cmd_enumerate(args) -> int:
-    rows = []
-    for q in enumerate_dissections(args.m, args.n, _max_mn()):
-        if args.final and not is_final(q):
-            continue
-        # One polynomial per row: vector (phi(q)), poly and leading are all
-        # read off p and its leading monomial.
-        p = poly_for_dissection(q)
-        lead = leading_monomial(p)
-        rows.append(
-            {
-                "diagonals": [list(d) for d in q.diagonals],
-                "rank": q.rank,
-                "vector": list(admissible_exponents(lead)),
-                "poly": p.text(),
-                "leading": lead.text(),
-            }
-        )
+    elements = enumerate_dissections(args.m, args.n, _max_mn())
+    if args.final:
+        elements = [q for q in elements if is_final(q)]
+    rows = map(_enumerate_row, elements)
     if args.format == "json":
-        _emit_json({"m": args.m, "n": args.n, "count": len(rows), "items": rows})
+        _emit_json({"m": args.m, "n": args.n, "count": len(elements), "items": rows})
     else:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["rank", "diagonals", "vector", "poly", "leading"])
         for r in rows:
             writer.writerow(
@@ -84,7 +123,6 @@ def cmd_enumerate(args) -> int:
                     r["leading"],
                 ]
             )
-        sys.stdout.write(out.getvalue())
     return 0
 
 
@@ -93,7 +131,7 @@ def cmd_poset(args) -> int:
     if args.emit == "dot":
         sys.stdout.write(to_dot(poset, label=args.label))
     else:
-        _emit_json(to_json_dict(poset))
+        _emit_json(_json_fields(poset))
     return 0
 
 
@@ -129,12 +167,10 @@ def cmd_series(args) -> int:
             }
         )
     else:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["n", "coefficient"])
         for k, c in enumerate(coeffs, start=1):
             writer.writerow([k, " ".join(str(x) for x in c) if isinstance(c, list) else c])
-        sys.stdout.write(out.getvalue())
     return 0
 
 

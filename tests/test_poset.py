@@ -1,4 +1,6 @@
+import gc
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -673,3 +675,39 @@ def test_a_shortcut_cover_fails_the_inclusion_check():
     with pytest.raises(VerificationFailure, match=re.escape(message)) as info:
         inclusion_check(broken)
     assert info.value.counterexample == fan.to_json()
+
+
+@pytest.mark.parametrize("m,n", PAIRS)
+def test_elements_share_one_tuple_per_chord(m, n):
+    chords = [d for q in build_poset(m, n).elements for d in q.diagonals]
+    assert len({id(d) for d in chords}) == len(set(chords))
+
+
+def _held_by_build(m, n):
+    # tracemalloc bytes the fresh build of the (m, n) order holds
+    dissections_module._arc_fillings.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        poset = build_poset.__wrapped__(m, n)
+        gc.collect()  # empties the free lists, which tracemalloc counts as held
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        dissections_module._arc_fillings.cache_clear()
+    assert len(poset.elements) == fuss_catalan(m, n)
+    return held
+
+
+def test_built_order_holds_under_half_its_former_memory(monkeypatch):
+    # The former build, rebuilt in this process: a fresh tuple per chord slot
+    # and the top gap's fillings memoized.  On Python 3.11.7 it holds
+    # 1 132 356 bytes traced (the code before the change: 1 132 364), and the
+    # shared-chord build 467 100.
+    dissections_module._chord.cache_clear()
+    held = _held_by_build(1, 8)
+    fillings = dissections_module._arc_fillings
+    monkeypatch.setattr(dissections_module, "_chord", dissections_module._chord.__wrapped__)
+    monkeypatch.setattr(fillings, "__wrapped__", fillings)
+    former = _held_by_build(1, 8)
+    assert held <= former / 2

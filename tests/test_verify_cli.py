@@ -1,7 +1,10 @@
 import csv
+import hashlib
 import io
 import json
 import random
+from collections.abc import Iterator
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,7 @@ from polyflip import (
     Dissection,
     FlipPoset,
     ForestPoset,
+    NotDyck,
     SizeGuardExceeded,
     binomial_for_diagonal,
     build_poset,
@@ -565,3 +569,81 @@ def test_intervals_suite_reads_no_diagonal_sets():
     orders = [verify_module._order(2, k) for k in range(1, 5)]
     assert build_poset.cache_info().misses == 4  # the suite's own orders
     assert not any("diagonal_masks" in order.__dict__ for order in orders)
+
+
+def _listed(obj):
+    # obj with every iterator field made a list, as json.dumps needs it
+    if isinstance(obj, dict):
+        return {key: _listed(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple, Iterator)):
+        return [_listed(item) for item in obj]
+    return obj
+
+
+EMIT_CASES = {
+    "empty dict": lambda: {},
+    "empty lists": lambda: {"b": [], "a": (), "c": iter([]), "d": {"e": []}},
+    "nested dicts": lambda: {
+        "z": {"y": {"x": [1, {"w": None, "v": [2.5, "q\"\u00e9"]}]}, "b": "\n"},
+        "a": 1.5,
+        "t": True,
+    },
+    "non-string keys": lambda: {2: "b", 1: [None], 3: {10: 0, 9: 1}},
+    "top-level list": lambda: [1, "two", {"b": 2, "a": [3, []]}],
+    "top-level empty list": lambda: [],
+    "top-level scalar": lambda: "text",
+    "generator fields": lambda: {
+        "rows": ({"k": i, "j": [i, -i]} for i in range(1300)),
+        "inner": {"squares": (i * i for i in range(3)), "none": iter(())},
+        "count": 1300,
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMIT_CASES))
+def test_emit_json_writes_what_json_dumps_writes(capsys, case):
+    cli_module._emit_json(EMIT_CASES[case]())
+    want = json.dumps(_listed(EMIT_CASES[case]()), sort_keys=True) + "\n"
+    assert capsys.readouterr().out == want
+
+
+# The export commands' stdout, pinned by sha256 in the benchmark's digests.
+with open(Path(__file__).resolve().parents[1] / "perfbench" / "digests.json") as _fh:
+    EXPORT_DIGESTS = {
+        label: digest
+        for label, digest in json.load(_fh).items()
+        if label.split()[0] in ("enumerate", "poset", "series")
+    }
+
+
+def test_export_digests_cover_every_export_command():
+    assert len(EXPORT_DIGESTS) == 6
+
+
+@pytest.mark.parametrize("label", sorted(EXPORT_DIGESTS))
+def test_export_stdout_matches_its_pinned_digest(capsys, label):
+    code, out, _ = run_cli(capsys, *label.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_DIGESTS[label]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_an_export_failing_partway_exits_1_with_partial_output(capsys, monkeypatch, fmt):
+    # Rows are written as they are made, so a row that fails leaves the rows
+    # before it on stdout; only the exit code says the export is whole.
+    calls = []
+
+    def fails_at_row_5(lead):
+        calls.append(lead)
+        if len(calls) == 5:
+            raise NotDyck("row 5 fails")
+        return bijection_module.admissible_exponents(lead)
+
+    monkeypatch.setattr(cli_module, "admissible_exponents", fails_at_row_5)
+    code, out, err = run_cli(capsys, "enumerate", "--m", "1", "--n", "4", "--format", fmt)
+    assert (code, err) == (1, "error: NotDyck: row 5 fails\n")
+    if fmt == "json":
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(out)
+    else:
+        assert len(list(csv.reader(io.StringIO(out)))) == 1 + 4  # header, 4 rows
