@@ -19,13 +19,12 @@ ordered non-admissible first:
 
 When any step does not close (an unlucky prime, or a false claim), the
 degree's rows are densified and the degree is decided by the exact
-fraction-free `integer_matrix_rank`.  That fallback and the public dense
-API (`ideal_graded_matrix`, `certify_degree`) are the only places that
-hold a row as a list over all monomials.
+fraction-free `integer_matrix_rank`.  That fallback is the only place that
+holds a row as a list over all monomials.
 """
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, compress
+from itertools import combinations_with_replacement
 from math import comb, gcd, isqrt, lcm
 from operator import add
 
@@ -131,13 +130,12 @@ def _check_columns(nvars: int, d: int, max_columns: int) -> None:
 
 
 def _ideal_rows(
-    m: int, n: int, d: int, max_columns: int
+    m: int, n: int, d: int
 ) -> tuple[list[tuple[int, ...]], list[dict[int, int]]]:
     """Degree-d rows of the ideal as {column: coefficient} over the
     degree-d monomials, nonzeros only: one row mu * F_c per nonzero F_c
     and monomial mu of degree d - |c|, compositions in enumeration order."""
     nvars = m * n
-    _check_columns(nvars, d, max_columns)
     monomials = monomials_of_degree(nvars, d)
     col = {e: i for i, e in enumerate(monomials)}
     rows = []
@@ -161,14 +159,6 @@ def _densify(rows: list[dict[int, int]], ncols: int) -> list[list[int]]:
             full[c] = x
         dense.append(full)
     return dense
-
-
-def ideal_graded_matrix(
-    m: int, n: int, d: int, max_columns: int = DEFAULT_MAX_COLUMNS
-) -> tuple[list[tuple[int, ...]], list[list[int]]]:
-    """Degree-d rows of the ideal in the degree-d monomial basis, dense."""
-    monomials, rows = _ideal_rows(m, n, d, max_columns)
-    return monomials, _densify(rows, len(monomials))
 
 
 def integer_matrix_rank(rows) -> int:
@@ -236,27 +226,17 @@ def _rational(u: int, p: int) -> tuple[int, int] | None:
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def certify_degree(monomials, rows, admissible) -> list[dict[int, int]] | None:
-    """Exact certificate that the ideal rows `rows` (dense, over
-    `monomials`) have rank len(monomials) - len(admissible) over Q, and
-    that one unit row per admissible monomial completes them to full rank.
+def _certify(monomials, rows, admissible) -> list[dict[int, int]] | None:
+    """Exact certificate that the ideal rows `rows` (sparse, {column:
+    integer} over `monomials`) have rank len(monomials) - len(admissible)
+    over Q, and that one unit row per admissible monomial completes them to
+    full rank.
 
     Returns the integer kernel witness: one functional {column: integer}
     per admissible monomial, nonzero on that monomial's column and zero on
     the other admissible ones, checked over Z against every row.  Returns
     None when the certificate does not close; the claim is then undecided.
-
-    This is the dense front of `_certify`, which `verify_basis_graded`
-    calls on its sparse rows directly: each row keeps only its nonzeros.
     """
-    ncols = len(monomials)
-    sparse = [{c: row[c] for c in compress(range(ncols), row)} for row in rows]
-    return _certify(monomials, sparse, admissible)
-
-
-def _certify(monomials, rows, admissible) -> list[dict[int, int]] | None:
-    """`certify_degree` on sparse rows ({column: integer}, over
-    `monomials`)."""
     p = PRIME
     ncols = len(monomials)
     target = ncols - len(admissible)
@@ -349,15 +329,15 @@ def verify_basis_graded(
 ) -> dict:
     """Per-degree certificate for sizes 0..n; raises VerificationFailure
     with the offending degree on any mismatch.  The column cap is checked
-    at the top degree, the largest, before any work; it bounds the work,
-    so the vectors are enumerated without an m*n guard of their own."""
+    once, at the top degree, the largest, before any work; it bounds the
+    work, so the vectors are enumerated without an m*n guard of their own."""
     _check_columns(m * n, n, max_columns)
     dyck_by_degree: dict[int, list[tuple[int, ...]]] = {}
     for v in enumerate_dyck(m, n, m * n):
         dyck_by_degree.setdefault(sum(v), []).append(v)
     table = []
     for d in range(n + 1):
-        monomials, rows = _ideal_rows(m, n, d, max_columns)
+        monomials, rows = _ideal_rows(m, n, d)
         admissible = dyck_by_degree.get(d, [])
         expected = len(monomials) - len(admissible)
         # The counterexample of any failure at this degree.
@@ -377,11 +357,7 @@ def verify_basis_graded(
                     entry,
                 )
             col = {e: i for i, e in enumerate(monomials)}
-            unit_rows = []
-            for v in admissible:
-                row = [0] * len(monomials)
-                row[col[v]] = 1
-                unit_rows.append(row)
+            unit_rows = _densify([{col[v]: 1} for v in admissible], len(monomials))
             full = integer_matrix_rank(rows + unit_rows)
             if full != len(monomials):
                 raise VerificationFailure(

@@ -32,6 +32,7 @@ from .polynomials import (
     poly_for_dissection,
 )
 from .poset import (
+    _reach,
     apex_chords_avoid_downset_check,
     build_poset,
     cache_guard,
@@ -112,10 +113,11 @@ def _guard(suite: str, m: int, n: int, max_mn: int) -> None:
     suite's before the first one runs, so no report is thrown away.  Every
     suite but series caps m*n at max_mn, and qsym also caps the columns of
     its top degree, the largest.  Series runs its brute-force parts only
-    for small m*n; the m*n guard it checks there refuses nothing that the
-    poset suite's guard lets through.
+    for small m*n, and caps m*n at max_mn only where it counts intervals,
+    m*n <= INTERVAL_SUITE_MAX_MN; that refuses nothing that the poset
+    suite's guard lets through.
     """
-    if suite != "series":
+    if suite != "series" or m * n <= INTERVAL_SUITE_MAX_MN:
         check_size_guard(m, n, max_mn)
     if suite == "qsym":
         _check_columns(m * n, n, DEFAULT_MAX_COLUMNS)
@@ -328,6 +330,7 @@ def suite_intervals(
 
 def suite_series(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationReport:
     def check():
+        _guard("series", m, n, max_mn)
         order = max(SERIES_ORDER, n)
         if not residuals_vanish(m, order):
             _fail(f"fixed-point residuals do not vanish to order {order}")
@@ -351,9 +354,9 @@ def suite_series(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationRe
                 _fail(f"{len(finals)} final dissections, series says "
                       f"{f.coefficient(n)}")
         if m * n <= INTERVAL_SUITE_MAX_MN:
-            check_size_guard(m, n, max_mn)
-            poset = _order(m, n)
-            count = sum(1 for _ in poset.all_intervals())
+            # An interval is a bottom and a top above it: the up-set sizes.
+            covers = _order(m, n).covers_up
+            count = sum(len(_reach(covers, i)) for i in range(len(covers)))
             if count != series_I(m, order).coefficient(n):
                 _fail(f"{count} intervals disagree with the composed series")
         return f"orders up to {order} certified"

@@ -17,13 +17,20 @@ from polyflip import (
 )
 import polyflip.qsym as qsym
 from polyflip.qsym import (
+    _certify,
+    _densify,
+    _ideal_rows,
     annihilates,
-    certify_degree,
-    ideal_graded_matrix,
     integer_matrix_rank,
     monomials_of_degree,
 )
 from oracles import dense_ideal_matrix
+
+
+def dense_rows(m, n, d):
+    """The degree-d ideal rows, densified over the degree-d monomials."""
+    monomials, rows = _ideal_rows(m, n, d)
+    return monomials, _densify(rows, len(monomials))
 
 
 def test_word_of_composition():
@@ -87,20 +94,20 @@ def test_integer_matrix_rank():
 
 def test_ideal_matrix_guard():
     with pytest.raises(SizeGuardExceeded):
-        ideal_graded_matrix(2, 2, 2, max_columns=5)
+        verify_basis_graded(2, 2, max_columns=5)
 
 
 def test_ideal_matrix_guard_carries_the_column_count():
     with pytest.raises(SizeGuardExceeded) as info:
-        ideal_graded_matrix(2, 2, 2, max_columns=5)
+        verify_basis_graded(2, 2, max_columns=5)
     assert info.value.counterexample == {"columns": 10, "max_columns": 5}
 
 
 def test_column_cap_refuses_before_any_degree(monkeypatch):
     calls = []
-    real = qsym.ideal_graded_matrix
+    real = qsym._ideal_rows
     monkeypatch.setattr(
-        qsym, "ideal_graded_matrix", lambda *args: calls.append(args) or real(*args)
+        qsym, "_ideal_rows", lambda *args: calls.append(args) or real(*args)
     )
     with pytest.raises(SizeGuardExceeded) as info:
         verify_basis_graded(2, 3, max_columns=20)
@@ -167,24 +174,24 @@ def test_fundamental_multidegree_is_composition_weight():
 
 
 def test_ideal_graded_matrix_pinned_ranks():
-    monomials, rows = ideal_graded_matrix(1, 2, 1)
+    monomials, rows = dense_rows(1, 2, 1)
     assert monomials == [(0, 1), (1, 0)]
     assert [1, 1] in rows  # x1 + x2, the single linear generator
     assert integer_matrix_rank(rows) == 1
 
-    _, rows = ideal_graded_matrix(1, 2, 2)
+    _, rows = dense_rows(1, 2, 2)
     assert integer_matrix_rank(rows) == 3  # degree 2 is all ideal
 
     # degree 1 always holds exactly the m independent linear generators
     for m, n in ((1, 3), (2, 2), (2, 3), (3, 2)):
-        _, rows = ideal_graded_matrix(m, n, 1)
+        _, rows = dense_rows(m, n, 1)
         assert integer_matrix_rank(rows) == m
 
 
 def test_rank_is_row_order_invariant():
     rng = random.Random(1031)
     for m, n, d in ((1, 3, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2)):
-        _, rows = ideal_graded_matrix(m, n, d)
+        _, rows = dense_rows(m, n, d)
         base = integer_matrix_rank(rows)
         assert integer_matrix_rank(list(reversed(rows))) == base
         for _ in range(3):
@@ -216,10 +223,11 @@ def count_exact_ranks(monkeypatch):
 def test_certificate_matches_exact_rank(m, n):
     by_degree = admissible_by_degree(m, n)
     for d in range(n + 1):
-        monomials, rows = ideal_graded_matrix(m, n, d)
+        monomials, rows = _ideal_rows(m, n, d)
         admissible = by_degree.get(d, [])
-        witness = certify_degree(monomials, rows, admissible)
+        witness = _certify(monomials, rows, admissible)
         assert witness is not None
+        rows = _densify(rows, len(monomials))
         assert len(monomials) - len(witness) == integer_matrix_rank(rows)
         # the witness, re-checked on the dense rows: an integer functional
         # per admissible monomial, diagonal on the admissible columns
@@ -253,30 +261,29 @@ def test_small_prime_falls_back_to_exact_rank(monkeypatch):
 
 def test_certificate_rejects_false_claims():
     monomials = [(0,), (1,), (2,)]  # three stand-in columns
-    rows = [[1, 1, 0], [0, 1, 1]]
-    witness = certify_degree(monomials, rows, [(2,)])
+    rows = [{0: 1, 1: 1}, {1: 1, 2: 1}]
+    witness = _certify(monomials, rows, [(2,)])
     assert witness == [{2: 1, 1: -1, 0: 1}]
-    sparse = [{0: 1, 1: 1}, {1: 1, 2: 1}]
-    assert annihilates(sparse, witness)
-    assert not annihilates(sparse, [{2: 1, 1: -1, 0: 2}])
+    assert annihilates(rows, witness)
+    assert not annihilates(rows, [{2: 1, 1: -1, 0: 2}])
     # claims the rows do not meet: rank short, a pivot on the admissible
     # column, and a repeated admissible monomial
-    assert certify_degree(monomials, rows, []) is None
-    assert certify_degree(monomials, [[1, 1, 0], [0, 0, 1]], [(2,)]) is None
-    assert certify_degree(monomials, rows, [(2,), (2,)]) is None
+    assert _certify(monomials, rows, []) is None
+    assert _certify(monomials, [{0: 1, 1: 1}, {2: 1}], [(2,)]) is None
+    assert _certify(monomials, rows, [(2,), (2,)]) is None
 
 
 def test_certificate_checks_its_witness_over_z(monkeypatch):
     # a reconstruction that lies must be caught by the check over Z
     monkeypatch.setattr(qsym, "_rational", lambda u, p: (2, 1))
     monomials = [(0,), (1,), (2,)]
-    assert certify_degree(monomials, [[1, 1, 0], [0, 1, 1]], [(2,)]) is None
+    assert _certify(monomials, [{0: 1, 1: 1}, {1: 1, 2: 1}], [(2,)]) is None
 
 
 @pytest.mark.parametrize("m,n", [(1, 4), (2, 3), (3, 2), (2, 4)])
 def test_ideal_graded_matrix_matches_the_dense_oracle(m, n):
     for d in range(n + 1):
-        assert ideal_graded_matrix(m, n, d) == dense_ideal_matrix(m, n, d)
+        assert dense_rows(m, n, d) == dense_ideal_matrix(m, n, d)
 
 
 @pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (4, 3)])
@@ -284,7 +291,6 @@ def test_certified_degrees_build_no_dense_row(m, n, monkeypatch):
     def dense(*args):
         raise AssertionError("a dense row was built on the success path")
 
-    monkeypatch.setattr(qsym, "ideal_graded_matrix", dense)
     monkeypatch.setattr(qsym, "_densify", dense)
     calls = count_exact_ranks(monkeypatch)
     table = verify_basis_graded(m, n)["degrees"]
@@ -293,7 +299,7 @@ def test_certified_degrees_build_no_dense_row(m, n, monkeypatch):
 
 
 def test_certified_degrees_stay_below_the_dense_rows():
-    _, rows = ideal_graded_matrix(2, 4, 4)
+    _, rows = dense_ideal_matrix(2, 4, 4)
     dense_bytes = sum(map(sys.getsizeof, rows))
     del rows
     tracemalloc.start()
@@ -349,7 +355,7 @@ def test_elimination_takes_the_sparsest_rows_first(prime, monkeypatch):
         counts.clear()
         assert verify_basis_graded(m, n) == report
         built = [
-            sorted(map(len, qsym._ideal_rows(m, n, d, qsym.DEFAULT_MAX_COLUMNS)[1]))
+            sorted(map(len, _ideal_rows(m, n, d)[1]))
             for d in range(n + 1)
         ]
         assert counts == built  # every row, in nondecreasing nonzero count
@@ -361,5 +367,5 @@ def test_certificate_drops_entries_that_vanish_mod_p():
     p = qsym.PRIME
     # mod p the first row is (0, 1, 0), and the second then pivots on the
     # admissible column: undecided, not a failed reduction
-    assert certify_degree(monomials, [[p, 1, 0], [0, 1, 1]], [(2,)]) is None
-    assert certify_degree(monomials, [[1, 0, 0], [p, 1, 0]], [(2,)]) == [{2: 1}]
+    assert _certify(monomials, [{0: p, 1: 1}, {1: 1, 2: 1}], [(2,)]) is None
+    assert _certify(monomials, [{0: 1}, {0: p, 1: 1}], [(2,)]) == [{2: 1}]

@@ -28,10 +28,11 @@ from polyflip import (
     poly_for_dissection,
     run_suite,
     series_F,
+    series_I,
 )
 from polyflip.cli import main
 from polyflip.polynomials import variable_at_position
-from polyflip.qsym import ideal_graded_matrix, integer_matrix_rank
+from polyflip.qsym import _densify, _ideal_rows, integer_matrix_rank
 
 EXPECTED_SUITES = ["poset", "bijection", "divisibility", "qsym", "intervals", "series"]
 
@@ -170,8 +171,8 @@ def test_cli_qsym_failure_carries_counterexample(capsys, monkeypatch):
     assert code == 1
     (report,) = json.loads(out)
     assert report["pass"] is False
-    _, rows = ideal_graded_matrix(2, 2, 1)
-    rank = integer_matrix_rank(rows)
+    monomials, rows = _ideal_rows(2, 2, 1)
+    rank = integer_matrix_rank(_densify(rows, len(monomials)))
     assert report["detail"] == f"degree 1: ideal rank {rank}, expected 3"
     assert report["counterexample"] == {
         "degree": 1,
@@ -305,7 +306,7 @@ def test_cli_qsym_column_cap_refuses_before_any_work(capsys, monkeypatch):
         raise AssertionError("a degree was built before the refusal")
 
     monkeypatch.delenv("POLYFLIP_MAX_MN", raising=False)
-    monkeypatch.setattr(qsym, "ideal_graded_matrix", no_work)
+    monkeypatch.setattr(qsym, "_ideal_rows", no_work)
     monkeypatch.setattr(qsym, "enumerate_dyck", no_work)
     code, out, err = run_cli(capsys, "verify", "--suite", "qsym", "--m", "1", "--n", "8")
     assert code == 2 and out == ""
@@ -571,6 +572,40 @@ def test_intervals_suite_reads_no_diagonal_sets():
     assert not any("diagonal_masks" in order.__dict__ for order in orders)
 
 
+@pytest.mark.parametrize("m,n", [(1, 5), (2, 3), (3, 2)])
+def test_series_suite_counts_intervals_without_building_them(m, n, monkeypatch):
+    def no_intervals(self):
+        raise AssertionError("an interval was built to be counted")
+
+    monkeypatch.setattr(FlipPoset, "all_intervals", no_intervals)
+    (report,) = run_suite("series", m, n)
+    assert report.passed, report.detail
+
+
+def test_series_suite_fails_when_its_order_lacks_a_cover(monkeypatch):
+    # graded: the one path from the fan to its first upper cover is that
+    # cover, so dropping it shrinks the fan's up-set
+    full = build_poset(2, 3)
+    covers = (full.covers_up[0][1:],) + full.covers_up[1:]
+    lacking = FlipPoset(2, 3, full.elements, covers)
+    monkeypatch.setattr(verify_module, "_order", lambda m, n: lacking)
+    (report,) = run_suite("series", 2, 3)
+    assert not report.passed
+    count, rest = report.detail.split(" ", 1)
+    assert rest == "intervals disagree with the composed series"
+    assert int(count) < series_I(2, 3).coefficient(3)
+
+
+def test_series_suite_refuses_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a series was built before the refusal")
+
+    monkeypatch.setattr(verify_module, "residuals_vanish", no_work)
+    with pytest.raises(SizeGuardExceeded) as info:
+        run_suite("series", 1, 6, max_mn=4)
+    assert info.value.counterexample == {"m": 1, "n": 6, "max_mn": 4}
+
+
 def _listed(obj):
     # obj with every iterator field made a list, as json.dumps needs it
     if isinstance(obj, dict):
@@ -607,24 +642,31 @@ def test_emit_json_writes_what_json_dumps_writes(capsys, case):
     assert capsys.readouterr().out == want
 
 
-# The export commands' stdout, pinned by sha256 in the benchmark's digests.
+# The stdout of the export and verify commands, pinned by sha256 in the
+# benchmark's digests.
 with open(Path(__file__).resolve().parents[1] / "perfbench" / "digests.json") as _fh:
-    EXPORT_DIGESTS = {
-        label: digest
-        for label, digest in json.load(_fh).items()
-        if label.split()[0] in ("enumerate", "poset", "series")
-    }
+    PINNED_DIGESTS = json.load(_fh)
+EXPORT_LABELS = [
+    label
+    for label in PINNED_DIGESTS
+    if label.split()[0] in ("enumerate", "poset", "series")
+]
+VERIFY_LABELS = [label for label in PINNED_DIGESTS if label.split()[0] == "verify"]
 
 
 def test_export_digests_cover_every_export_command():
-    assert len(EXPORT_DIGESTS) == 6
+    assert len(EXPORT_LABELS) == 6
 
 
-@pytest.mark.parametrize("label", sorted(EXPORT_DIGESTS))
+def test_verify_digests_cover_every_verify_command():
+    assert len(VERIFY_LABELS) == 18
+
+
+@pytest.mark.parametrize("label", sorted(EXPORT_LABELS + VERIFY_LABELS))
 def test_export_stdout_matches_its_pinned_digest(capsys, label):
     code, out, _ = run_cli(capsys, *label.split())
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_DIGESTS[label]
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[label]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
