@@ -158,25 +158,29 @@ class FlipPoset:
         inside = _reach(self.covers_up, bi, lambda j: not D[j] & ~dt)
         return Interval(self, bi, ti, sum(1 << j for j in inside))
 
-    def all_intervals(self):
-        """Every interval, by bottom and then ascending top.
+    def intervals_above(self, bi: int):
+        """Every interval with bottom element bi, by ascending top.
 
-        One bottom at a time: its up-set by DFS over the covers, then the
-        down-closure of each element inside that up-set from its lower
-        covers, in rank order, which is the interval up to that element.
+        Its up-set by DFS over the covers, then the down-closure of each
+        element inside that up-set from its lower covers, in rank order,
+        which is the interval up to that element.
         """
         ranks, lower = self.ranks, self.covers_down
+        up = _reach(self.covers_up, bi)
+        down: dict[int, int] = {}
+        for x in sorted(up, key=ranks.__getitem__):
+            acc = 1 << x
+            for w in lower[x]:
+                if w in down:
+                    acc |= down[w]
+            down[x] = acc
+        for ti in up:
+            yield Interval(self, bi, ti, down[ti])
+
+    def all_intervals(self):
+        """Every interval, by bottom and then ascending top."""
         for bi in range(len(self.elements)):
-            up = _reach(self.covers_up, bi)
-            down: dict[int, int] = {}
-            for x in sorted(up, key=ranks.__getitem__):
-                acc = 1 << x
-                for w in lower[x]:
-                    if w in down:
-                        acc |= down[w]
-                down[x] = acc
-            for ti in up:
-                yield Interval(self, bi, ti, down[ti])
+            yield from self.intervals_above(bi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -618,24 +622,28 @@ def width_cover_check(poset: FlipPoset) -> bool:
     return True
 
 
-def upper_ideal_iso_check(poset: FlipPoset, bottom: Dissection) -> bool:
+def upper_ideal_iso_check(poset: FlipPoset, bottom: Dissection) -> int:
     """The filter above bottom is the glued copy of a full smaller order.
 
     Every element above bottom decomposes over cut(bottom), one gluing
     each (`_cores_above`); the cores must be exactly the elements of the
-    k-piece order, and gluing must match covers both ways.
+    k-piece order, bottom's core must be that order's fan, and gluing must
+    match covers both ways.  Returns the filter's size, the number of
+    intervals with this bottom.
     """
     bi = poset.index[bottom]
     _, small, cores = _cores_above(poset, bi, _reach(poset.covers_up, bi))
     if sorted(cores.values()) != list(range(len(small.elements))):
         raise VerificationFailure(f"glued image misses the filter above {bottom}")
+    if small.elements[cores[bi]] != small.minimum:
+        raise VerificationFailure(f"{bottom} does not glue from the fan of its cut")
     small_pairs = {(i, j) for i, ups in enumerate(small.covers_up) for j in ups}
     big_pairs = {
         (cores[i], cores[j]) for i in cores for j in poset.covers_up[i] if j in cores
     }
     if small_pairs != big_pairs:
         raise VerificationFailure(f"cover relation not preserved above {bottom}")
-    return True
+    return len(cores)
 
 
 def _cover_degree_poly(poset: FlipPoset, mask: int) -> tuple[int, ...]:

@@ -407,6 +407,34 @@ def test_interval_structure_agrees_with_the_lattice_oracle(m, n):
         assert ok and forest.ideal_count() == iv.size
 
 
+@pytest.mark.parametrize("m,n", PAIRS)
+def test_every_interval_certifies_like_its_initial_class(m, n):
+    # The exhaustive oracle of the intervals suite, which certifies only the
+    # initial intervals [fan_k, t] and reaches [b, t] by isomorphism: each
+    # interval, certified on its own, matches [fan_k, core(t)].
+    poset = build_poset(m, n)
+    count = 0
+    for iv in poset.all_intervals():
+        count += 1
+        _, forest = interval_structure(iv)
+        core, parts = interval_decompose(iv)
+        small = build_poset(m, len(parts))
+        initial = small.interval(small.minimum, core)
+        _, initial_forest = interval_structure(initial)
+        got = (iv.size, forest.ideal_count(), mobius(iv))
+        assert got == (initial.size, initial_forest.ideal_count(), mobius(initial))
+    (report,) = run_suite("intervals", m, n)
+    assert report.passed and report.detail == f"{count} intervals certified"
+
+
+def test_upper_ideal_iso_check_needs_the_bottom_at_the_fan(monkeypatch):
+    poset = build_poset(2, 3)
+    assert upper_ideal_iso_check(poset, MID) == 3  # MID's filter: three tops
+    monkeypatch.setattr(FlipPoset, "minimum", property(lambda self: self.elements[-1]))
+    with pytest.raises(VerificationFailure, match="does not glue from the fan"):
+        upper_ideal_iso_check(poset, MID)
+
+
 def test_decompositions_validate_no_core(monkeypatch):
     poset = build_poset(2, 3)
     validated = []

@@ -510,7 +510,9 @@ def test_structure_checks_and_suites_share_one_cache_key():
 
 
 def test_intervals_suite_glues_once_per_interval_and_scans_no_lattice(monkeypatch):
-    calls = {"glue_G": 0, "is_lattice": 0}
+    # and certifies one interval per isomorphism class: the intervals
+    # [fan_k, t] of the orders k = 1, 2, 3, FC(2, k) = 1 + 3 + 12 of them
+    calls = {"glue_G": 0, "is_lattice": 0, "interval_structure": 0, "mobius": 0}
 
     def counting(name, real):
         def wrapped(*args):
@@ -523,9 +525,48 @@ def test_intervals_suite_glues_once_per_interval_and_scans_no_lattice(monkeypatc
     lattice = counting("is_lattice", poset_module.is_lattice)
     monkeypatch.setattr(poset_module, "is_lattice", lattice)
     monkeypatch.setattr(verify_module, "is_lattice", lattice)
+    for name in ("interval_structure", "mobius"):
+        real = getattr(verify_module, name)
+        monkeypatch.setattr(verify_module, name, counting(name, real))
     (report,) = run_suite("intervals", 2, 3)
     assert report.passed and report.detail == "31 intervals certified"
-    assert calls == {"glue_G": 31, "is_lattice": 0}
+    assert calls == {
+        "glue_G": 31, "is_lattice": 0, "interval_structure": 16, "mobius": 16
+    }
+
+
+def test_intervals_suite_reports_a_bad_mobius_value_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify_module, "mobius", lambda iv: calls.append(iv) or 2)
+    (report,) = run_suite("intervals", 2, 2)
+    assert not report.passed
+    fan = build_poset(2, 2).minimum
+    assert report.detail == f"Mobius value 2 at [{fan}, {fan}]"
+    assert report.counterexample == [fan.to_json(), fan.to_json()]
+    assert len(calls) == 1
+
+
+def test_intervals_suite_fails_on_a_wrong_cover_inside_a_non_initial_interval(
+    monkeypatch,
+):
+    # Drop the cover x -> y, x above the fan: it lies in the interval [x, y].
+    # The fan still reaches every element and every initial interval of the
+    # broken order still certifies, so only the isomorphism of the filter
+    # above x with the independently built 3-piece order can catch it.
+    good = build_poset(2, 4)
+    x, y = 1, 16
+    assert y in good.covers_up[x] and good.elements[x] != good.minimum
+    covers = list(good.covers_up)
+    covers[x] = tuple(w for w in covers[x] if w != y)
+    broken = FlipPoset(2, 4, good.elements, tuple(covers))
+    fan = broken.index[broken.minimum]
+    assert len(poset_module._reach(broken.covers_up, fan)) == len(good.elements)
+    for iv in broken.intervals_above(fan):
+        assert poset_module.interval_structure(iv)[0]
+    monkeypatch.setattr(verify_module, "_order", lambda m, n: broken)
+    (report,) = run_suite("intervals", 2, 4)
+    assert not report.passed
+    assert report.detail == f"glued image misses the filter above {good.elements[x]}"
 
 
 def test_cli_qsym_honours_the_env_guard(capsys, monkeypatch):
