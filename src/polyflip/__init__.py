@@ -60,7 +60,6 @@ from .polynomials import (
     expand,
     involution_image,
     leading_monomial,
-    multiples_masks,
     poly_for_dissection,
 )
 from .poset import (

@@ -11,7 +11,8 @@ may be a generator, and its items are encoded and written in chunks, so
 `enumerate` and `poset --emit json` never hold their rows or the output
 text whole.  CSV rows are written straight to stdout.  So an export that
 fails partway exits 1 with part of its data already on stdout: stdout is
-whole only when the exit code is 0.
+whole only when the exit code is 0.  A broken pipe (`... | head -1`)
+stops the command at exit code 1, with no traceback.
 """
 
 import argparse
@@ -229,7 +230,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here at the latest
+        return code
     except SizeGuardExceeded as exc:
         # Only the m*n guard (payload with max_mn) is lifted by the variable.
         lifts = "max_mn" in (exc.counterexample or {})
@@ -241,6 +244,10 @@ def main(argv=None) -> int:
         return 2
     except PolyflipError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # stdout to devnull: the flush at exit must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

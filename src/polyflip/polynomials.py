@@ -8,6 +8,9 @@ Monomials compare lexicographically with respect to the LAST differing
 position; products of the canonical binomials then have the product of the
 high variables as leading term, with coefficient +1.
 
+Divisibility is factor-multiset inclusion (`divides`), one pair at a time;
+`verify.suite_divisibility` proves it is the flip order without all pairs.
+
 The factor of each diagonal, each variable name and each factor's text are
 memoized in private tables (`lru_cache`, unbounded: there are O((mn)^2)
 distinct diagonals).  Every cached value is an immutable NamedTuple or str,
@@ -174,31 +177,6 @@ def divides(p: FactoredPoly, q: FactoredPoly) -> bool:
     long-division oracle `exact_quotient` cross-checks this).
     """
     return not (Counter(p.factors) - Counter(q.factors))
-
-
-def multiples_masks(polys) -> list[int]:
-    """Row i of the divisibility relation on polys, as one integer: bit j is
-    set iff polys[i] divides polys[j] in the sense of `divides`.
-
-    One mask per (factor, c) holds the polys with at least c copies of the
-    factor; row i is the AND of the masks of i's own factors at i's counts.
-    That costs O(N * rank) big-integer ANDs instead of N^2 `divides` calls.
-    """
-    counts = [Counter(p.factors) for p in polys]
-    at_least: dict[tuple[BinomialFactor, int], int] = {}
-    for j, count in enumerate(counts):
-        bit = 1 << j
-        for f, c in count.items():
-            for k in range(1, c + 1):
-                at_least[f, k] = at_least.get((f, k), 0) | bit
-    everything = (1 << len(polys)) - 1
-    rows = []
-    for count in counts:
-        row = everything
-        for f, c in count.items():
-            row &= at_least[f, c]
-        rows.append(row)
-    return rows
 
 
 def involution_image(p: FactoredPoly) -> tuple[FactoredPoly, int]:

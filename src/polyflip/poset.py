@@ -85,9 +85,9 @@ class FlipPoset:
     dozen bits per element; `inclusion_check` certifies the theorem for an
     order), and intervals walk the covers, so no query builds the O(N^2)
     reachability closure.  `up_masks` and `down_masks` build it on demand:
-    the divisibility suite reads `up_masks`, as does `is_lattice` on a
-    bounded order, and `down_masks` is kept as an oracle.  Frozen, with a
-    read-only `index`: `build_poset` shares one instance per order.
+    only `is_lattice` reads `up_masks`, on a bounded order, and both are
+    kept as oracles; no suite builds them.  Frozen, with a read-only
+    `index`: `build_poset` shares one instance per order.
     """
 
     m: int

@@ -8,7 +8,7 @@ JSON; timing stays out of the JSON so output is byte-stable.
 
 import random
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .bijection import phi, psi
@@ -28,7 +28,6 @@ from .polynomials import (
     exact_quotient,
     expand,
     involution_image,
-    multiples_masks,
     poly_for_dissection,
 )
 from .poset import (
@@ -230,17 +229,30 @@ def _spot_check_pairs(rng: random.Random, size: int, samples: int) -> list[tuple
     return pairs
 
 
+def _holder_ids(keys_per_element, ids: dict) -> dict:
+    """Each key's holder set, the indices of the elements whose keys hold
+    it, as its id in `ids`, which interns equal holder sets to one id."""
+    holders = defaultdict(list)
+    for i, keys in enumerate(keys_per_element):
+        for key in keys:
+            holders[key].append(i)
+    return {key: ids.setdefault(tuple(h), len(ids)) for key, h in holders.items()}
+
+
 def suite_divisibility(
     m: int, n: int, max_mn: int = DEFAULT_MAX_MN
 ) -> VerificationReport:
-    """P_Q divides P_Q' exactly when Q <= Q', on all N^2 pairs.
+    """P_Q divides P_Q' exactly when Q <= Q', on all N^2 pairs, with no
+    N x N table.  Premise, as in `inclusion_check`: the enumerated elements
+    are exactly the M-angulations.
 
-    The check runs one row at a time: row i of the divisibility relation
-    (`multiples_masks`, factor-multiset inclusion as in `divides`) must equal
-    `up_masks[i]`, the closure of the flip covers.  The order side stays
-    that closure, never a diagonal-set inclusion, which factor inclusion
-    would satisfy by injectivity alone.  A mismatch is reported at the
-    first pair of an i-then-j scan.  `DIVISION_SAMPLES` pairs then check
+    (1) Each P_Q has rank(Q) factors, none repeated, so `divides` is set
+    inclusion.  (2) Each element's factors and non-apex diagonals have the
+    same holder sets, the elements whose polynomial has the factor or that
+    hold the diagonal.  So if Q's diagonals lie in Q', each factor of P_Q
+    has a diagonal's holders, Q' among them, and divides P_Q'; and back.
+    (3) `inclusion_check`: diagonal inclusion is the closure of the covers.
+    Each failure names one element.  `DIVISION_SAMPLES` pairs then check
     `divides` against sparse long division, and every poly against the
     mirror involution.
     """
@@ -250,18 +262,20 @@ def suite_divisibility(
         poset = _order(m, n)
         polys = [poly_for_dissection(q) for q in poset.elements]
         for q, p in zip(poset.elements, polys):
-            if len(p.factors) != q.rank:
-                _fail(f"{q}: {len(p.factors)} factors, rank {q.rank}", q.to_json())
+            k, distinct = len(p.factors), len(set(p.factors))
+            if k != q.rank or distinct != q.rank:
+                _fail(f"{q}: {k} factors, {distinct} distinct, rank {q.rank}", q.to_json())
+        ids = {}
+        by_factor = _holder_ids((p.factors for p in polys), ids)
+        by_diagonal = _holder_ids(
+            ([d for d in q.diagonals if d[0]] for q in poset.elements), ids
+        )
+        for q, p in zip(poset.elements, polys):
+            held = {by_diagonal[d] for d in q.diagonals if d[0]}
+            if {by_factor[f] for f in p.factors} != held:
+                _fail(f"holders of the factors and diagonals of {q} differ", q.to_json())
+        inclusion_check(poset)
         size = len(poset.elements)
-        for i, (row, up) in enumerate(zip(multiples_masks(polys), poset.up_masks)):
-            diff = row ^ up
-            if diff:
-                j = (diff & -diff).bit_length() - 1
-                _fail(
-                    f"divisibility and order disagree on "
-                    f"({poset.elements[i]}, {poset.elements[j]})",
-                    [poset.elements[i].to_json(), poset.elements[j].to_json()],
-                )
         rng = random.Random(10007 * m + n)
         pairs = _spot_check_pairs(rng, size, DIVISION_SAMPLES)
         for i, j in pairs:

@@ -9,6 +9,7 @@ from polyflip import (
     SparsePoly,
     Variable,
     binomial_for_diagonal,
+    build_poset,
     divides,
     enumerate_dissections,
     exact_quotient,
@@ -16,7 +17,6 @@ from polyflip import (
     involution_image,
     leading_monomial,
     make_q0,
-    multiples_masks,
     poly_for_dissection,
     reflect,
 )
@@ -27,6 +27,8 @@ from polyflip.polynomials import (
     letter_name,
     variable_at_position,
 )
+
+from oracles import closure_from_covers
 
 EXAMPLE_Q = Dissection.new(2, 7, ((0, 11), (2, 11), (4, 11), (6, 11), (7, 10), (12, 15)))
 
@@ -100,29 +102,28 @@ def test_divides():
 
 
 @pytest.mark.parametrize("m,n", [(1, 5), (2, 3), (3, 2), (2, 4)])
-def test_multiples_masks_match_pairwise_divides(m, n):
-    polys = [poly_for_dissection(q) for q in enumerate_dissections(m, n)]
-    rows = multiples_masks(polys)
-    assert len(rows) == len(polys)
+def test_divides_is_the_closure_of_the_flip_covers(m, n):
+    # The divisibility suite's theorem, on every pair, against plain DFS.
+    poset = build_poset(m, n)
+    above = closure_from_covers(len(poset.elements), poset.covers_up)
+    polys = [poly_for_dissection(q) for q in poset.elements]
     for i, p in enumerate(polys):
-        for j, q in enumerate(polys):
-            assert bool(rows[i] >> j & 1) == divides(p, q)
+        assert {j for j, q in enumerate(polys) if divides(p, q)} == above[i]
 
 
-def test_multiples_masks_count_repeated_factors():
+def test_divides_counts_repeated_factors():
     f = BinomialFactor(Variable(1, 2), Variable(1, 1))
     g = BinomialFactor(Variable(1, 3), Variable(1, 1))
     polys = [
         FactoredPoly.new(1, 3, factors)
         for factors in ([], [f], [f, f], [f, g], [f, f, g], [g, g], [f, f, f])
     ]
-    rows = multiples_masks(polys)
-    for i, p in enumerate(polys):
-        for j, q in enumerate(polys):
-            assert bool(rows[i] >> j & 1) == divides(p, q), (i, j)
-    assert rows[2] == 0b1010100  # f^2 divides f^2, f^2 g and f^3 only
-    assert rows[5] == 0b0100000  # g^2 divides itself, not f g or f^2 g
-    assert multiples_masks([]) == []
+
+    def multiples(i):
+        return [j for j, q in enumerate(polys) if divides(polys[i], q)]
+
+    assert multiples(2) == [2, 4, 6]  # f^2 divides f^2, f^2 g and f^3 only
+    assert multiples(5) == [5]  # g^2 divides itself, not f g or f^2 g
 
 
 def test_exact_quotient_agrees_with_factor_division():

@@ -2,7 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -16,13 +19,13 @@ import polyflip.verify as verify_module
 from polyflip import (
     SUITES,
     Dissection,
+    FactoredPoly,
     FlipPoset,
     ForestPoset,
     NotDyck,
     SizeGuardExceeded,
     binomial_for_diagonal,
     build_poset,
-    divides,
     enumerate_dissections,
     phi,
     poly_for_dissection,
@@ -341,31 +344,35 @@ def test_run_all_builds_each_order_once():
     assert build_poset.cache_info().misses == 5  # sizes 1..5, each once
 
 
-def _first_pairwise_disagreement(poset, polys):
-    # The independent i-then-j scan the row check must agree with.
-    elements = poset.elements
-    for i, p in enumerate(polys):
-        for j, q in enumerate(polys):
-            if divides(p, q) != bool(poset.up_masks[i] >> j & 1):
-                return [elements[i].to_json(), elements[j].to_json()]
+def _first_holder_mismatch(poset, polys):
+    # The independent scan the holder-set check must agree with: the first
+    # element whose factors and non-apex diagonals have different holders.
+    def holders(has):
+        return frozenset(i for i, x in enumerate(poset.elements) if has(x))
+
+    for q, p in zip(poset.elements, polys):
+        by_factor = {holders(lambda x, f=f: f in polys[poset.index[x]].factors)
+                     for f in p.factors}
+        by_diagonal = {holders(lambda x, d=d: d in x.diagonals)
+                       for d in q.diagonals if d[0]}
+        if by_factor != by_diagonal:
+            return q.to_json()
     return None
 
 
 def test_divisibility_reports_the_first_pair_of_a_wrong_closure(monkeypatch):
-    good = build_poset(2, 3)
-    broken = FlipPoset(2, 3, good.elements, good.covers_up)
-    up = list(good.up_masks)
-    for i, j in ((5, 1), (2, 7), (2, 4)):
-        up[i] ^= 1 << j
-    broken.__dict__["up_masks"] = tuple(up)
+    # A dropped cover leaves the divisibility side whole: only the inclusion
+    # certificate sees it, at the element whose up-set shrank.
+    good = build_poset(2, 4)
+    ups = list(good.covers_up)
+    assert 16 in ups[1]
+    ups[1] = tuple(j for j in ups[1] if j != 16)
+    broken = FlipPoset(2, 4, good.elements, tuple(ups))
     monkeypatch.setattr(verify_module, "build_poset", lambda m, n, max_mn: broken)
-    (report,) = run_suite("divisibility", 2, 3)
+    (report,) = run_suite("divisibility", 2, 4)
     assert not report.passed
-    assert report.detail.startswith("divisibility and order disagree on ")
-    polys = [poly_for_dissection(q) for q in good.elements]
-    want = _first_pairwise_disagreement(broken, polys)
-    assert want == [good.elements[2].to_json(), good.elements[4].to_json()]
-    assert report.counterexample == want
+    assert report.detail.endswith("M-angulations hold its non-apex diagonals")
+    assert report.counterexample == good.elements[1].to_json()
 
 
 def test_divisibility_reports_the_first_pair_of_a_wrong_poly(monkeypatch):
@@ -379,9 +386,27 @@ def test_divisibility_reports_the_first_pair_of_a_wrong_poly(monkeypatch):
     monkeypatch.setattr(verify_module, "poly_for_dissection", fake)
     (report,) = run_suite("divisibility", 2, 3)
     assert not report.passed
-    assert report.detail.startswith("divisibility and order disagree on ")
-    want = _first_pairwise_disagreement(poset, [fake(q) for q in poset.elements])
-    assert want is not None and report.counterexample == want
+    assert report.detail == f"holders of the factors and diagonals of {a} differ"
+    want = _first_holder_mismatch(poset, [fake(q) for q in poset.elements])
+    assert want == a.to_json() and report.counterexample == want
+
+
+def test_divisibility_reports_a_repeated_factor(monkeypatch):
+    poset = build_poset(2, 3)
+    q2 = next(q for q in poset.elements if q.rank == 2)
+    real = verify_module.poly_for_dissection
+
+    def fake(q):
+        p = real(q)
+        if q != q2:
+            return p
+        return FactoredPoly.new(2, 3, [p.factors[0]] * 2)  # same rank, f^2
+
+    monkeypatch.setattr(verify_module, "poly_for_dissection", fake)
+    (report,) = run_suite("divisibility", 2, 3)
+    assert not report.passed
+    assert report.detail == f"{q2}: 2 factors, 1 distinct, rank 2"
+    assert report.counterexample == q2.to_json()
 
 
 def test_divisibility_divides_only_the_spot_checks(monkeypatch):
@@ -594,12 +619,15 @@ def test_cli_qsym_env_guard_lifts_the_vector_enumeration(capsys, monkeypatch):
 
 @pytest.mark.parametrize("m,n", [(1, 6), (2, 4), (3, 3)])
 def test_poset_suite_builds_no_reachability_table(m, n):
+    # nor does the divisibility suite, which reuses the inclusion theorem
     build_poset.cache_clear()
     (report,) = run_suite("poset", m, n)
     assert report.passed
     assert report.detail == "ambient_lattice=False (observed, not asserted)"
+    (report,) = run_suite("divisibility", m, n)
+    assert report.passed
     poset = verify_module._order(m, n)
-    assert build_poset.cache_info().misses == 1  # the suite's own order
+    assert build_poset.cache_info().misses == 1  # the suites' own order
     assert "up_masks" not in poset.__dict__ and "down_masks" not in poset.__dict__
 
 
@@ -730,3 +758,20 @@ def test_an_export_failing_partway_exits_1_with_partial_output(capsys, monkeypat
             json.loads(out)
     else:
         assert len(list(csv.reader(io.StringIO(out)))) == 1 + 4  # header, 4 rows
+
+
+def test_an_export_into_a_closed_pipe_exits_1_without_a_traceback():
+    # `polyflip enumerate ... | head -1`: the reader takes one line and goes.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "polyflip.cli", "enumerate", "--m", "1", "--n", "9",
+         "--format", "csv"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert child.stdout.readline() == b"rank,diagonals,vector,poly,leading\n"
+    child.stdout.close()  # about 650 kB of rows are still to come
+    err = child.stderr.read()
+    assert (child.wait(timeout=60), err) == (1, b"")
