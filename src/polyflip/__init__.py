@@ -18,6 +18,7 @@ from .dissections import (
     make_q0,
     reflect,
     regions,
+    validate,
     vertex_label,
     width_and_blocks,
 )

@@ -7,7 +7,7 @@ starting vertices are the last c visible vertices carrying the predecessor
 letter; finish by drawing every apex diagonal that still fits.
 """
 
-from .dissections import Dissection, vertex_label
+from .dissections import Dissection
 from .dyck import check_m_vector, is_dyck
 from .errors import ConstructionStuck, NotDyck
 from .polynomials import Monomial, leading_monomial, poly_for_dissection
@@ -45,15 +45,17 @@ def psi(m: int, v) -> Dissection:
     prefix = 0
     for pos, c in enumerate(v, start=1):
         prefix += c
-        # visible vertices run one per letter in cyclic order; entries are
-        # only appended or truncated, so each is checked once, here
-        assert vertex_label(m, pos) == vertex_label(m, len(visible) + 1), (pos, visible)
+        # visible vertices run one per letter in cyclic order: visible[k]
+        # carries the letter of vertex k+1.  Entries are only appended or
+        # truncated, so each is checked once, here
+        assert (pos - len(visible) - 1) % m == 0, (pos, visible)
         visible.append(pos)
         if c == 0:
             continue
         end = pos + 1
-        target = (vertex_label(m, end) - 2) % m + 1  # cyclic predecessor letter
-        cands = [k for k, s in enumerate(visible[:-1]) if vertex_label(m, s) == target]
+        # the predecessor letter of end's is pos's, so by the invariant the
+        # earlier visible vertices carrying it sit at indices k = pos-1 mod m
+        cands = range((pos - 1) % m, len(visible) - 1, m)
         if len(cands) < c:
             raise ConstructionStuck(
                 f"entry {c} at position {pos} exceeds the {len(cands)} "

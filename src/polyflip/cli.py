@@ -9,10 +9,10 @@ guard.
 `json.dumps(obj, sort_keys=True)` and a newline, but streams: a list field
 may be a generator, and its items are encoded and written in chunks, so
 `enumerate` and `poset --emit json` never hold their rows or the output
-text whole.  CSV rows are written straight to stdout.  So an export that
-fails partway exits 1 with part of its data already on stdout: stdout is
-whole only when the exit code is 0.  A broken pipe (`... | head -1`)
-stops the command at exit code 1, with no traceback.
+text whole.  CSV rows and DOT lines are written straight to stdout.  So an
+export that fails partway exits 1 with part of its data already on stdout:
+stdout is whole only when the exit code is 0.  A broken pipe
+(`... | head -1`) stops the command at exit code 1, with no traceback.
 """
 
 import argparse
@@ -27,7 +27,7 @@ from .bijection import admissible_exponents
 from .dissections import DEFAULT_MAX_MN, enumerate_dissections, is_final
 from .errors import PolyflipError, SizeGuardExceeded
 from .polynomials import leading_monomial, poly_for_dissection
-from .poset import _json_fields, build_poset, to_dot
+from .poset import _dot_lines, _json_fields, build_poset
 from .series import series_F, series_G, series_I, series_T
 from .verify import run_suite
 
@@ -62,9 +62,9 @@ _CHUNK = 512  # list items encoded per write
 
 def _json_chunks(obj):
     # json.dumps(obj, sort_keys=True) in pieces.  Dicts are walked; a list,
-    # tuple or iterator, at the top or as a dict value, is encoded one item
-    # at a time, so a generator of rows is never held whole.  Anything else,
-    # list items included, is encoded whole.
+    # tuple or iterator, at the top or as a dict value, is encoded _CHUNK
+    # items at a time, so a generator of rows is never held whole.  Anything
+    # else, list items included, is encoded whole.
     if isinstance(obj, dict):
         yield "{"
         for k, (key, value) in enumerate(sorted(obj.items())):
@@ -76,7 +76,8 @@ def _json_chunks(obj):
         yield "["
         items, sep = iter(obj), ""
         while batch := list(islice(items, _CHUNK)):
-            yield sep + ", ".join(map(_ENCODER.encode, batch))
+            # a list's text is its items' texts joined by ", "
+            yield sep + _ENCODER.encode(batch)[1:-1]
             sep = ", "
         yield "]"
     else:
@@ -130,7 +131,7 @@ def cmd_enumerate(args) -> int:
 def cmd_poset(args) -> int:
     poset = build_poset(args.m, args.n, _max_mn())
     if args.emit == "dot":
-        sys.stdout.write(to_dot(poset, label=args.label))
+        sys.stdout.writelines(_dot_lines(poset, args.label))
     else:
         _emit_json(_json_fields(poset))
     return 0

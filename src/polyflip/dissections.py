@@ -13,19 +13,23 @@ letters 1..m repeat counter-clockwise and both neighbours of the apex carry
 the last letter.
 
 Validation policy: `Dissection.new` is the one validating constructor.  It
-takes chord data from outside (`from_json`) and the constructions whose
-validity is itself a claim of the paper (`make_q0`, `bijection.psi`, and in
-`poset` each step of `descend_to_fan` and the one-block shrinks).
-Everything derived here from dissections already held (`flip_up` results,
-`cut_L` pieces, the `glue_G` result, `width_and_blocks` blocks, `reflect`)
-is built unchecked, and enumeration is correct by construction.  Flip
-results, glued images, cut pieces, interval cores and, in the poset suite,
-descent swaps are checked by identity instead: `poset` looks each one up
-among the enumerated elements (`_locate`) and raises MalformedDissection on
-a miss; a core is looked up among the elements of its own size, and its
-miss is the interval's DecompositionFailure.  The poset suite runs
-`regions` once on every element, and the tests check all five
-constructions against an independent face computation.
+runs `validate`, one linear pass over the chords; `regions` is the same
+check followed by the region walk.  It takes chord data from outside
+(`from_json`) and the constructions whose validity is itself a claim of
+the paper (`make_q0`, `bijection.psi`, and in `poset` each step of
+`descend_to_fan` and the one-block shrinks).  Everything derived here from
+dissections already held (`flip_up` results, `cut_L` pieces, the `glue_G`
+result, `width_and_blocks` blocks, `reflect`) is built unchecked, and
+enumeration is correct by construction.  Flip results, glued images, cut
+pieces, interval cores and, in the poset suite, descent swaps are checked
+by identity instead: `poset` looks each one up among the enumerated
+elements (flip results by chord bitmask, the others with `_locate`) and
+raises MalformedDissection on a miss; a core is looked up among the
+elements of its own size, and its miss is the interval's
+DecompositionFailure.  The poset suite runs `validate` once on every
+element, and the tests check all five constructions against an
+independent face computation, and `validate` against the pairwise
+crossing scan and region walk it replaced.
 
 Memory: enumeration builds every chord through one intern table
 (`_chord`), so all enumerated elements share one tuple per chord: the
@@ -37,6 +41,7 @@ uncached body and are freed once the elements exist.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product
+from operator import itemgetter
 
 from .errors import (
     ArityMismatch,
@@ -86,7 +91,7 @@ class Dissection:
     def new(cls, m: int, n: int, chords) -> "Dissection":
         """Normalize, validate and return a dissection."""
         q = cls(m, n, tuple(sorted((a, b) for a, b in chords)))
-        regions(q)
+        validate(q)
         return q
 
     @property
@@ -163,12 +168,16 @@ def _walk_regions(q: Dissection) -> list[tuple[int, ...]]:
     return regs
 
 
-def regions(q: Dissection) -> list[tuple[int, ...]]:
-    """The n regions, each as its ascending (= counter-clockwise) vertex
-    cycle, sorted by smallest vertex.
-
-    Raises MalformedDissection, carrying q's JSON as its counterexample,
+def validate(q: Dissection) -> None:
+    """Raise MalformedDissection, carrying q's JSON as its counterexample,
     unless q is a valid M-angulation: this is the validator.
+
+    The diagonals are checked one by one (count, range, span mod m, strict
+    sort), then in one pass over the spans, the side (0, m*n+1) and the
+    chords by (a, -b), with a stack of the open spans: a chord ending past
+    the innermost open span crosses it, and each span closes the region of
+    its own vertices minus those strictly inside its maximal sub-spans.
+    Only a crossing pays the pairwise scan, to name its first pair.
     """
     m, n = q.m, q.n
 
@@ -178,27 +187,48 @@ def regions(q: Dissection) -> list[tuple[int, ...]]:
     if m < 1 or n < 1:
         raise bad(f"need m, n >= 1, got m={m}, n={n}")
     top = m * n + 1
-    if len(q.diagonals) != n - 1:
-        raise bad(f"{len(q.diagonals)} diagonals, a size-{n} dissection needs {n - 1}")
+    diagonals = q.diagonals
+    if len(diagonals) != n - 1:
+        raise bad(f"{len(diagonals)} diagonals, a size-{n} dissection needs {n - 1}")
+    one = 1 % m
     prev = None
-    for d in q.diagonals:
+    for d in diagonals:
         a, b = d
-        if not (0 <= a < b <= top) or b - a < 2 or (a, b) == (0, top):
+        # b - a < 2 also rejects b <= a
+        if a < 0 or b > top or b - a < 2 or (a == 0 and b == top):
             raise bad(f"{d} is not a diagonal of the {top + 1}-gon")
-        if (b - a) % m != 1 % m:
+        if (b - a) % m != one:
             raise bad(f"{d} spans {b - a} != 1 (mod {m}) boundary steps")
         if prev is not None and d <= prev:
             raise bad("diagonals not strictly sorted")
         prev = d
-    for c1, c2 in combinations(q.diagonals, 2):
-        if chords_cross(c1, c2):
-            raise bad(f"{c1} crosses {c2}")
-    regs = _walk_regions(q)
-    if len(regs) != n or any(len(r) != m + 2 for r in regs):
-        raise bad(
-            f"regions have sizes {sorted(len(r) for r in regs)}, want {n} of size {m + 2}"
-        )
-    return regs
+    ends, sizes, closed = [top], [top + 1], []  # the side stays open: a < top
+    # stable by a on the descending diagonals: the (a, -b) order
+    for a, b in sorted(reversed(diagonals), key=itemgetter(0)):
+        while ends[-1] <= a:
+            ends.pop()
+            closed.append(sizes.pop())
+        if b > ends[-1]:
+            for c1, c2 in combinations(diagonals, 2):
+                if chords_cross(c1, c2):
+                    raise bad(f"{c1} crosses {c2}")
+        sizes[-1] -= b - a - 1
+        ends.append(b)
+        sizes.append(b - a + 1)
+    closed += sizes
+    if len(closed) != n or closed.count(m + 2) != n:
+        raise bad(f"regions have sizes {sorted(closed)}, want {n} of size {m + 2}")
+
+
+def regions(q: Dissection) -> list[tuple[int, ...]]:
+    """The n regions, each as its ascending (= counter-clockwise) vertex
+    cycle, sorted by smallest vertex.
+
+    Raises MalformedDissection as `validate` does unless q is a valid
+    M-angulation; then walks the regions.
+    """
+    validate(q)
+    return _walk_regions(q)
 
 
 def is_final(q: Dissection) -> bool:

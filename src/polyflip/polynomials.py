@@ -11,10 +11,11 @@ high variables as leading term, with coefficient +1.
 Divisibility is factor-multiset inclusion (`divides`), one pair at a time;
 `verify.suite_divisibility` proves it is the flip order without all pairs.
 
-The factor of each diagonal, each variable name and each factor's text are
-memoized in private tables (`lru_cache`, unbounded: there are O((mn)^2)
-distinct diagonals).  Every cached value is an immutable NamedTuple or str,
-so the tables hand out nothing a caller can mutate.
+The factor of each diagonal (with its sort key), each variable name and
+each factor's text are memoized in private tables (`lru_cache`, unbounded:
+there are O((mn)^2) distinct diagonals), never per element.  Every cached
+value is an immutable tuple, NamedTuple or str, so the tables hand out
+nothing a caller can mutate.
 """
 
 from collections import Counter
@@ -145,19 +146,24 @@ def binomial_for_diagonal(m: int, n: int, d) -> BinomialFactor | None:
     )
 
 
-# The memo of the definition above, under a private name, so a tracer that
-# wraps the public functions does not wrap a per-diagonal call.
-_binomial = lru_cache(maxsize=None)(binomial_for_diagonal)
+@lru_cache(maxsize=None)
+def _keyed_factor(m: int, n: int, d) -> tuple[int, BinomialFactor] | None:
+    # The factor of one diagonal with its place in the order of
+    # `FactoredPoly.new`, (high position, -low position) folded into one
+    # int; None for fan diagonals.  Private, so a tracer that wraps the
+    # public functions does not wrap a per-diagonal call.
+    f = binomial_for_diagonal(m, n, d)
+    if f is None:
+        return None
+    return f.high.position(m) * (m * n + 1) - f.low.position(m), f
 
 
 def poly_for_dissection(q: Dissection) -> FactoredPoly:
     """Product of the binomial factors over all diagonals of q."""
-    factors = []
-    for d in q.diagonals:
-        f = _binomial(q.m, q.n, d)
-        if f is not None:
-            factors.append(f)
-    return FactoredPoly.new(q.m, q.n, factors)
+    m, n = q.m, q.n
+    keyed = [kf for d in q.diagonals if (kf := _keyed_factor(m, n, d)) is not None]
+    keyed.sort()  # equal keys are equal factors
+    return FactoredPoly(m, n, tuple([f for _, f in keyed]))
 
 
 def leading_monomial(p: FactoredPoly) -> Monomial:
@@ -176,6 +182,9 @@ def divides(p: FactoredPoly, q: FactoredPoly) -> bool:
     multiset inclusion coincides with exact polynomial division (the sparse
     long-division oracle `exact_quotient` cross-checks this).
     """
+    held = set(p.factors)
+    if len(held) == len(p.factors):  # no repeated factor: set inclusion
+        return held.issubset(q.factors)
     return not (Counter(p.factors) - Counter(q.factors))
 
 

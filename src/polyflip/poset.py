@@ -14,6 +14,7 @@ their order-ideal forests, and the cut/glue factorizations of intervals.
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import factorial
 from types import MappingProxyType
 
@@ -21,8 +22,10 @@ from .dissections import (
     DEFAULT_MAX_MN,
     Chord,
     Dissection,
+    _chord_ends,
     _glue_frame,
     _unchecked,
+    _walk_region,
     apex_diagonal_set_D,
     apex_region,
     chords_cross,
@@ -51,9 +54,9 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _reach(covers, start: int, keep=None) -> list[int]:
-    """Indices reachable from start over `covers` (start included), by DFS,
-    ascending; with `keep`, only through the indices it accepts."""
+def _reached(covers, start: int, keep=None) -> set[int]:
+    """Indices reachable from start over `covers` (start included), by DFS;
+    with `keep`, only through the indices it accepts."""
     seen = {start}
     todo = [start]
     while todo:
@@ -61,7 +64,7 @@ def _reach(covers, start: int, keep=None) -> list[int]:
             if y not in seen and (keep is None or keep(y)):
                 seen.add(y)
                 todo.append(y)
-    return sorted(seen)
+    return seen
 
 
 def _fold(order, covers) -> tuple[int, ...]:
@@ -155,7 +158,7 @@ class FlipPoset:
         dt = D[ti]
         if D[bi] & ~dt:
             raise ValueError(f"{bottom} is not below {top}")
-        inside = _reach(self.covers_up, bi, lambda j: not D[j] & ~dt)
+        inside = _reached(self.covers_up, bi, lambda j: not D[j] & ~dt)
         return Interval(self, bi, ti, sum(1 << j for j in inside))
 
     def intervals_above(self, bi: int):
@@ -166,7 +169,7 @@ class FlipPoset:
         which is the interval up to that element.
         """
         ranks, lower = self.ranks, self.covers_down
-        up = _reach(self.covers_up, bi)
+        up = sorted(_reached(self.covers_up, bi))
         down: dict[int, int] = {}
         for x in sorted(up, key=ranks.__getitem__):
             acc = 1 << x
@@ -249,30 +252,68 @@ class LocalClosure:
 def _locate(index: Mapping, q: Dissection) -> int:
     """Position of a derived dissection among the enumerated elements.
 
-    Flips, cuts and gluings build their results unchecked, so a miss here
-    is a malformed result, reported with the dissection as counterexample.
+    Cuts, gluings and descent swaps build their results unchecked, so a
+    miss here is a malformed result, reported with the dissection as
+    counterexample (`build_poset` raises the same for a flip result).
     """
     i = index.get(q)
     if i is None:
-        raise MalformedDissection(
-            f"derived {q} is not among the enumerated M-angulations", q.to_json()
-        )
+        raise _derived_miss(q)
     return i
+
+
+def _derived_miss(q: Dissection) -> MalformedDissection:
+    return MalformedDissection(
+        f"derived {q} is not among the enumerated M-angulations", q.to_json()
+    )
+
+
+def _up_flips(q: Dissection) -> list[tuple[Chord, Chord]]:
+    """(d, c) for each up-flip of q: the fan diagonal d it removes and the
+    chord c it draws, as `flip_up` finds them, but with one walk per region
+    beside a fan diagonal: the region each fan chord closes and the one the
+    side (0, m*n+1) closes.  Flip d's (2m+2)-gon is the region below d
+    followed by the one beside it less its first two vertices, 0 and d[1].
+    """
+    ends = _chord_ends(q)
+    fan = sorted(ends.get(0, ()))
+    walks = [_walk_region(ends, 0, b) for b in fan]
+    walks.append(_walk_region(ends, 0, q.m * q.n + 1))
+    span = q.m + 1
+    out = []
+    for k, b in enumerate(fan):
+        d = (0, b)
+        merged = walks[k] + walks[k + 1][2:]
+        assert len(merged) == 2 * span and (merged[0], merged[span]) == d
+        for i in range(1, span):
+            out.append((d, (merged[i], merged[i + span])))
+    return out
 
 
 @lru_cache(maxsize=None)
 def build_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> FlipPoset:
+    """The order on the enumerated elements.  Each flip result is looked up
+    by its chord bitmask, one bit per distinct chord; a result that is
+    none of them raises MalformedDissection as `_locate` does."""
     elements = tuple(enumerate_dissections(m, n, max_mn))
-    index = {q: i for i, q in enumerate(elements)}
+    ids = list(range(len(elements)))  # one int each for the covers and index
+    chords = dict.fromkeys(chain.from_iterable(q.diagonals for q in elements))
+    bit = {d: 1 << k for k, d in enumerate(chords)}
+    keys = [sum(map(bit.__getitem__, q.diagonals)) for q in elements]
+    at = dict(zip(keys, ids))
     covers = []
-    for q in elements:
+    for q, key in zip(elements, keys):
         ups = set()
-        for d in q.diagonals:
-            if d[0] == 0:
-                ups.update(_locate(index, r) for r in flip_up(q, d))
+        for d, c in _up_flips(q):
+            j = at.get(key ^ bit[d] | bit[c]) if c in bit else None
+            if j is None:
+                kept = [x for x in q.diagonals if x != d]
+                raise _derived_miss(_unchecked(m, n, kept + [c]))
+            ups.add(j)
         covers.append(tuple(sorted(ups)))
+    del keys, at  # freed before the index is built: the two never coexist
     poset = FlipPoset(m, n, elements, tuple(covers))
-    poset.__dict__["index"] = MappingProxyType(index)
+    poset.__dict__["index"] = MappingProxyType(dict(zip(elements, ids)))
     return poset
 
 
@@ -355,7 +396,7 @@ def inclusion_check(poset: FlipPoset) -> int:
                 )
     total = 0
     for i, q in enumerate(poset.elements):
-        size = len(_reach(poset.covers_up, i))
+        size = len(_reached(poset.covers_up, i))
         want = _containing_count(poset.m, poset.n, [d for d in q.diagonals if d[0]])
         if size != want:
             raise VerificationFailure(
@@ -632,7 +673,8 @@ def upper_ideal_iso_check(poset: FlipPoset, bottom: Dissection) -> int:
     intervals with this bottom.
     """
     bi = poset.index[bottom]
-    _, small, cores = _cores_above(poset, bi, _reach(poset.covers_up, bi))
+    above = sorted(_reached(poset.covers_up, bi))
+    _, small, cores = _cores_above(poset, bi, above)
     if sorted(cores.values()) != list(range(len(small.elements))):
         raise VerificationFailure(f"glued image misses the filter above {bottom}")
     if small.elements[cores[bi]] != small.minimum:
@@ -668,7 +710,7 @@ def _initial_interval_poly(poset: FlipPoset, top: Dissection) -> tuple[int, ...]
     """Cover-degree polynomial of [fan, top] in the order of top's size:
     top's down-set, walked over the lower covers."""
     order = _order_of_size(poset, top.n)
-    below = _reach(order.covers_down, _locate(order.index, top))
+    below = _reached(order.covers_down, _locate(order.index, top))
     return _cover_degree_poly(order, sum(1 << j for j in below))
 
 
@@ -726,7 +768,7 @@ def width_factorization_check(poset: FlipPoset, final_q: Dissection) -> bool:
 def apex_chords_avoid_downset_check(poset: FlipPoset, final_q: Dissection) -> bool:
     """The apex chords of a final element cross nothing anywhere below it."""
     chords = apex_diagonal_set_D(final_q)
-    for i in _reach(poset.covers_down, poset.index[final_q]):
+    for i in sorted(_reached(poset.covers_down, poset.index[final_q])):
         q = poset.elements[i]
         for c in chords:
             for d in q.diagonals:
@@ -741,8 +783,9 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def to_dot(poset: FlipPoset, label: str = "poly") -> str:
-    """Hasse diagram in DOT; label one of poly, diagonals, dyck."""
+def _dot_lines(poset: FlipPoset, label: str = "poly"):
+    # `to_dot`'s lines, each with its newline, one at a time: the CLI
+    # streams them.
     from .bijection import phi
     from .polynomials import poly_for_dissection
 
@@ -755,14 +798,20 @@ def to_dot(poset: FlipPoset, label: str = "poly") -> str:
             return "".join(str(x) for x in phi(q))
         raise ValueError(f"unknown label mode {label!r}")
 
-    lines = ["digraph flip_poset {", "  rankdir=BT;", "  node [shape=box];"]
+    yield "digraph flip_poset {\n"
+    yield "  rankdir=BT;\n"
+    yield "  node [shape=box];\n"
     for i, q in enumerate(poset.elements):
-        lines.append(f"  n{i} [label={_dot_quote(text(q))}];")
+        yield f"  n{i} [label={_dot_quote(text(q))}];\n"
     for i in range(len(poset.elements)):
         for j in poset.covers_up[i]:
-            lines.append(f"  n{i} -> n{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield f"  n{i} -> n{j};\n"
+    yield "}\n"
+
+
+def to_dot(poset: FlipPoset, label: str = "poly") -> str:
+    """Hasse diagram in DOT; label one of poly, diagonals, dyck."""
+    return "".join(_dot_lines(poset, label))
 
 
 def _json_fields(poset: FlipPoset) -> dict:

@@ -19,7 +19,7 @@ from .dissections import (
     is_final,
     make_q0,
     reflect,
-    regions,
+    validate,
 )
 from .dyck import enumerate_dyck, is_dyck
 from .errors import PolyflipError, SizeGuardExceeded, VerificationFailure
@@ -32,7 +32,7 @@ from .polynomials import (
 )
 from .poset import (
     _order_of_size,
-    _reach,
+    _reached,
     apex_chords_avoid_downset_check,
     build_poset,
     cache_guard,
@@ -152,7 +152,7 @@ def suite_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationRep
         _guard("poset", m, n, max_mn)
         poset = _order(m, n)
         for q in poset.elements:
-            regions(q)  # the one validation of each element
+            validate(q)  # the one validation of each element
         size = len(poset.elements)
         if size != fuss_catalan(m, n):
             _fail(f"{size} elements, expected {fuss_catalan(m, n)}")
@@ -387,7 +387,7 @@ def suite_series(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationRe
         if m * n <= INTERVAL_SUITE_MAX_MN:
             # An interval is a bottom and a top above it: the up-set sizes.
             covers = _order(m, n).covers_up
-            count = sum(len(_reach(covers, i)) for i in range(len(covers)))
+            count = sum(len(_reached(covers, i)) for i in range(len(covers)))
             if count != series_I(m, order).coefficient(n):
                 _fail(f"{count} intervals disagree with the composed series")
         return f"orders up to {order} certified"

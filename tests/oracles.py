@@ -2,15 +2,17 @@
 
 Everything here recomputes objects from first principles with different
 algorithms than the package: dissections by filtering chord subsets with a
-split-based face computation, admissible vectors by filtering full product
-spaces with a lattice-path walk, order relations by plain set DFS, and
-the ideal's graded rows densely, one zero row per generator filled in place.
+split-based face computation, validation by a scan of every chord pair and
+a walk of every region, psi by scanning for letters, admissible vectors by
+filtering full product spaces with a lattice-path walk, order relations by
+plain set DFS, and the ideal's graded rows densely, one zero row per
+generator filled in place.
 """
 
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
 
-from polyflip import enumerate_compositions, fundamental_qsym
+from polyflip import MalformedDissection, enumerate_compositions, fundamental_qsym
 
 
 def crossing(c1, c2) -> bool:
@@ -32,6 +34,95 @@ def faces_by_splitting(cycle, chords):
     inside = [c for c in rest if c[0] in left_set and c[1] in left_set]
     outside = [c for c in rest if not (c[0] in left_set and c[1] in left_set)]
     return faces_by_splitting(left, inside) + faces_by_splitting(right, outside)
+
+
+def _walk_by_ends(ends, lo, hi):
+    # The region of the sub-polygon lo..hi hugging its closing chord: from
+    # vertex u step to the farthest chord endpoint <= hi, else to u+1.
+    cycle, u = [lo], lo
+    while u != hi:
+        nxt = u + 1
+        for b in ends.get(u, ()):
+            if b <= hi and not (u == lo and b == hi):
+                nxt = b
+                break
+        cycle.append(nxt)
+        u = nxt
+    return tuple(cycle)
+
+
+def regions_by_scan(q):
+    """The pairwise validator: per-diagonal checks, a scan of every pair of
+    chords for a crossing, then a walk of every region.  Returns the
+    regions sorted, or raises MalformedDissection as the package's
+    validator should, with the same message and counterexample."""
+    m, n = q.m, q.n
+
+    def bad(message):
+        return MalformedDissection(message, q.to_json())
+
+    if m < 1 or n < 1:
+        raise bad(f"need m, n >= 1, got m={m}, n={n}")
+    top = m * n + 1
+    if len(q.diagonals) != n - 1:
+        raise bad(f"{len(q.diagonals)} diagonals, a size-{n} dissection needs {n - 1}")
+    prev = None
+    for d in q.diagonals:
+        a, b = d
+        if not (0 <= a < b <= top) or b - a < 2 or (a, b) == (0, top):
+            raise bad(f"{d} is not a diagonal of the {top + 1}-gon")
+        if (b - a) % m != 1 % m:
+            raise bad(f"{d} spans {b - a} != 1 (mod {m}) boundary steps")
+        if prev is not None and d <= prev:
+            raise bad("diagonals not strictly sorted")
+        prev = d
+    for c1, c2 in combinations(q.diagonals, 2):
+        if crossing(c1, c2):
+            raise bad(f"{c1} crosses {c2}")
+    ends = {}
+    for a, b in q.diagonals:
+        ends.setdefault(a, []).append(b)
+    for a in ends:
+        ends[a].sort(reverse=True)
+    regs, todo = [], [(0, top)]
+    while todo:
+        cycle = _walk_by_ends(ends, *todo.pop())
+        regs.append(cycle)
+        todo.extend((x, y) for x, y in zip(cycle, cycle[1:]) if y - x >= 2)
+    regs.sort()
+    if len(regs) != n or any(len(r) != m + 2 for r in regs):
+        raise bad(
+            f"regions have sizes {sorted(len(r) for r in regs)}, want {n} of size {m + 2}"
+        )
+    return regs
+
+
+def psi_by_label_scan(m, v):
+    """psi's chords, each chord's starts found by scanning the visible
+    vertices for the predecessor letter; where the construction gets stuck,
+    the ConstructionStuck message (a str) instead."""
+
+    def label(i):
+        return (i - 2) % m + 1
+
+    chords, visible = [], []
+    for pos, c in enumerate(v, start=1):
+        visible.append(pos)
+        if c == 0:
+            continue
+        end = pos + 1
+        target = (label(end) - 2) % m + 1
+        cands = [k for k, s in enumerate(visible[:-1]) if label(s) == target]
+        if len(cands) < c:
+            return (
+                f"entry {c} at position {pos} exceeds the {len(cands)} "
+                f"visible predecessor-letter vertices"
+            )
+        chords.extend((visible[k], end) for k in cands[-c:])
+        del visible[cands[-c] + 1 :]
+    seen = set(visible)
+    chords.extend((0, m * k + 1) for k in range(1, len(v) // m) if m * k + 1 in seen)
+    return chords
 
 
 def candidate_chords(m, n):

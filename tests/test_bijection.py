@@ -17,6 +17,8 @@ from polyflip import (
 )
 from polyflip.bijection import admissible_exponents
 
+from oracles import psi_by_label_scan
+
 EXAMPLE_VECTOR = (0, 0, 0, 0, 0, 0, 0, 0, 1, 3, 0, 0, 0, 1)
 EXAMPLE_Q = Dissection.new(2, 7, ((0, 11), (2, 11), (4, 11), (6, 11), (7, 10), (12, 15)))
 
@@ -57,6 +59,19 @@ def test_inadmissible_vectors_get_stuck(m, n):
             continue
         with pytest.raises(ConstructionStuck):
             psi(m, v)
+
+
+@pytest.mark.parametrize("m,n", [(1, 4), (2, 3), (3, 2), (4, 2)])
+def test_psi_matches_the_letter_scan_on_every_vector(m, n):
+    # the same stuck message, count included, or the same dissection
+    for v in product(range(n + 1), repeat=m * n):
+        want = psi_by_label_scan(m, v)
+        if isinstance(want, str):
+            with pytest.raises(ConstructionStuck) as info:
+                psi(m, v)
+            assert str(info.value) == want
+        else:
+            assert psi(m, v) == Dissection.new(m, n, want)
 
 
 def test_stuck_message_points_at_first_violation():

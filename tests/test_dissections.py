@@ -1,4 +1,6 @@
 import json
+import random
+from collections import Counter
 
 import pytest
 
@@ -21,11 +23,18 @@ from polyflip import (
     make_q0,
     reflect,
     regions,
+    validate,
     vertex_label,
     width_and_blocks,
 )
 
-from oracles import brute_dissections, is_m_angulation
+from oracles import (
+    brute_dissections,
+    candidate_chords,
+    faces_by_splitting,
+    is_m_angulation,
+    regions_by_scan,
+)
 
 SMALL = [(m, n) for m in (1, 2, 3) for n in range(1, 6) if m * n <= 9]
 ALL_MN = [(m, n) for m in (1, 2, 3) for n in range(1, 6)]
@@ -232,7 +241,7 @@ def test_derived_constructors_skip_validation(monkeypatch):
     fans = {k: make_q0(m, k) for k in range(1, n + 1)}  # cached before counting
     calls = []
     monkeypatch.setattr(
-        dissections_module, "regions", lambda q: calls.append(q) or []
+        dissections_module, "validate", lambda q: calls.append(q)
     )
     for q in elements:
         for d in q.diagonals:
@@ -279,3 +288,91 @@ def test_enumeration_memoizes_only_the_sub_gaps(m, n):
     fillings(m, m * n + 1)  # sub-gaps hit, so only a top gap not kept misses
     assert fillings.cache_info().misses == misses + 1
     fillings.cache_clear()
+
+
+def _outcome(check, q):
+    # ("ok", result) or the exception's type, message and counterexample
+    try:
+        return "ok", check(q)
+    except MalformedDissection as exc:
+        return type(exc), str(exc), exc.counterexample
+
+
+@pytest.mark.parametrize("m,n", SMALL)
+def test_validator_accepts_every_element_as_the_pairwise_scan_does(m, n):
+    for q in enumerate_dissections(m, n):
+        assert validate(q) is None
+        assert regions(q) == regions_by_scan(q)
+
+
+def _invalid_corpus(rng, m, n):
+    """Seeded chord data around a size-n dissection: crossings, spans off
+    1 (mod m), unsorted or repeated chords, wrong counts and chords outside
+    the polygon, each drawn from a valid element or from all chords."""
+    top = m * n + 1
+    chords = candidate_chords(m, n)
+    anything = [(a, b) for a in range(-1, top + 2) for b in range(a, top + 3)]
+    elements = [q.diagonals for q in enumerate_dissections(m, n)]
+    for _ in range(300):
+        base = list(rng.choice(elements))
+        kind = rng.randrange(6)
+        if kind == 0 and base and chords:  # swap in any chord of the polygon
+            base[rng.randrange(len(base))] = rng.choice(chords)
+            yield Dissection(m, n, tuple(sorted(base)))
+        elif kind == 1 and len(chords) >= n - 1:  # any n-1 chords
+            yield Dissection(m, n, tuple(sorted(rng.sample(chords, n - 1))))
+        elif kind == 2 and base:  # any pair of integers as a chord
+            base[rng.randrange(len(base))] = rng.choice(anything)
+            yield Dissection(m, n, tuple(sorted(base)))
+        elif kind == 3 and len(base) > 1:  # unsorted or repeated
+            rng.shuffle(base)
+            base[-1] = rng.choice(base)
+            yield Dissection(m, n, tuple(base))
+        elif kind == 4:  # one chord too many or too few
+            if base and rng.random() < 0.5:
+                base.pop(rng.randrange(len(base)))
+            else:
+                base.append(rng.choice(chords or [(0, 1)]))
+            yield Dissection(m, n, tuple(sorted(base)))
+        else:  # a size or arity out of range
+            yield Dissection(rng.choice([0, m]), rng.choice([0, -1, n]), tuple(base))
+
+
+def test_validator_matches_the_pairwise_scan_on_invalid_chord_data():
+    rng = random.Random(20161)
+    kinds = ("crosses", "is not a diagonal", "spans", "not strictly", "needs", "need m")
+    seen = Counter()
+    for m, n in [(1, 4), (1, 6), (2, 3), (2, 4), (3, 3), (4, 2)]:
+        for q in _invalid_corpus(rng, m, n):
+            want = _outcome(regions_by_scan, q)
+            assert _outcome(regions, q) == want, q
+            assert _outcome(validate, q) == (("ok", None) if want[0] == "ok" else want)
+            seen.update(k for k in kinds if want[0] != "ok" and k in want[1])
+    # every rejection made before the region count, many times over
+    assert all(seen[k] >= 10 for k in kinds), seen
+
+
+def test_chord_sets_with_wrong_region_sizes_fail_before_the_region_count():
+    # n-1 non-crossing chords inside the polygon whose faces are not all
+    # (m+2)-gons must have a span off 1 (mod m): the faces' sizes less 2
+    # add up to m*n over n faces, and spans of 1 (mod m) make each of them
+    # a positive multiple of m.  So both validators reject them by span.
+    rng = random.Random(20162)
+    seen = 0
+    for m, n in [(2, 3), (2, 4), (3, 3), (4, 2)]:
+        top = m * n + 1
+        inside = [(a, b) for a in range(top) for b in range(a + 2, top + 1)]
+        inside.remove((0, top))
+        for _ in range(400):
+            picked = sorted(rng.sample(inside, n - 1))
+            if any(chords_cross(c, d) for c in picked for d in picked):
+                continue
+            faces = faces_by_splitting(list(range(top + 1)), picked)
+            if all(len(f) == m + 2 for f in faces):
+                continue
+            q = Dissection(m, n, tuple(picked))
+            want = _outcome(regions_by_scan, q)
+            assert want[0] is MalformedDissection and "spans" in want[1]
+            assert _outcome(validate, q) == want
+            seen += 1
+    assert seen > 100

@@ -21,8 +21,8 @@ from polyflip import (
     reflect,
 )
 from polyflip.polynomials import (
-    _binomial,
     _factor_text,
+    _keyed_factor,
     _name_at,
     letter_name,
     variable_at_position,
@@ -184,21 +184,28 @@ def test_memoized_factor_is_the_definition(m, n):
                 want = binomial_for_diagonal(m, n, (a, b))
             except EmptyCrossing:
                 with pytest.raises(EmptyCrossing):
-                    _binomial(m, n, (a, b))
+                    _keyed_factor(m, n, (a, b))
                 continue
-            got = _binomial(m, n, (a, b))
-            assert got == want
-            assert _binomial(m, n, (a, b)) is got  # served from the table
-            if got is not None:
-                assert type(got) is BinomialFactor
-                assert _factor_text(got) == f"({got.high.name}-{got.low.name})"
+            got = _keyed_factor(m, n, (a, b))
+            assert _keyed_factor(m, n, (a, b)) is got  # served from the table
+            if want is None:
+                assert got is None
+                continue
+            key, factor = got
+            assert factor == want and type(factor) is BinomialFactor
+            assert _factor_text(factor) == f"({factor.high.name}-{factor.low.name})"
+            # the key orders factors as FactoredPoly.new does
+            assert divmod(key + m * n, m * n + 1) == (
+                want.high.position(m),
+                m * n - want.low.position(m),
+            )
     for pos in range(1, m * n + 1):
         assert _name_at(m, pos) == variable_at_position(m, pos).name
 
 
 def test_empty_crossing_raises_on_every_call():
-    before = _binomial.cache_info().currsize
+    before = _keyed_factor.cache_info().currsize
     for _ in range(3):
         with pytest.raises(EmptyCrossing, match=r"\(1, 2\) crosses no fan diagonal"):
-            _binomial(1, 3, (1, 2))
-    assert _binomial.cache_info().currsize == before  # nothing was stored
+            _keyed_factor(1, 3, (1, 2))
+    assert _keyed_factor.cache_info().currsize == before  # nothing was stored

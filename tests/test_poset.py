@@ -255,6 +255,19 @@ def test_flip_up_matches_cover_relation():
         assert tuple(sorted(ups)) == poset.covers_up[i]
 
 
+@pytest.mark.parametrize("m,n", PAIRS + [(1, 6), (2, 4)])
+def test_build_poset_covers_are_the_flip_up_covers(m, n):
+    # `flip_up` is the oracle of the one-pass cover build: every result
+    # found by identity among the enumerated elements
+    poset = build_poset.__wrapped__(m, n)
+    index = {q: i for i, q in enumerate(poset.elements)}
+    want = tuple(
+        tuple(sorted({index[r] for d in q.diagonals if d[0] == 0 for r in flip_up(q, d)}))
+        for q in poset.elements
+    )
+    assert poset.covers_up == want
+
+
 def test_to_dot_round_trip():
     poset = build_poset(2, 2)
     dot = to_dot(poset, label="poly")
@@ -285,9 +298,9 @@ def test_to_json_dict():
 
 def test_build_poset_validates_nothing(monkeypatch):
     calls = []
-    real = dissections_module.regions
+    real = dissections_module.validate
     monkeypatch.setattr(
-        dissections_module, "regions", lambda q: calls.append(q) or real(q)
+        dissections_module, "validate", lambda q: calls.append(q) or real(q)
     )
     poset = build_poset.__wrapped__(1, 5)
     assert len(poset.elements) == 42
@@ -295,12 +308,20 @@ def test_build_poset_validates_nothing(monkeypatch):
 
 
 def test_build_poset_rejects_a_derived_non_element(monkeypatch):
-    bogus = Dissection(2, 3, ((1, 4), (3, 6)))  # crossing chords
-    monkeypatch.setattr(poset_module, "flip_up", lambda q, d: [bogus])
-    with pytest.raises(MalformedDissection) as info:
-        build_poset.__wrapped__(2, 3)
-    assert str(bogus) in str(info.value)
-    assert info.value.counterexample == bogus.to_json()
+    real = poset_module._up_flips
+    # flipping (0, 5) of ((0, 5), (1, 4)) to a crossing chord, one that some
+    # element holds and one that none does
+    for chord in ((3, 6), (2, 6)):
+        bogus = Dissection(2, 3, ((1, 4), chord))
+
+        def flips(q, chord=chord):
+            return [((0, 5), chord)] if q.diagonals == ((0, 5), (1, 4)) else real(q)
+
+        monkeypatch.setattr(poset_module, "_up_flips", flips)
+        with pytest.raises(MalformedDissection) as info:
+            build_poset.__wrapped__(2, 3)
+        assert str(bogus) in str(info.value)
+        assert info.value.counterexample == bogus.to_json()
 
 
 def test_glued_image_outside_the_order_is_malformed(monkeypatch):

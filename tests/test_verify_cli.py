@@ -223,8 +223,8 @@ def test_intervals_suite_builds_each_order_once(m, n):
 
 def test_poset_suite_validates_each_element_once(monkeypatch):
     calls = []
-    real = verify_module.regions
-    monkeypatch.setattr(verify_module, "regions", lambda q: calls.append(q) or real(q))
+    real = verify_module.validate
+    monkeypatch.setattr(verify_module, "validate", lambda q: calls.append(q) or real(q))
     (report,) = run_suite("poset", 2, 3)
     assert report.passed
     assert sorted(calls) == list(build_poset(2, 3).elements)
@@ -242,8 +242,13 @@ def test_poset_suite_reports_a_malformed_element(monkeypatch):
 
 
 def test_poset_suite_reports_a_derived_non_element(monkeypatch):
-    bogus = Dissection(2, 3, ())
-    monkeypatch.setattr(poset_module, "flip_up", lambda q, d: [bogus])
+    bogus = Dissection(2, 3, ((1, 4), (3, 6)))
+    real = poset_module._up_flips
+
+    def flips(q):  # flipping (0, 5) of this element to (3, 6) gives bogus
+        return [((0, 5), (3, 6))] if q.diagonals == ((0, 5), (1, 4)) else real(q)
+
+    monkeypatch.setattr(poset_module, "_up_flips", flips)
     monkeypatch.setattr(verify_module, "build_poset", build_poset.__wrapped__)
     (report,) = run_suite("poset", 2, 3)
     assert not report.passed
@@ -585,7 +590,7 @@ def test_intervals_suite_fails_on_a_wrong_cover_inside_a_non_initial_interval(
     covers[x] = tuple(w for w in covers[x] if w != y)
     broken = FlipPoset(2, 4, good.elements, tuple(covers))
     fan = broken.index[broken.minimum]
-    assert len(poset_module._reach(broken.covers_up, fan)) == len(good.elements)
+    assert len(poset_module._reached(broken.covers_up, fan)) == len(good.elements)
     for iv in broken.intervals_above(fan):
         assert poset_module.interval_structure(iv)[0]
     monkeypatch.setattr(verify_module, "_order", lambda m, n: broken)
@@ -760,18 +765,31 @@ def test_an_export_failing_partway_exits_1_with_partial_output(capsys, monkeypat
         assert len(list(csv.reader(io.StringIO(out)))) == 1 + 4  # header, 4 rows
 
 
-def test_an_export_into_a_closed_pipe_exits_1_without_a_traceback():
-    # `polyflip enumerate ... | head -1`: the reader takes one line and goes.
+def _read_one_line_and_close(*argv):
+    """`polyflip ARGV | head -1`: the first line, the exit code and stderr
+    of a CLI child whose reader takes one line and goes."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     child = subprocess.Popen(
-        [sys.executable, "-m", "polyflip.cli", "enumerate", "--m", "1", "--n", "9",
-         "--format", "csv"],
+        [sys.executable, "-m", "polyflip.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert child.stdout.readline() == b"rank,diagonals,vector,poly,leading\n"
-    child.stdout.close()  # about 650 kB of rows are still to come
+    line = child.stdout.readline()
+    child.stdout.close()
     err = child.stderr.read()
-    assert (child.wait(timeout=60), err) == (1, b"")
+    return line, child.wait(timeout=60), err
+
+
+def test_an_export_into_a_closed_pipe_exits_1_without_a_traceback():
+    # about 650 kB of rows are still to come after the header
+    got = _read_one_line_and_close("enumerate", "--m", "1", "--n", "9", "--format", "csv")
+    assert got == (b"rank,diagonals,vector,poly,leading\n", 1, b"")
+
+
+def test_a_dot_export_into_a_closed_pipe_exits_1_without_a_traceback():
+    # about 440 kB of DOT lines are still to come; written line by line, the
+    # closed pipe shows at a later write instead of being dropped unseen
+    got = _read_one_line_and_close("poset", "--m", "1", "--n", "9")
+    assert got == (b"digraph flip_poset {\n", 1, b"")
