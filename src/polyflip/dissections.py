@@ -20,16 +20,15 @@ the paper (`make_q0`, `bijection.psi`, and in `poset` each step of
 `descend_to_fan` and the one-block shrinks).  Everything derived here from
 dissections already held (`flip_up` results, `cut_L` pieces, the `glue_G`
 result, `width_and_blocks` blocks, `reflect`) is built unchecked, and
-enumeration is correct by construction.  Flip results, glued images, cut
-pieces, interval cores and, in the poset suite, descent swaps are checked
-by identity instead: `poset` looks each one up among the enumerated
-elements (flip results by chord bitmask, the others with `_locate`) and
-raises MalformedDissection on a miss; a core is looked up among the
-elements of its own size, and its miss is the interval's
-DecompositionFailure.  The poset suite runs `validate` once on every
-element, and the tests check all five constructions against an
-independent face computation, and `validate` against the pairwise
-crossing scan and region walk it replaced.
+enumeration is correct by construction.  Flip results, cut pieces and, in
+the poset suite, descent swaps are checked by identity instead: `poset`
+looks each one up among the enumerated elements (flip results by chord
+bitmask, the others with `_locate`) and raises MalformedDissection on a
+miss.  Interval cores are never built: `poset` looks up their diagonal
+masks, and a miss is the interval's DecompositionFailure.  The poset
+suite runs `validate` once on every element, and the tests check all
+five constructions against an independent face computation, and
+`validate` against the pairwise crossing scan and region walk it replaced.
 
 Memory: enumeration builds every chord through one intern table
 (`_chord`), so all enumerated elements share one tuple per chord: the
@@ -216,8 +215,10 @@ def validate(q: Dissection) -> None:
         ends.append(b)
         sizes.append(b - a + 1)
     closed += sizes
-    if len(closed) != n or closed.count(m + 2) != n:
-        raise bad(f"regions have sizes {sorted(closed)}, want {n} of size {m + 2}")
+    # Cannot fail after the checks above: each of the n regions' sizes less
+    # 2 is a positive multiple of m (every span is 1 mod m), and they add
+    # up to m*n (m*n+2 sides and each chord twice, less 2 per region).
+    assert len(closed) == n and closed.count(m + 2) == n, (q, closed)
 
 
 def regions(q: Dissection) -> list[tuple[int, ...]]:
@@ -365,7 +366,6 @@ def cut_L(q: Dissection) -> list[Dissection]:
     return pieces
 
 
-@lru_cache(maxsize=1)
 def _glue_frame(
     m: int, parts: tuple[Dissection, ...]
 ) -> tuple[tuple[Chord, ...], tuple[int, ...]]:
@@ -373,8 +373,7 @@ def _glue_frame(
     # i-1's, consecutive pieces sharing the cut vertex) WITHOUT drawing the
     # cut diagonals, and return the cycle of the (m*k+2)-gon this leaves
     # around the apex: the apex regions of the pieces merged along the cuts.
-    # Memoized for the last pieces: every gluing over one bottom's cut
-    # reuses its frame, handed out as tuples so no caller can change it.
+    # Vertex i of that polygon is cycle[i].
     chords: list[Chord] = []
     cycle = [0]
     offset = 0

@@ -8,7 +8,8 @@ element is its number of non-apex diagonals.
 
 The checks in this module certify the advertised structure exactly: cover
 degrees, maximal chain counts, descent witnesses, interval lattices and
-their order-ideal forests, and the cut/glue factorizations of intervals.
+their order-ideal forests, and the cut factorizations of intervals, whose
+cores are read off by translating chord bits, with no gluing.
 """
 
 from collections.abc import Mapping
@@ -26,13 +27,11 @@ from .dissections import (
     _glue_frame,
     _unchecked,
     _walk_region,
-    apex_diagonal_set_D,
     apex_region,
     chords_cross,
     cut_L,
     enumerate_dissections,
     flip_up,
-    glue_G,
     is_final,
     make_q0,
     width_and_blocks,
@@ -89,8 +88,8 @@ class FlipPoset:
     order), and intervals walk the covers, so no query builds the O(N^2)
     reachability closure.  `up_masks` and `down_masks` build it on demand:
     only `is_lattice` reads `up_masks`, on a bounded order, and both are
-    kept as oracles; no suite builds them.  Frozen, with a read-only
-    `index`: `build_poset` shares one instance per order.
+    kept as oracles; no suite builds them.  Frozen, with read-only
+    mappings: `build_poset` shares one instance per order.
     """
 
     m: int
@@ -126,18 +125,29 @@ class FlipPoset:
         return _fold(sorted(range(len(ranks)), key=ranks.__getitem__), self.covers_down)
 
     @cached_property
+    def diagonal_bits(self) -> MappingProxyType:
+        """Each non-apex chord of the order -> its bit in `diagonal_masks`,
+        numbered in order of first appearance."""
+        chords = dict.fromkeys(chain.from_iterable(q.diagonals for q in self.elements))
+        return MappingProxyType({d: k for k, d in enumerate(d for d in chords if d[0])})
+
+    @cached_property
     def diagonal_masks(self) -> tuple[int, ...]:
-        """Element i's non-apex diagonals as a bitmask, one bit per chord in
-        order of first appearance."""
-        bit: dict[Chord, int] = {}
+        """Element i's non-apex diagonals as a bitmask over `diagonal_bits`."""
+        one = {d: 1 << k for d, k in self.diagonal_bits.items()}
         masks = []
         for q in self.elements:
             acc = 0
             for d in q.diagonals:
                 if d[0]:
-                    acc |= 1 << bit.setdefault(d, len(bit))
+                    acc |= one[d]
             masks.append(acc)
         return tuple(masks)
+
+    @cached_property
+    def mask_index(self) -> MappingProxyType:
+        """Element index by diagonal mask, which fixes the apex diagonals."""
+        return MappingProxyType({d: i for i, d in enumerate(self.diagonal_masks)})
 
     def leq(self, a: Dissection, b: Dissection) -> bool:
         D = self.diagonal_masks
@@ -493,51 +503,57 @@ def mobius(interval: Interval) -> int:
     return mu[local.idx.index(interval.top)]
 
 
-def _cores_above(poset: FlipPoset, bi: int, tops):
-    """Decompose each of `tops` over the pieces cut from element bi.
+def _core_map(poset: FlipPoset, bi: int):
+    """The pieces of cut(bi), their k-piece order, and the map from a top
+    t above bi to its core's index there.
 
-    The bottom's work is done once: its cut, the glue frame and the frame's
-    position map.  A top's core is its diagonals outside the bottom's inner
-    ones, read in frame positions and looked up by identity in the order of
-    the pieces' count; gluing the core over the pieces must give back the
-    top, again by identity.  Returns the pieces, that order and the map
-    top -> core index; raises DecompositionFailure with [bottom, top].
+    A chord with both ends on the pieces' glue frame is the k-piece
+    order's chord between their frame positions; t's core is the image of
+    D[t] & ~D[bi], looked up in that order's `mask_index`.  The map raises
+    DecompositionFailure with [bottom, top] unless D[bi] lies in D[t] and
+    the image is an element's mask.
     """
     bottom = poset.elements[bi]
     parts = cut_L(bottom)
     small = _order_of_size(poset, len(parts))
-    inner = {d for d in bottom.diagonals if d[0] != 0}
     _, cycle = _glue_frame(bottom.m, tuple(parts))
     pos = {v: i for i, v in enumerate(cycle)}
+    small_bits = small.diagonal_bits
+    image = {}
+    for (a, b), j in poset.diagonal_bits.items():
+        k = small_bits.get((pos.get(a), pos.get(b)))
+        if k is not None:
+            image[j] = 1 << k
+    D, at = poset.diagonal_masks, small.mask_index
+    inner = D[bi]
 
-    def failure(message: str, top: Dissection) -> DecompositionFailure:
-        return DecompositionFailure(message, [bottom.to_json(), top.to_json()])
+    def core(ti: int) -> int:
+        mask = -1 if inner & ~D[ti] else 0  # -1 sticks: no element's mask
+        for j in _bits(D[ti] & ~inner):
+            mask |= image.get(j, -1)
+        ci = at.get(mask)
+        if ci is None:
+            top = poset.elements[ti]
+            raise DecompositionFailure(
+                f"{top} does not translate over cut({bottom})",
+                [bottom.to_json(), top.to_json()],
+            )
+        return ci
 
-    cores = {}
-    for ti in tops:
-        top = poset.elements[ti]
-        try:
-            local = [(pos[a], pos[b]) for a, b in top.diagonals if (a, b) not in inner]
-            ci = _locate(small.index, _unchecked(bottom.m, len(parts), local))
-        except (KeyError, MalformedDissection) as exc:
-            raise failure(f"{top} does not glue over cut({bottom}): {exc}", top)
-        core = small.elements[ci]
-        if _locate(poset.index, glue_G(core, parts)) != ti:
-            raise failure(f"gluing {core} over cut({bottom}) missed {top}", top)
-        cores[ti] = ci
-    return parts, small, cores
+    return parts, small, core
 
 
 def interval_decompose(interval: Interval) -> tuple[Dissection, list[Dissection]]:
     """Split [bottom, top] as a gluing over the pieces cut from bottom.
 
     Cutting the bottom along its apex diagonals yields final pieces; the
-    top is the gluing of a unique smaller dissection over those pieces.
-    Returns that dissection together with the pieces; raises
-    DecompositionFailure when the round trip does not reproduce the top.
+    top is the gluing (`glue_G`) of a unique smaller dissection, its core,
+    over those pieces.  Returns the core, by chord-bit translation, with
+    the pieces; raises DecompositionFailure unless the top is above the
+    bottom and translates.
     """
-    parts, small, cores = _cores_above(interval.poset, interval.bottom, [interval.top])
-    return small.elements[cores[interval.top]], parts
+    parts, small, core = _core_map(interval.poset, interval.bottom)
+    return small.elements[core(interval.top)], parts
 
 
 @dataclass(frozen=True)
@@ -664,27 +680,23 @@ def width_cover_check(poset: FlipPoset) -> bool:
 
 
 def upper_ideal_iso_check(poset: FlipPoset, bottom: Dissection) -> int:
-    """The filter above bottom is the glued copy of a full smaller order.
+    """The filter above bottom is a copy of a full smaller order.
 
-    Every element above bottom decomposes over cut(bottom), one gluing
-    each (`_cores_above`); the cores must be exactly the elements of the
-    k-piece order, bottom's core must be that order's fan, and gluing must
-    match covers both ways.  Returns the filter's size, the number of
-    intervals with this bottom.
+    The cores of the elements above bottom (`_core_map`) must be exactly
+    the elements of the k = |cut(bottom)| piece order.  The translation
+    comes from an injection on chords, so between certified inclusion
+    orders (`inclusion_check`) this bijection is an order isomorphism that
+    takes bottom, core mask 0, to the fan.  Returns the filter's size, the
+    number of intervals with this bottom.
     """
     bi = poset.index[bottom]
-    above = sorted(_reached(poset.covers_up, bi))
-    _, small, cores = _cores_above(poset, bi, above)
-    if sorted(cores.values()) != list(range(len(small.elements))):
-        raise VerificationFailure(f"glued image misses the filter above {bottom}")
-    if small.elements[cores[bi]] != small.minimum:
-        raise VerificationFailure(f"{bottom} does not glue from the fan of its cut")
-    small_pairs = {(i, j) for i, ups in enumerate(small.covers_up) for j in ups}
-    big_pairs = {
-        (cores[i], cores[j]) for i in cores for j in poset.covers_up[i] if j in cores
-    }
-    if small_pairs != big_pairs:
-        raise VerificationFailure(f"cover relation not preserved above {bottom}")
+    _, small, core = _core_map(poset, bi)
+    cores = sorted(core(ti) for ti in sorted(_reached(poset.covers_up, bi)))
+    if cores != list(range(len(small.elements))):
+        raise VerificationFailure(
+            f"the cores above {bottom} are not the {small.n}-piece order",
+            bottom.to_json(),
+        )
     return len(cores)
 
 
@@ -762,20 +774,6 @@ def width_factorization_check(poset: FlipPoset, final_q: Dissection) -> bool:
             f"initial interval of final {final_q}: degrees {whole} != "
             f"block product {product}"
         )
-    return True
-
-
-def apex_chords_avoid_downset_check(poset: FlipPoset, final_q: Dissection) -> bool:
-    """The apex chords of a final element cross nothing anywhere below it."""
-    chords = apex_diagonal_set_D(final_q)
-    for i in sorted(_reached(poset.covers_down, poset.index[final_q])):
-        q = poset.elements[i]
-        for c in chords:
-            for d in q.diagonals:
-                if chords_cross(c, d):
-                    raise VerificationFailure(
-                        f"apex chord {c} of {final_q} crosses {d} of {q} below it"
-                    )
     return True
 
 

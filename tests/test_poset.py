@@ -18,6 +18,7 @@ from polyflip import (
     NoWitness,
     StructureViolation,
     VerificationFailure,
+    apex_diagonal_set_D,
     build_poset,
     chords_cross,
     cut_L,
@@ -41,7 +42,6 @@ from polyflip import (
 from polyflip.poset import (
     _cover_degree_poly,
     _poly_mul,
-    apex_chords_avoid_downset_check,
     cover_count_check,
     inclusion_check,
     initial_factorization_check,
@@ -51,7 +51,12 @@ from polyflip.poset import (
     width_factorization_check,
 )
 
-from oracles import brute_dissections, closure_from_covers, is_distributive_lattice
+from oracles import (
+    brute_dissections,
+    closure_from_covers,
+    crossing,
+    is_distributive_lattice,
+)
 
 PAIRS = [(1, 3), (1, 4), (2, 2), (2, 3), (3, 2)]
 
@@ -196,6 +201,12 @@ def test_interval_decompose_rejects_unrelated_pair():
     fake = Interval(poset, poset.index[TOP], poset.index[other], 0)
     with pytest.raises(DecompositionFailure):
         interval_decompose(fake)
+    # the fan's diagonals outside MID's translate (there are none), but the
+    # fan is below MID, not above it
+    below = Interval(poset, poset.index[MID], poset.index[poset.minimum], 0)
+    with pytest.raises(DecompositionFailure) as info:
+        interval_decompose(below)
+    assert info.value.counterexample == [MID.to_json(), poset.minimum.to_json()]
 
 
 def test_interval_structure_certificates():
@@ -234,7 +245,23 @@ def test_structure_checks_hold(m, n):
         assert initial_factorization_check(poset, q)
         if is_final(q):
             assert width_factorization_check(poset, q)
-            assert apex_chords_avoid_downset_check(poset, q)
+
+
+@pytest.mark.parametrize("m,n", PAIRS)
+def test_apex_chords_of_a_final_cross_nothing_below_it(m, n):
+    # The paper's claim, against the plain-DFS closure; the intervals suite
+    # has it from `inclusion_check`: below a final f every non-apex
+    # diagonal is one of f's, which its apex chords do not cross, and an
+    # apex chord crosses no fan diagonal.
+    poset = build_poset(m, n)
+    above = closure_from_covers(len(poset.elements), poset.covers_up)
+    for fi, f in enumerate(poset.elements):
+        if not is_final(f):
+            continue
+        chords = apex_diagonal_set_D(f)
+        for i, q in enumerate(poset.elements):
+            if fi in above[i]:
+                assert not any(crossing(c, d) for c in chords for d in q.diagonals)
 
 
 def test_cover_degree_poly():
@@ -324,13 +351,25 @@ def test_build_poset_rejects_a_derived_non_element(monkeypatch):
         assert info.value.counterexample == bogus.to_json()
 
 
-def test_glued_image_outside_the_order_is_malformed(monkeypatch):
+def _rotated_frame(monkeypatch):
+    """Patch the glue frame that `poset` reads to hand out its cycle turned
+    by one vertex: a wrong chord translation."""
+    real = poset_module._glue_frame
+
+    def rotated(m, parts):
+        chords, cycle = real(m, parts)
+        return chords, cycle[1:] + cycle[:1]
+
+    monkeypatch.setattr(poset_module, "_glue_frame", rotated)
+
+
+def test_a_rotated_glue_frame_fails_the_filter_check(monkeypatch):
     poset = build_poset(2, 3)
-    bogus = Dissection(2, 3, ())
-    monkeypatch.setattr(poset_module, "glue_G", lambda b0, parts: bogus)
-    with pytest.raises(MalformedDissection) as info:
-        upper_ideal_iso_check(poset, poset.minimum)
-    assert info.value.counterexample == bogus.to_json()
+    assert upper_ideal_iso_check(poset, MID) == 3  # MID's filter: three tops
+    _rotated_frame(monkeypatch)
+    with pytest.raises(DecompositionFailure, match="does not translate") as info:
+        upper_ideal_iso_check(poset, MID)
+    assert info.value.counterexample[0] == MID.to_json()
 
 
 def test_cut_piece_outside_the_order_is_malformed(monkeypatch):
@@ -350,7 +389,7 @@ def test_interval_failures_carry_the_interval(monkeypatch):
     with pytest.raises(StructureViolation) as info:
         interval_structure(iv)
     assert info.value.counterexample == iv.to_json()
-    monkeypatch.setattr(poset_module, "glue_G", lambda b0, parts: poset.minimum)
+    _rotated_frame(monkeypatch)
     with pytest.raises(DecompositionFailure) as info:
         interval_decompose(iv)
     assert info.value.counterexample == iv.to_json()
@@ -446,14 +485,6 @@ def test_every_interval_certifies_like_its_initial_class(m, n):
         assert got == (initial.size, initial_forest.ideal_count(), mobius(initial))
     (report,) = run_suite("intervals", m, n)
     assert report.passed and report.detail == f"{count} intervals certified"
-
-
-def test_upper_ideal_iso_check_needs_the_bottom_at_the_fan(monkeypatch):
-    poset = build_poset(2, 3)
-    assert upper_ideal_iso_check(poset, MID) == 3  # MID's filter: three tops
-    monkeypatch.setattr(FlipPoset, "minimum", property(lambda self: self.elements[-1]))
-    with pytest.raises(VerificationFailure, match="does not glue from the fan"):
-        upper_ideal_iso_check(poset, MID)
 
 
 def test_decompositions_validate_no_core(monkeypatch):
@@ -583,8 +614,6 @@ def test_order_queries_build_no_reachability_closure():
     assert interval_structure(iv)[0]
     for q in poset.elements:
         assert upper_ideal_iso_check(poset, q)
-        if is_final(q):
-            assert apex_chords_avoid_downset_check(poset, q)
     assert "up_masks" not in poset.__dict__ and "down_masks" not in poset.__dict__
 
 
@@ -701,15 +730,18 @@ def test_poset_suite_checks_the_up_sets_against_the_interval_series(monkeypatch)
     assert report.detail == "up-sets hold 32 intervals, series says 31"
 
 
-def test_glue_frame_is_built_once_per_bottom_and_frozen():
+def test_glue_frame_is_built_once_per_bottom_and_frozen(monkeypatch):
     poset = build_poset(1, 6)
     q = next(q for q in poset.elements if len(cut_L(q)) == 3)
-    dissections_module._glue_frame.cache_clear()
-    assert upper_ideal_iso_check(poset, q)
-    info = dissections_module._glue_frame.cache_info()
+    calls = []
+    real = dissections_module._glue_frame
+    monkeypatch.setattr(
+        poset_module, "_glue_frame", lambda m, parts: calls.append(parts) or real(m, parts)
+    )
     above = closure_from_covers(len(poset.elements), poset.covers_up)
-    assert (info.misses, info.hits) == (1, len(above[poset.index[q]]))
-    chords, cycle = dissections_module._glue_frame(1, tuple(cut_L(q)))
+    assert upper_ideal_iso_check(poset, q) == len(above[poset.index[q]])
+    assert calls == [tuple(cut_L(q))]  # one frame for the whole filter
+    chords, cycle = real(1, tuple(cut_L(q)))
     assert isinstance(chords, tuple) and isinstance(cycle, tuple)
 
 
@@ -724,6 +756,16 @@ def test_a_shortcut_cover_fails_the_inclusion_check():
     with pytest.raises(VerificationFailure, match=re.escape(message)) as info:
         inclusion_check(broken)
     assert info.value.counterexample == fan.to_json()
+
+
+def test_a_shortcut_cover_fails_the_poset_suite(monkeypatch):
+    # the suite's cover-rank test is `inclusion_check`'s: the rank is the
+    # number of non-apex diagonals, and a cover adds exactly one
+    poset = build_poset(2, 3)
+    k = poset.ranks.index(2)
+    broken = _broken_covers(poset, lambda covers: covers[0].append(k))
+    message = f"cover {poset.minimum} -> {poset.elements[k]} does not add exactly one"
+    _assert_suite_fails_at(monkeypatch, broken, poset.minimum, message)
 
 
 @pytest.mark.parametrize("m,n", PAIRS)

@@ -13,6 +13,7 @@ import pytest
 
 import polyflip.bijection as bijection_module
 import polyflip.cli as cli_module
+import polyflip.dissections as dissections_module
 import polyflip.poset as poset_module
 import polyflip.qsym as qsym
 import polyflip.verify as verify_module
@@ -24,6 +25,7 @@ from polyflip import (
     ForestPoset,
     NotDyck,
     SizeGuardExceeded,
+    VerificationFailure,
     binomial_for_diagonal,
     build_poset,
     enumerate_dissections,
@@ -333,11 +335,19 @@ def test_cli_structure_failure_carries_counterexample(capsys, monkeypatch):
 
 
 def test_decomposition_failure_carries_counterexample(monkeypatch):
+    # a wrong chord translation: the glue frame's cycle turned by one vertex
     fan = build_poset(2, 2).minimum
-    monkeypatch.setattr(poset_module, "glue_G", lambda b0, parts: fan)
+    real = poset_module._glue_frame
+
+    def rotated(m, parts):
+        chords, cycle = real(m, parts)
+        return chords, cycle[1:] + cycle[:1]
+
+    monkeypatch.setattr(poset_module, "_glue_frame", rotated)
     (report,) = run_suite("intervals", 2, 2)
     assert not report.passed
     assert report.detail.startswith("DecompositionFailure: ")
+    assert "does not translate" in report.detail
     bottom, top = report.counterexample
     assert bottom == fan.to_json() and top != fan.to_json()
 
@@ -539,9 +549,10 @@ def test_structure_checks_and_suites_share_one_cache_key():
     assert build_poset.cache_info().misses == 5  # sizes 1..5, each once
 
 
-def test_intervals_suite_glues_once_per_interval_and_scans_no_lattice(monkeypatch):
+def test_intervals_suite_glues_nothing_and_scans_no_lattice(monkeypatch):
     # and certifies one interval per isomorphism class: the intervals
-    # [fan_k, t] of the orders k = 1, 2, 3, FC(2, k) = 1 + 3 + 12 of them
+    # [fan_k, t] of the orders k = 1, 2, 3, FC(2, k) = 1 + 3 + 12 of them;
+    # tops reach their cores by chord-bit translation, not by gluing
     calls = {"glue_G": 0, "is_lattice": 0, "interval_structure": 0, "mobius": 0}
 
     def counting(name, real):
@@ -551,7 +562,9 @@ def test_intervals_suite_glues_once_per_interval_and_scans_no_lattice(monkeypatc
 
         return wrapped
 
-    monkeypatch.setattr(poset_module, "glue_G", counting("glue_G", poset_module.glue_G))
+    assert not hasattr(poset_module, "glue_G")
+    glue = counting("glue_G", dissections_module.glue_G)
+    monkeypatch.setattr(dissections_module, "glue_G", glue)
     lattice = counting("is_lattice", poset_module.is_lattice)
     monkeypatch.setattr(poset_module, "is_lattice", lattice)
     monkeypatch.setattr(verify_module, "is_lattice", lattice)
@@ -561,7 +574,7 @@ def test_intervals_suite_glues_once_per_interval_and_scans_no_lattice(monkeypatc
     (report,) = run_suite("intervals", 2, 3)
     assert report.passed and report.detail == "31 intervals certified"
     assert calls == {
-        "glue_G": 31, "is_lattice": 0, "interval_structure": 16, "mobius": 16
+        "glue_G": 0, "is_lattice": 0, "interval_structure": 16, "mobius": 16
     }
 
 
@@ -581,8 +594,9 @@ def test_intervals_suite_fails_on_a_wrong_cover_inside_a_non_initial_interval(
 ):
     # Drop the cover x -> y, x above the fan: it lies in the interval [x, y].
     # The fan still reaches every element and every initial interval of the
-    # broken order still certifies, so only the isomorphism of the filter
-    # above x with the independently built 3-piece order can catch it.
+    # broken order still certifies, but x's up-set, short of y, is smaller
+    # than the count of M-angulations holding x's non-apex diagonals, so
+    # `inclusion_check` on the suite's own order names x.
     good = build_poset(2, 4)
     x, y = 1, 16
     assert y in good.covers_up[x] and good.elements[x] != good.minimum
@@ -596,7 +610,41 @@ def test_intervals_suite_fails_on_a_wrong_cover_inside_a_non_initial_interval(
     monkeypatch.setattr(verify_module, "_order", lambda m, n: broken)
     (report,) = run_suite("intervals", 2, 4)
     assert not report.passed
-    assert report.detail == f"glued image misses the filter above {good.elements[x]}"
+    got, want = (len(poset_module._reached(p.covers_up, x)) for p in (broken, good))
+    assert report.detail == (
+        f"{got} elements above {good.elements[x]}, but {want} "
+        f"M-angulations hold its non-apex diagonals"
+    )
+    assert report.counterexample == good.elements[x].to_json()
+
+
+def test_intervals_suite_fails_on_a_missing_top(monkeypatch):
+    # The filter walk above x drops its last element, while the orders
+    # themselves stay certified: only the bijection onto the 3-piece order
+    # can tell, and it names x.
+    poset = verify_module._order(2, 4)
+    x = 1
+    real_reached = poset_module._reached
+    real_check = verify_module.inclusion_check
+
+    def short_walk(covers, start, keep=None):
+        seen = real_reached(covers, start, keep)
+        if covers is poset.covers_up and start == x and keep is None:
+            seen.discard(max(seen))
+        return seen
+
+    def certified(order):  # the inclusion theorem on the true walk
+        with monkeypatch.context() as inner:
+            inner.setattr(poset_module, "_reached", real_reached)
+            return real_check(order)
+
+    monkeypatch.setattr(poset_module, "_reached", short_walk)
+    monkeypatch.setattr(verify_module, "inclusion_check", certified)
+    (report,) = run_suite("intervals", 2, 4)
+    assert not report.passed
+    q = poset.elements[x]
+    assert report.detail == f"the cores above {q} are not the 3-piece order"
+    assert report.counterexample == q.to_json()
 
 
 def test_cli_qsym_honours_the_env_guard(capsys, monkeypatch):
@@ -636,14 +684,23 @@ def test_poset_suite_builds_no_reachability_table(m, n):
     assert "up_masks" not in poset.__dict__ and "down_masks" not in poset.__dict__
 
 
-def test_intervals_suite_reads_no_diagonal_sets():
-    # only the poset suite certifies the inclusion theorem they stand for
-    build_poset.cache_clear()
+def test_intervals_suite_certifies_the_inclusion_theorem_on_each_order(monkeypatch):
+    # the chord-bit translation is an isomorphism only between inclusion
+    # orders, so a failure on the order k = 2 fails the (2, 4) suite
+    real = verify_module.inclusion_check
+    seen = []
+
+    def check(order):
+        seen.append(order.n)
+        if order.n == 2:
+            raise VerificationFailure("not an inclusion order", order.minimum.to_json())
+        return real(order)
+
+    monkeypatch.setattr(verify_module, "inclusion_check", check)
     (report,) = run_suite("intervals", 2, 4)
-    assert report.passed
-    orders = [verify_module._order(2, k) for k in range(1, 5)]
-    assert build_poset.cache_info().misses == 4  # the suite's own orders
-    assert not any("diagonal_masks" in order.__dict__ for order in orders)
+    assert not report.passed and seen == [4, 3, 2]
+    assert report.detail == "not an inclusion order"
+    assert report.counterexample == build_poset(2, 2).minimum.to_json()
 
 
 @pytest.mark.parametrize("m,n", [(1, 5), (2, 3), (3, 2)])
