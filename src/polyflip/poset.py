@@ -8,15 +8,15 @@ element is its number of non-apex diagonals.
 
 The checks in this module certify the advertised structure exactly: cover
 degrees, maximal chain counts, descent witnesses, interval lattices and
-their order-ideal forests, and the cut factorizations of intervals, whose
-cores are read off by translating chord bits, with no gluing.
+their order-ideal forests, and the isomorphisms that split intervals over
+cut pieces and width blocks, all read by translating chord bits.
 """
 
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
-from math import factorial
+from math import factorial, prod
 from types import MappingProxyType
 
 from .dissections import (
@@ -327,17 +327,13 @@ def build_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> FlipPoset:
     return poset
 
 
-def cache_guard(m: int, n: int) -> int:
-    """The guard every cached (m, n) order is built with, so `build_poset`
-    holds one cache key per order.  It never refuses: callers check their
-    own cap before asking for the order."""
-    return max(m * n, DEFAULT_MAX_MN)
-
-
 def _order_of_size(poset: FlipPoset, n: int) -> FlipPoset:
-    """The size-n order for poset's m: poset itself at its own size, so a
-    check never builds the order it was handed a second time."""
-    return poset if n == poset.n else build_poset(poset.m, n, cache_guard(poset.m, n))
+    """The size-n order for poset's m: poset itself at its own size, else
+    cached as `verify._order` keys it, the caller having checked its cap."""
+    m = poset.m
+    if n == poset.n:
+        return poset
+    return build_poset(m, n) if m * n <= DEFAULT_MAX_MN else build_poset(m, n, m * n)
 
 
 def cover_count_check(poset: FlipPoset) -> bool:
@@ -503,6 +499,18 @@ def mobius(interval: Interval) -> int:
     return mu[local.idx.index(interval.top)]
 
 
+def _translation(bits: Mapping, small: FlipPoset, pos: Mapping) -> dict[int, int]:
+    """j -> 1 << k for each chord (a, b) -> j of `bits`, some of an order's
+    `diagonal_bits`, whose image (pos[a], pos[b]) is chord k of small's."""
+    small_bits = small.diagonal_bits
+    image = {}
+    for (a, b), j in bits.items():
+        k = small_bits.get((pos.get(a), pos.get(b)))
+        if k is not None:
+            image[j] = 1 << k
+    return image
+
+
 def _core_map(poset: FlipPoset, bi: int):
     """The pieces of cut(bi), their k-piece order, and the map from a top
     t above bi to its core's index there.
@@ -518,12 +526,7 @@ def _core_map(poset: FlipPoset, bi: int):
     small = _order_of_size(poset, len(parts))
     _, cycle = _glue_frame(bottom.m, tuple(parts))
     pos = {v: i for i, v in enumerate(cycle)}
-    small_bits = small.diagonal_bits
-    image = {}
-    for (a, b), j in poset.diagonal_bits.items():
-        k = small_bits.get((pos.get(a), pos.get(b)))
-        if k is not None:
-            image[j] = 1 << k
+    image = _translation(poset.diagonal_bits, small, pos)
     D, at = poset.diagonal_masks, small.mask_index
     inner = D[bi]
 
@@ -674,7 +677,7 @@ def width_cover_check(poset: FlipPoset) -> bool:
         got = len(poset.covers_down[i])
         if got != width:
             raise VerificationFailure(
-                f"{q} has {got} downward covers but width {width}"
+                f"{q} has {got} downward covers but width {width}", q.to_json()
             )
     return True
 
@@ -700,81 +703,79 @@ def upper_ideal_iso_check(poset: FlipPoset, bottom: Dissection) -> int:
     return len(cores)
 
 
-def _cover_degree_poly(poset: FlipPoset, mask: int) -> tuple[int, ...]:
-    """coeffs[d] = number of elements with d upward covers inside mask."""
-    counts: dict[int, int] = {}
-    for i in _bits(mask):
-        d = sum(1 for j in poset.covers_up[i] if mask >> j & 1)
-        counts[d] = counts.get(d, 0) + 1
-    top = max(counts)
-    return tuple(counts.get(d, 0) for d in range(top + 1))
+def _product_check(poset: FlipPoset, top: Dissection, factors) -> bool:
+    """[fan, top] is the product of the initial intervals [fan, p_i] of the
+    factors, pairs (p_i, pos_i) with pos_i taking top's vertices to p_i's.
 
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
-
-
-def _initial_interval_poly(poset: FlipPoset, top: Dissection) -> tuple[int, ...]:
-    """Cover-degree polynomial of [fan, top] in the order of top's size:
-    top's down-set, walked over the lower covers."""
+    Translating chord bits (`_translation`), (1) the factors split D[top]
+    and take it to exactly (D[p_1], ..., D[p_k]); (2) every s in [fan, top],
+    a DFS over the lower covers, has its diagonals in D[top] and goes to an
+    element in every factor; (3) the sizes match.  D and the chord maps are
+    injective, so this is a bijection onto the product, and between
+    certified inclusion orders (`inclusion_check`) an order isomorphism.
+    Raises VerificationFailure with [fan, top].
+    """
     order = _order_of_size(poset, top.n)
-    below = _reached(order.covers_down, _locate(order.index, top))
-    return _cover_degree_poly(order, sum(1 << j for j in below))
+    D, ti = order.diagonal_masks, _locate(order.index, top)
+
+    def failure(message: str) -> VerificationFailure:
+        return VerificationFailure(
+            f"[fan, {top}] {message}", [order.minimum.to_json(), top.to_json()]
+        )
+
+    chords = {d: order.diagonal_bits[d] for d in top.diagonals if d[0]}  # D[top]'s
+    smalls, ends, images = [], [], []
+    for p, pos in factors:
+        smalls.append(_order_of_size(poset, p.n))
+        ends.append(_locate(smalls[-1].index, p))
+        images.append(_translation(chords, smalls[-1], pos))
+    owner = {j: (f, bit) for f, image in enumerate(images) for j, bit in image.items()}
+    split = [sorted(image.values()) for image in images]
+    want = [[1 << k for k in _bits(o.diagonal_masks[i])] for o, i in zip(smalls, ends)]
+    if not len(chords) == len(owner) == sum(map(len, split)) or split != want:
+        raise failure("does not translate to its factors")
+    below = _reached(order.covers_down, ti)
+    for si in below:
+        masks = [0] * len(images)
+        for j in _bits(D[si] & D[ti]):
+            f, bit = owner[j]
+            masks[f] |= bit
+        if D[si] & ~D[ti] or any(m not in o.mask_index for o, m in zip(smalls, masks)):
+            raise failure(f"holds {order.elements[si]}, which does not translate")
+    size = prod(len(_reached(o.covers_down, i)) for o, i in zip(smalls, ends))
+    if len(below) != size:
+        raise failure(f"has {len(below)} elements, its factors' product {size}")
+    return True
 
 
 def initial_factorization_check(poset: FlipPoset, top: Dissection) -> bool:
-    """[fan, top] matches the product of the initial intervals of its cut
-    pieces, compared through cover-degree generating polynomials."""
-    whole = _initial_interval_poly(poset, top)
-    product = (1,)
+    """[fan, top] is the product of its cut pieces' initial intervals: the
+    piece on top's vertices lo..hi has top's v as v - lo + 1."""
+    factors, lo = [], 1
     for piece in cut_L(top):
-        product = _poly_mul(product, _initial_interval_poly(poset, piece))
-    if whole != product:
-        raise VerificationFailure(
-            f"initial interval of {top}: degrees {whole} != pieces {product}"
-        )
-    return True
+        hi = lo + top.m * piece.n
+        factors.append((piece, {v: v - lo + 1 for v in range(lo, hi + 1)}))
+        lo = hi
+    return _product_check(poset, top, factors)
 
 
-def _one_block_final(q: Dissection, keep: tuple[int, int]) -> Dissection:
+def _one_block_final(q: Dissection, keep: tuple[int, int]) -> tuple[Dissection, dict]:
     """Shrink the final q to the final dissection keeping one apex-region
-    gap intact and collapsing every other gap to a boundary edge."""
-    m = q.m
+    gap (u, w) intact and collapsing every other gap to a boundary edge;
+    with the map from q's kept vertices to its own."""
     u, w = keep
-    r0 = apex_region(q)
-    kept = sorted(set(r0) | set(range(u, w + 1)))
+    kept = sorted(set(apex_region(q)) | set(range(u, w + 1)))
     relabel = {v: i for i, v in enumerate(kept)}
-    n_small = (len(kept) - 2) // m
-    chords = []
-    for a, b in q.diagonals:
-        if a in relabel and b in relabel:
-            la, lb = relabel[a], relabel[b]
-            if lb - la >= 2:
-                chords.append((la, lb))
-    return Dissection.new(m, n_small, chords)
+    chords = [(relabel[a], relabel[b]) for a, b in q.diagonals if u <= a and b <= w]
+    return Dissection.new(q.m, (len(kept) - 2) // q.m, chords), relabel
 
 
 def width_factorization_check(poset: FlipPoset, final_q: Dissection) -> bool:
-    """[fan, final] matches the product over blocks of the one-block
-    initial intervals, again by cover-degree polynomials."""
-    whole = _initial_interval_poly(poset, final_q)
+    """[fan, final] is the product of the initial intervals of its width
+    blocks' one-block finals, relabelled as `_one_block_final` keeps them."""
     r0 = apex_region(final_q)
-    product = (1,)
-    for u, w in zip(r0[1:], r0[2:]):
-        if w - u < 2:
-            continue
-        small = _one_block_final(final_q, (u, w))
-        product = _poly_mul(product, _initial_interval_poly(poset, small))
-    if whole != product:
-        raise VerificationFailure(
-            f"initial interval of final {final_q}: degrees {whole} != "
-            f"block product {product}"
-        )
-    return True
+    gaps = [(u, w) for u, w in zip(r0[1:], r0[2:]) if w - u >= 2]
+    return _product_check(poset, final_q, [_one_block_final(final_q, g) for g in gaps])
 
 
 def _dot_quote(text: str) -> str:

@@ -34,7 +34,6 @@ from .poset import (
     _order_of_size,
     _reached,
     build_poset,
-    cache_guard,
     cover_count_check,
     descent_check,
     expected_maximal_chain_count,
@@ -123,13 +122,9 @@ def _guard(suite: str, m: int, n: int, max_mn: int) -> None:
 
 
 def _order(m: int, n: int):
-    """The (m, n) flip order, once the caller has checked its guard.
-
-    Every suite and every structure check then hands `build_poset` the
-    same guard value for one (m, n), `cache_guard(m, n)`, so `verify
-    --suite all` builds and caches each order once.
-    """
-    return build_poset(m, n, cache_guard(m, n))
+    """The (m, n) flip order, once the caller has checked its guard, under
+    the cache key of a caller's own `build_poset(m, n)`."""
+    return build_poset(m, n) if m * n <= DEFAULT_MAX_MN else build_poset(m, n, m * n)
 
 
 def suite_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationReport:
@@ -206,7 +201,8 @@ def suite_bijection(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> Verificatio
                 _fail(f"psi(phi({q})) differs", q.to_json())
             images.add(v)
         if images != set(vectors):
-            _fail("leading exponent vectors do not match the admissible set")
+            odd = [v for v in vectors if v not in images] or sorted(images - set(vectors))
+            _fail("leading exponent vectors do not match the admissible set", list(odd[0]))
         return f"round-trips on {len(dissections)} dissections"
 
     return _run("bijection", m, n, check)
@@ -322,8 +318,10 @@ def suite_intervals(
     isomorphism taking b to the fan: every interval [b, t] is isomorphic to
     the initial interval [fan_k, core(t)], and both properties are
     invariant under isomorphism.  So `interval_structure` and `mobius` run
-    only on the initial intervals of each order k <= n.  The filter sizes
-    add up to the interval count, checked against the I series.
+    only on the initial intervals of each order k <= n.  By the same
+    translation each [fan, t] is the product of its cut pieces' or, for a
+    final t, width blocks' initial intervals.  The filter sizes add up to
+    the interval count, checked against the I series.
     """
 
     def check():

@@ -5,8 +5,9 @@ algorithms than the package: dissections by filtering chord subsets with a
 split-based face computation, validation by a scan of every chord pair and
 a walk of every region, psi by scanning for letters, admissible vectors by
 filtering full product spaces with a lattice-path walk, order relations by
-plain set DFS, and the ideal's graded rows densely, one zero row per
-generator filled in place.
+plain set DFS, interval factorizations by cover-degree polynomials, and
+the ideal's graded rows densely, one zero row per generator filled in
+place.
 """
 
 from collections import Counter
@@ -195,6 +196,38 @@ def closure_from_covers(count, covers_up):
     for i in range(count):
         walk(i)
     return above
+
+
+def cover_degree_poly(covers_up, members):
+    """coeffs[d] = how many members have d upward covers among the members:
+    the cover-degree polynomial of a sub-order."""
+    counts = Counter(sum(1 for j in covers_up[i] if j in members) for i in members)
+    return tuple(counts[d] for d in range(max(counts) + 1))
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def initial_interval_poly(poset, top):
+    """Cover-degree polynomial of [fan, top] in top's own order: top's
+    down-set by plain set DFS over the reversed covers."""
+    down = [[] for _ in poset.elements]
+    for i, ups in enumerate(poset.covers_up):
+        for j in ups:
+            down[j].append(i)
+    start = poset.elements.index(top)
+    members, todo = {start}, [start]
+    while todo:
+        for w in down[todo.pop()]:
+            if w not in members:
+                members.add(w)
+                todo.append(w)
+    return cover_degree_poly(poset.covers_up, members)
 
 
 def is_distributive_lattice(above, members):

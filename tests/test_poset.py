@@ -19,6 +19,7 @@ from polyflip import (
     StructureViolation,
     VerificationFailure,
     apex_diagonal_set_D,
+    apex_region,
     build_poset,
     chords_cross,
     cut_L,
@@ -40,8 +41,7 @@ from polyflip import (
     to_json_dict,
 )
 from polyflip.poset import (
-    _cover_degree_poly,
-    _poly_mul,
+    _one_block_final,
     cover_count_check,
     inclusion_check,
     initial_factorization_check,
@@ -54,8 +54,11 @@ from polyflip.poset import (
 from oracles import (
     brute_dissections,
     closure_from_covers,
+    cover_degree_poly,
     crossing,
+    initial_interval_poly,
     is_distributive_lattice,
+    poly_mul,
 )
 
 PAIRS = [(1, 3), (1, 4), (2, 2), (2, 3), (3, 2)]
@@ -264,12 +267,30 @@ def test_apex_chords_of_a_final_cross_nothing_below_it(m, n):
                 assert not any(crossing(c, d) for c in chords for d in q.diagonals)
 
 
-def test_cover_degree_poly():
-    poset = build_poset(2, 2)
-    full = (1 << len(poset.elements)) - 1
-    # fan has two covers, the two finals none
-    assert _cover_degree_poly(poset, full) == (2, 0, 1)
-    assert _poly_mul((1, 1), (1, 2)) == (1, 3, 2)
+@pytest.mark.parametrize("m,n", PAIRS)
+def test_initial_intervals_factor_by_cover_degree_polynomials(m, n):
+    # The old evidence of the factorization isomorphisms, kept as an oracle:
+    # [fan, t] has the product polynomial of t's cut pieces, and a final's
+    # the product of its one-block finals'.
+    fan_covers = build_poset(2, 2).covers_up
+    assert cover_degree_poly(fan_covers, {0, 1, 2}) == (2, 0, 1)  # fan, 2 finals
+    assert poly_mul((1, 1), (1, 2)) == (1, 3, 2)
+    poset = build_poset(m, n)
+
+    def poly(q):
+        return initial_interval_poly(build_poset(m, q.n), q)
+
+    for q in poset.elements:
+        if is_final(q):
+            r0 = apex_region(q)
+            gaps = [(u, w) for u, w in zip(r0[1:], r0[2:]) if w - u >= 2]
+            factors = [_one_block_final(q, g)[0] for g in gaps]
+        else:
+            factors = cut_L(q)
+        product = (1,)
+        for p in factors:
+            product = poly_mul(product, poly(p))
+        assert poly(q) == product
 
 
 def test_flip_up_matches_cover_relation():
@@ -379,6 +400,150 @@ def test_cut_piece_outside_the_order_is_malformed(monkeypatch):
     with pytest.raises(MalformedDissection) as info:
         initial_factorization_check(poset, TOP)
     assert info.value.counterexample == bogus.to_json()
+
+
+def _fails_with(check, poset, top, message):
+    """The factorization check fails on top with this message and carries
+    [fan, top]; returns the failure."""
+    with pytest.raises(VerificationFailure) as info:
+        check(poset, top)
+    assert str(info.value) == f"[fan, {top}] {message}"
+    assert info.value.counterexample == [poset.minimum.to_json(), top.to_json()]
+    return info.value
+
+
+def _suite_fails_like(check, poset, top, message):
+    failure = _fails_with(check, poset, top, message)
+    (report,) = run_suite("intervals", poset.m, poset.n)
+    assert not report.passed
+    assert (report.detail, report.counterexample) == (str(failure), failure.counterexample)
+
+
+def test_a_wrong_piece_map_fails_the_initial_factorization(monkeypatch):
+    # each piece's vertices one off; the piece maps are the ones without
+    # the apex, which the cores' and the blocks' maps keep
+    poset = build_poset(2, 3)
+    assert initial_factorization_check(poset, MID)
+    real = poset_module._translation
+
+    def one_off(bits, small, pos):
+        if 0 not in pos:
+            pos = {v: i - 1 for v, i in pos.items()}
+        return real(bits, small, pos)
+
+    monkeypatch.setattr(poset_module, "_translation", one_off)
+    message = "does not translate to its factors"
+    # MID's (4, 7) lands on (1, 4) of its second piece, which holds (2, 5)
+    _fails_with(initial_factorization_check, poset, MID, message)
+    # the suite's first non-final top, ((0, 3), (3, 6)), has its (3, 6) on
+    # the apex chord (0, 3) of its piece, so in no factor
+    first = next(q for q in poset.elements if q.rank and not is_final(q))
+    _suite_fails_like(initial_factorization_check, poset, first, message)
+
+
+def test_a_wrong_block_map_fails_the_width_factorization(monkeypatch):
+    poset = build_poset(2, 3)
+    assert width_factorization_check(poset, TOP)
+    real = poset_module._one_block_final
+
+    def one_off(q, keep):
+        block, relabel = real(q, keep)
+        return block, {v: i + 1 for v, i in relabel.items()}
+
+    monkeypatch.setattr(poset_module, "_one_block_final", one_off)
+    message = "does not translate to its factors"
+    # TOP's (4, 7) leaves both of its blocks
+    _fails_with(width_factorization_check, poset, TOP, message)
+    # the suite's first final has one block, itself, which (1, 6) leaves
+    first = next(q for q in poset.elements if is_final(q))
+    _suite_fails_like(width_factorization_check, poset, first, message)
+
+
+def _with_lower_covers(poset, changed, elements=None):
+    """A copy of poset, with other elements if given, whose lower covers
+    are changed as the mapping from index to lower covers says."""
+    down = list(poset.covers_down)
+    for i, ws in changed.items():
+        down[i] = ws
+    broken = FlipPoset(poset.m, poset.n, elements or poset.elements, poset.covers_up)
+    broken.__dict__["covers_down"] = tuple(down)
+    return broken
+
+
+def test_a_down_set_one_element_short_fails_the_factorization(monkeypatch):
+    # ((0, 3), (1, 3), (3, 5)) covers two elements; without the first
+    # of them its down-set is fan, itself and the second, against the
+    # 2 x 2 of its pieces
+    poset = build_poset(1, 4)
+    top = Dissection.new(1, 4, ((0, 3), (1, 3), (3, 5)))
+    ti = poset.index[top]
+    assert initial_factorization_check(poset, top)
+    broken = _with_lower_covers(poset, {ti: poset.covers_down[ti][1:]})
+    monkeypatch.setattr(verify_module, "build_poset", lambda m, n, max_mn=None: broken)
+    message = "has 3 elements, its factors' product 4"
+    _suite_fails_like(initial_factorization_check, broken, top, message)
+
+
+def test_a_down_set_element_off_the_top_fails_the_factorization():
+    poset = build_poset(2, 3)
+    ti = poset.index[MID]
+    D = poset.diagonal_masks
+    x = next(i for i, d in enumerate(D) if d & ~D[ti])
+    broken = _with_lower_covers(poset, {ti: poset.covers_down[ti] + (x,), x: ()})
+    message = f"holds {poset.elements[x]}, which does not translate"
+    _fails_with(initial_factorization_check, broken, MID, message)
+
+
+def test_a_down_set_element_outside_the_product_fails_the_factorization():
+    # top's first piece is the pentagon's ((1, 3), (1, 4)), whose order has
+    # no element with the non-apex diagonal (1, 4) alone; a bogus element
+    # with just that one, put below top, has top's chords but no translation
+    poset = build_poset(1, 4)
+    top = Dissection.new(1, 4, ((0, 4), (1, 3), (1, 4)))
+    bogus = Dissection(1, 4, ((0, 2), (0, 4), (1, 4)))
+    ti, x = poset.index[top], len(poset.elements) - 1
+    assert initial_factorization_check(poset, top) and x != ti
+    elements = poset.elements[:x] + (bogus,) + poset.elements[x + 1 :]
+    changed = {ti: poset.covers_down[ti] + (x,), x: ()}
+    broken = _with_lower_covers(poset, changed, elements)
+    message = f"holds {bogus}, which does not translate"
+    _fails_with(initial_factorization_check, broken, top, message)
+
+
+def test_a_chord_in_no_factor_or_in_two_fails_the_split(monkeypatch):
+    poset = build_poset(1, 4)
+    top = Dissection.new(1, 4, ((0, 3), (1, 3), (3, 5)))
+    assert cut_L(top) == [Dissection.new(1, 2, ((1, 3),))] * 2
+    real = poset_module._translation
+    message = "does not translate to its factors"
+    # each translation loses its first chord
+    monkeypatch.setattr(poset_module, "_translation", lambda *args: dict(
+        sorted(real(*args).items())[1:]
+    ))
+    _fails_with(initial_factorization_check, poset, top, message)
+    # both pieces read through the first one's map: each gets its own
+    # element, but both from the first piece's chord (1, 3)
+    first = {1: 1, 2: 2, 3: 3}
+    monkeypatch.setattr(poset_module, "_translation", lambda b, s, pos: real(b, s, first))
+    _fails_with(initial_factorization_check, poset, top, message)
+
+
+def test_width_cover_check_fails_on_a_wrong_width(monkeypatch):
+    poset = build_poset(2, 3)
+    final = next(q for q in poset.elements if is_final(q))
+    real = poset_module.width_and_blocks
+
+    def wider(q):
+        width, blocks = real(q)
+        return (width + 1 if q == final else width), blocks
+
+    monkeypatch.setattr(poset_module, "width_and_blocks", wider)
+    with pytest.raises(VerificationFailure, match="downward covers but width") as info:
+        width_cover_check(poset)
+    assert info.value.counterexample == final.to_json()
+    (report,) = run_suite("intervals", 2, 3)
+    assert not report.passed
+    assert (report.detail, report.counterexample) == (str(info.value), final.to_json())
 
 
 def test_interval_failures_carry_the_interval(monkeypatch):
@@ -669,7 +834,7 @@ def _redirect(poset):
 
 
 def _assert_suite_fails_at(monkeypatch, broken, q, message):
-    monkeypatch.setattr(verify_module, "build_poset", lambda m, n, max_mn: broken)
+    monkeypatch.setattr(verify_module, "build_poset", lambda m, n, max_mn=None: broken)
     (report,) = run_suite("poset", broken.m, broken.n)
     assert not report.passed and message in report.detail
     assert report.counterexample == q.to_json()

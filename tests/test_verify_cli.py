@@ -236,7 +236,7 @@ def test_poset_suite_reports_a_malformed_element(monkeypatch):
     good = build_poset(2, 3)
     bogus = Dissection(2, 3, ((1, 4), (3, 6)))
     broken = FlipPoset(2, 3, good.elements[:-1] + (bogus,), good.covers_up)
-    monkeypatch.setattr(verify_module, "build_poset", lambda m, n, max_mn: broken)
+    monkeypatch.setattr(verify_module, "build_poset", lambda m, n, max_mn=None: broken)
     (report,) = run_suite("poset", 2, 3)
     assert not report.passed
     assert report.detail == "MalformedDissection: (1, 4) crosses (3, 6)"
@@ -383,7 +383,7 @@ def test_divisibility_reports_the_first_pair_of_a_wrong_closure(monkeypatch):
     assert 16 in ups[1]
     ups[1] = tuple(j for j in ups[1] if j != 16)
     broken = FlipPoset(2, 4, good.elements, tuple(ups))
-    monkeypatch.setattr(verify_module, "build_poset", lambda m, n, max_mn: broken)
+    monkeypatch.setattr(verify_module, "build_poset", lambda m, n, max_mn=None: broken)
     (report,) = run_suite("divisibility", 2, 4)
     assert not report.passed
     assert report.detail.endswith("M-angulations hold its non-apex diagonals")
@@ -422,6 +422,37 @@ def test_divisibility_reports_a_repeated_factor(monkeypatch):
     assert not report.passed
     assert report.detail == f"{q2}: 2 factors, 1 distinct, rank 2"
     assert report.counterexample == q2.to_json()
+
+
+def test_divisibility_reports_a_wrong_involution_sign(monkeypatch):
+    poset = build_poset(2, 3)
+    q = next(q for q in poset.elements if q.rank == 1)
+    target = poly_for_dissection(q)
+    real = verify_module.involution_image
+
+    def flipped(p):
+        image, sign = real(p)
+        return image, (-sign if p == target else sign)
+
+    monkeypatch.setattr(verify_module, "involution_image", flipped)
+    (report,) = run_suite("divisibility", 2, 3)
+    assert not report.passed
+    assert report.detail == f"involution sign on {q} is 1"
+    assert report.counterexample == q.to_json()
+
+
+def test_bijection_reports_the_first_unreached_vector(monkeypatch):
+    dissections = enumerate_dissections(2, 3)
+    dropped = dissections[5]
+    monkeypatch.setattr(
+        verify_module,
+        "enumerate_dissections",
+        lambda m, n, max_mn: [q for q in dissections if q != dropped],
+    )
+    (report,) = run_suite("bijection", 2, 3)
+    assert not report.passed
+    assert report.detail == "leading exponent vectors do not match the admissible set"
+    assert report.counterexample == list(phi(dropped))
 
 
 def test_divisibility_divides_only_the_spot_checks(monkeypatch):
@@ -547,6 +578,18 @@ def test_structure_checks_and_suites_share_one_cache_key():
     (poset,) = run_suite("poset", 1, 4)
     assert intervals.passed and poset.passed
     assert build_poset.cache_info().misses == 5  # sizes 1..5, each once
+
+
+def test_a_callers_order_is_the_one_the_suites_use(monkeypatch):
+    build_poset.cache_clear()
+    poset = build_poset(2, 4)
+    misses = build_poset.cache_info().misses
+    seen = []
+    real = verify_module.inclusion_check
+    monkeypatch.setattr(verify_module, "inclusion_check", lambda p: seen.append(p) or real(p))
+    (report,) = run_suite("poset", 2, 4)
+    assert report.passed and len(seen) == 1 and seen[0] is poset
+    assert build_poset.cache_info().misses == misses
 
 
 def test_intervals_suite_glues_nothing_and_scans_no_lattice(monkeypatch):
