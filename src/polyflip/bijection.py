@@ -8,7 +8,7 @@ letter; finish by drawing every apex diagonal that still fits.
 """
 
 from .dissections import Dissection
-from .dyck import check_m_vector, is_dyck
+from .dyck import _first_violation, check_m_vector
 from .errors import ConstructionStuck, NotDyck
 from .polynomials import Monomial, leading_monomial, poly_for_dissection
 
@@ -20,9 +20,11 @@ def phi(q: Dissection) -> tuple[int, ...]:
 
 def admissible_exponents(lead: Monomial) -> tuple[int, ...]:
     """The exponent vector of a leading monomial the caller already has;
-    raises NotDyck, as phi does, when it violates the prefix bound."""
+    raises NotDyck, as phi does, when it violates the prefix bound.  A
+    Monomial's exponents are m*n nonnegative ints by construction, so the
+    bound is scanned without `check_m_vector`."""
     v = lead.exponents
-    if not is_dyck(lead.m, v):
+    if _first_violation(lead.m, v) is not None:
         raise NotDyck(f"leading exponents {v} violate the prefix bound")
     return v
 

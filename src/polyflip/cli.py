@@ -92,14 +92,16 @@ def _emit_json(obj) -> None:
 
 
 def _enumerate_row(q) -> dict:
-    # One polynomial per row: vector (phi(q)), poly and leading are all read
-    # off p and its leading monomial.
+    # One polynomial per row: rank (one factor per non-apex diagonal),
+    # vector (phi(q)), poly and leading are all read off p and its leading
+    # monomial.  The tuples q and the monomial hold go to the encoder as
+    # they are; `json` writes a tuple as a list.
     p = poly_for_dissection(q)
     lead = leading_monomial(p)
     return {
-        "diagonals": [list(d) for d in q.diagonals],
-        "rank": q.rank,
-        "vector": list(admissible_exponents(lead)),
+        "diagonals": q.diagonals,
+        "rank": len(p.factors),
+        "vector": admissible_exponents(lead),
         "poly": p.text(),
         "leading": lead.text(),
     }
@@ -119,8 +121,8 @@ def cmd_enumerate(args) -> int:
             writer.writerow(
                 [
                     r["rank"],
-                    " ".join(f"({a},{b})" for a, b in r["diagonals"]),
-                    " ".join(str(x) for x in r["vector"]),
+                    " ".join(map("(%d,%d)".__mod__, r["diagonals"])),
+                    " ".join(map(str, r["vector"])),
                     r["poly"],
                     r["leading"],
                 ]

@@ -33,7 +33,11 @@ def weight(m: int, v) -> tuple[int, ...]:
 def first_violation(m: int, v) -> int | None:
     """1-based position of the first prefix with m * sum >= position, or
     None when the vector is admissible."""
-    v = check_m_vector(m, v)
+    return _first_violation(m, check_m_vector(m, v))
+
+
+def _first_violation(m: int, v: tuple[int, ...]) -> int | None:
+    # `first_violation` of a vector known to pass `check_m_vector`.
     acc = 0
     for pos, x in enumerate(v, start=1):
         acc += x

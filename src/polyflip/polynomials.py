@@ -11,11 +11,11 @@ high variables as leading term, with coefficient +1.
 Divisibility is factor-multiset inclusion (`divides`), one pair at a time;
 `verify.suite_divisibility` proves it is the flip order without all pairs.
 
-The factor of each diagonal (with its sort key), each variable name and
-each factor's text are memoized in private tables (`lru_cache`, unbounded:
-there are O((mn)^2) distinct diagonals), never per element.  Every cached
-value is an immutable tuple, NamedTuple or str, so the tables hand out
-nothing a caller can mutate.
+The factor of each diagonal (with its sort key), each variable power's
+text and each factor's text are memoized in private tables (`lru_cache`,
+unbounded: there are O((mn)^2) distinct diagonals), never per element.
+Every cached value is an immutable tuple, NamedTuple or str, so the tables
+hand out nothing a caller can mutate.
 """
 
 from collections import Counter
@@ -50,8 +50,10 @@ def variable_at_position(m: int, pos: int) -> Variable:
 
 
 @lru_cache(maxsize=None)
-def _name_at(m: int, pos: int) -> str:
-    return variable_at_position(m, pos).name
+def _power_at(m: int, pos: int, e: int) -> str:
+    # The text of the variable at pos to the power e >= 1.
+    name = variable_at_position(m, pos).name
+    return name if e == 1 else f"{name}^{e}"
 
 
 class BinomialFactor(NamedTuple):
@@ -85,14 +87,9 @@ class Monomial:
         return tuple(reversed(self.exponents))
 
     def text(self) -> str:
-        if not any(self.exponents):
-            return "1"
-        parts = []
-        for pos, e in enumerate(self.exponents, start=1):
-            if e:
-                name = _name_at(self.m, pos)
-                parts.append(name if e == 1 else f"{name}^{e}")
-        return " ".join(parts)
+        m = self.m
+        powers = [_power_at(m, pos, e) for pos, e in enumerate(self.exponents, 1) if e]
+        return " ".join(powers) or "1"
 
 
 @dataclass(frozen=True)
@@ -161,7 +158,7 @@ def _keyed_factor(m: int, n: int, d) -> tuple[int, BinomialFactor] | None:
 def poly_for_dissection(q: Dissection) -> FactoredPoly:
     """Product of the binomial factors over all diagonals of q."""
     m, n = q.m, q.n
-    keyed = [kf for d in q.diagonals if (kf := _keyed_factor(m, n, d)) is not None]
+    keyed = [_keyed_factor(m, n, d) for d in q.diagonals if d[0]]  # fan: the unit
     keyed.sort()  # equal keys are equal factors
     return FactoredPoly(m, n, tuple([f for _, f in keyed]))
 
@@ -169,10 +166,11 @@ def poly_for_dissection(q: Dissection) -> FactoredPoly:
 def leading_monomial(p: FactoredPoly) -> Monomial:
     """Product of the high variables; equals the lex-largest expanded term
     because every factor's high side beats its low side positionwise."""
-    exp = [0] * (p.m * p.n)
-    for f in p.factors:
-        exp[f.high.position(p.m) - 1] += 1
-    return Monomial(p.m, tuple(exp))
+    m = p.m
+    exp = [0] * (m * p.n)
+    for (letter, index), _ in p.factors:
+        exp[m * (index - 1) + letter - 1] += 1  # the high side's position - 1
+    return Monomial(m, tuple(exp))
 
 
 def divides(p: FactoredPoly, q: FactoredPoly) -> bool:

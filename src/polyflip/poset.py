@@ -23,10 +23,8 @@ from .dissections import (
     DEFAULT_MAX_MN,
     Chord,
     Dissection,
-    _chord_ends,
     _glue_frame,
     _unchecked,
-    _walk_region,
     apex_region,
     chords_cross,
     cut_L,
@@ -89,7 +87,9 @@ class FlipPoset:
     reachability closure.  `up_masks` and `down_masks` build it on demand:
     only `is_lattice` reads `up_masks`, on a bounded order, and both are
     kept as oracles; no suite builds them.  Frozen, with read-only
-    mappings: `build_poset` shares one instance per order.
+    mappings: `build_poset` shares one instance per order.  Its one
+    mutable part is the private `_fan_sizes` memo, which only ever gains
+    sizes read off the covers.
     """
 
     m: int
@@ -123,6 +123,12 @@ class FlipPoset:
     def down_masks(self) -> tuple[int, ...]:
         ranks = self.ranks
         return _fold(sorted(range(len(ranks)), key=ranks.__getitem__), self.covers_down)
+
+    @cached_property
+    def _fan_sizes(self) -> dict[int, int]:
+        # |[fan, p]| by element index p, filled in by `_product_check` as it
+        # walks them: a private memo, read only there.
+        return {}
 
     @cached_property
     def diagonal_bits(self) -> MappingProxyType:
@@ -280,23 +286,35 @@ def _derived_miss(q: Dissection) -> MalformedDissection:
 
 def _up_flips(q: Dissection) -> list[tuple[Chord, Chord]]:
     """(d, c) for each up-flip of q: the fan diagonal d it removes and the
-    chord c it draws, as `flip_up` finds them, but with one walk per region
-    beside a fan diagonal: the region each fan chord closes and the one the
-    side (0, m*n+1) closes.  Flip d's (2m+2)-gon is the region below d
-    followed by the one beside it less its first two vertices, 0 and d[1].
+    chord c it draws, as `flip_up` finds them, from one walk along the
+    apex path.
+
+    reach[u] is the farthest chord end from vertex u >= 1, else u + 1.  A
+    chord from a vertex of the path cannot pass the next fan end b without
+    crossing the fan diagonal (0, b), so following reach from 1 to m*n+1
+    walks the k+1 apex regions less the apex: a path P of m(k+1)+1
+    vertices with the i-th fan end b_i (from 1) at j = m*i.  Flip (0, b_i)
+    merges the two regions beside it into the (2m+2)-gon 0, P[j-m..j+m],
+    and draws its other long chords (P[j-m+t-1], P[j+t]) for t = 1..m.
     """
-    ends = _chord_ends(q)
-    fan = sorted(ends.get(0, ()))
-    walks = [_walk_region(ends, 0, b) for b in fan]
-    walks.append(_walk_region(ends, 0, q.m * q.n + 1))
-    span = q.m + 1
+    m, top = q.m, q.m * q.n + 1
+    reach = list(range(2, top + 1))  # reach[u - 1], for u = 1..m*n
+    fan = []
+    for a, b in q.diagonals:  # sorted: a vertex's farthest end comes last
+        if a:
+            reach[a - 1] = b
+        else:
+            fan.append(b)
+    path = [1]
+    u = 1
+    while u != top:
+        u = reach[u - 1]
+        path.append(u)
+    assert path[m::m] == [*fan, top], (q, path)
     out = []
-    for k, b in enumerate(fan):
+    for j, b in zip(range(m, len(path), m), fan):
         d = (0, b)
-        merged = walks[k] + walks[k + 1][2:]
-        assert len(merged) == 2 * span and (merged[0], merged[span]) == d
-        for i in range(1, span):
-            out.append((d, (merged[i], merged[i + span])))
+        out += [(d, (path[j - m + t - 1], path[j + t])) for t in range(1, m + 1)]
     return out
 
 
@@ -713,7 +731,9 @@ def _product_check(poset: FlipPoset, top: Dissection, factors) -> bool:
     element in every factor; (3) the sizes match.  D and the chord maps are
     injective, so this is a bijection onto the product, and between
     certified inclusion orders (`inclusion_check`) an order isomorphism.
-    Raises VerificationFailure with [fan, top].
+    Raises VerificationFailure with [fan, top].  Each order keeps the size
+    of every [fan, p] it has walked (`_fan_sizes`), so a piece that recurs
+    across tops is walked once.
     """
     order = _order_of_size(poset, top.n)
     D, ti = order.diagonal_masks, _locate(order.index, top)
@@ -735,6 +755,7 @@ def _product_check(poset: FlipPoset, top: Dissection, factors) -> bool:
     if not len(chords) == len(owner) == sum(map(len, split)) or split != want:
         raise failure("does not translate to its factors")
     below = _reached(order.covers_down, ti)
+    order._fan_sizes[ti] = len(below)
     for si in below:
         masks = [0] * len(images)
         for j in _bits(D[si] & D[ti]):
@@ -742,10 +763,20 @@ def _product_check(poset: FlipPoset, top: Dissection, factors) -> bool:
             masks[f] |= bit
         if D[si] & ~D[ti] or any(m not in o.mask_index for o, m in zip(smalls, masks)):
             raise failure(f"holds {order.elements[si]}, which does not translate")
-    size = prod(len(_reached(o.covers_down, i)) for o, i in zip(smalls, ends))
+    size = prod(_fan_size(o, i) for o, i in zip(smalls, ends))
     if len(below) != size:
         raise failure(f"has {len(below)} elements, its factors' product {size}")
     return True
+
+
+def _fan_size(order: FlipPoset, i: int) -> int:
+    """|[fan, p]| for element i of order, by DFS over the lower covers the
+    first time it is asked for."""
+    sizes = order._fan_sizes
+    size = sizes.get(i)
+    if size is None:
+        size = sizes[i] = len(_reached(order.covers_down, i))
+    return size
 
 
 def initial_factorization_check(poset: FlipPoset, top: Dissection) -> bool:
@@ -792,9 +823,9 @@ def _dot_lines(poset: FlipPoset, label: str = "poly"):
         if label == "poly":
             return poly_for_dissection(q).text()
         if label == "diagonals":
-            return " ".join(f"({a},{b})" for a, b in q.diagonals) or "fan"
+            return " ".join(map("(%d,%d)".__mod__, q.diagonals)) or "fan"
         if label == "dyck":
-            return "".join(str(x) for x in phi(q))
+            return "".join(map(str, phi(q)))
         raise ValueError(f"unknown label mode {label!r}")
 
     yield "digraph flip_poset {\n"
@@ -814,18 +845,24 @@ def to_dot(poset: FlipPoset, label: str = "poly") -> str:
 
 
 def _json_fields(poset: FlipPoset) -> dict:
-    # The JSON export with its two lists as generators: `to_json_dict` lists
-    # them, the CLI streams them row by row.
+    # `to_json_dict` with its two lists as generators of the tuples the
+    # order holds, which `json` encodes as lists: the CLI streams them row
+    # by row.
+    m, n = poset.m, poset.n
     return {
-        "m": poset.m,
-        "n": poset.n,
-        "elements": (q.to_json() for q in poset.elements),
-        "covers": ([i, j] for i, ups in enumerate(poset.covers_up) for j in ups),
+        "m": m,
+        "n": n,
+        "elements": ({"m": m, "n": n, "diagonals": q.diagonals} for q in poset.elements),
+        "covers": ((i, j) for i, ups in enumerate(poset.covers_up) for j in ups),
     }
 
 
 def to_json_dict(poset: FlipPoset) -> dict:
-    data = _json_fields(poset)
-    data["elements"] = list(data["elements"])
-    data["covers"] = list(data["covers"])
-    return data
+    """The order as `poset --emit json` writes it, with lists at every
+    level."""
+    return {
+        "m": poset.m,
+        "n": poset.n,
+        "elements": [q.to_json() for q in poset.elements],
+        "covers": [[i, j] for i, ups in enumerate(poset.covers_up) for j in ups],
+    }

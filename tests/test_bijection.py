@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 import polyflip.bijection as bijection_module
+import polyflip.dyck as dyck_module
 from polyflip import (
     ConstructionStuck,
     Dissection,
@@ -96,3 +97,22 @@ def test_non_admissible_leading_vector_raises_not_dyck(monkeypatch):
     monkeypatch.setattr(bijection_module, "leading_monomial", lambda p: bad)
     with pytest.raises(NotDyck, match=message):
         phi(Dissection.new(1, 2, ((0, 2),)))
+
+
+def test_a_round_trip_checks_the_vector_once(monkeypatch):
+    # phi's admissibility scan reads a Monomial's exponents, which are
+    # nonnegative ints by construction; only psi's vector from outside is
+    # checked entry by entry.
+    calls = []
+    real = dyck_module.check_m_vector
+
+    def counting(m, v):
+        calls.append(v)
+        return real(m, v)
+
+    monkeypatch.setattr(dyck_module, "check_m_vector", counting)
+    monkeypatch.setattr(bijection_module, "check_m_vector", counting)
+    for q in enumerate_dissections(2, 4):
+        calls.clear()
+        assert psi(2, phi(q)) == q
+        assert calls == [phi(q)]

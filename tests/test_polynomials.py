@@ -23,7 +23,7 @@ from polyflip import (
 from polyflip.polynomials import (
     _factor_text,
     _keyed_factor,
-    _name_at,
+    _power_at,
     letter_name,
     variable_at_position,
 )
@@ -200,7 +200,8 @@ def test_memoized_factor_is_the_definition(m, n):
                 m * n - want.low.position(m),
             )
     for pos in range(1, m * n + 1):
-        assert _name_at(m, pos) == variable_at_position(m, pos).name
+        name = variable_at_position(m, pos).name
+        assert (_power_at(m, pos, 1), _power_at(m, pos, 2)) == (name, f"{name}^2")
 
 
 def test_empty_crossing_raises_on_every_call():

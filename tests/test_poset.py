@@ -303,10 +303,13 @@ def test_flip_up_matches_cover_relation():
         assert tuple(sorted(ups)) == poset.covers_up[i]
 
 
-@pytest.mark.parametrize("m,n", PAIRS + [(1, 6), (2, 4)])
+@pytest.mark.parametrize(
+    "m,n", PAIRS + [(1, 6), (1, 7), (2, 4), (2, 5), (3, 3), (4, 3)]
+)
 def test_build_poset_covers_are_the_flip_up_covers(m, n):
     # `flip_up` is the oracle of the one-pass cover build: every result
-    # found by identity among the enumerated elements
+    # found by identity among the enumerated elements.  The apex-path walk
+    # of `_up_flips` indexes the path in steps of m, so m runs up to 4.
     poset = build_poset.__wrapped__(m, n)
     index = {q: i for i, q in enumerate(poset.elements)}
     want = tuple(
@@ -508,6 +511,27 @@ def test_a_down_set_element_outside_the_product_fails_the_factorization():
     broken = _with_lower_covers(poset, changed, elements)
     message = f"holds {bogus}, which does not translate"
     _fails_with(initial_factorization_check, broken, top, message)
+
+
+def test_factorization_checks_walk_each_initial_interval_once(monkeypatch):
+    # |[fan, p]| is read once per (order, element): over every top of (2,4),
+    # each down-set walk starts at a different element of some order.  A
+    # walk per factor would make 149 walks for these 65 starts.
+    poset = build_poset(2, 4)
+    for k in range(1, 5):
+        build_poset(2, k).__dict__.pop("_fan_sizes", None)
+    starts = []
+    real = poset_module._reached
+
+    def counting(covers, start, keep=None):
+        starts.append((id(covers), start))
+        return real(covers, start, keep)
+
+    monkeypatch.setattr(poset_module, "_reached", counting)
+    for q in poset.elements:
+        check = width_factorization_check if is_final(q) else initial_factorization_check
+        assert check(poset, q)
+    assert len(starts) == len(set(starts)) == 65
 
 
 def test_a_chord_in_no_factor_or_in_two_fails_the_split(monkeypatch):

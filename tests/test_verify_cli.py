@@ -29,11 +29,14 @@ from polyflip import (
     binomial_for_diagonal,
     build_poset,
     enumerate_dissections,
+    is_final,
+    leading_monomial,
     phi,
     poly_for_dissection,
     run_suite,
     series_F,
     series_I,
+    to_json_dict,
 )
 from polyflip.cli import main
 from polyflip.polynomials import variable_at_position
@@ -100,6 +103,15 @@ def test_cli_enumerate_json_and_final_filter(capsys):
     }
     code, out, _ = run_cli(capsys, "enumerate", "--m", "2", "--n", "2", "--final")
     assert json.loads(out)["count"] == 2
+
+
+def test_to_json_dict_is_the_json_export_with_lists(capsys):
+    # The export streams the tuples the order holds; the public dict must
+    # still hold lists at every level, as json.loads gives them back (a
+    # tuple never equals a list).
+    code, out, _ = run_cli(capsys, "poset", "--m", "2", "--n", "3", "--emit", "json")
+    assert code == 0
+    assert to_json_dict(build_poset(2, 3)) == json.loads(out)
 
 
 def test_cli_output_is_byte_stable(capsys):
@@ -537,6 +549,31 @@ def test_enumerate_rows_match_an_independent_recomputation(capsys, m, n, fmt):
         assert (poly, leading) == _rebuilt_poly_and_leading(q)
 
 
+ROW_PAIRS = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("final", [False, True])
+@pytest.mark.parametrize("m,n", ROW_PAIRS)
+def test_enumerate_row_fields_are_the_public_functions(capsys, m, n, final):
+    # Rows are read off one polynomial per element; each field must still
+    # be what the public function it stands for returns.
+    argv = ["enumerate", "--m", str(m), "--n", str(n)] + ["--final"] * final
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    elements = [q for q in enumerate_dissections(m, n) if not final or is_final(q)]
+    data = json.loads(out)
+    assert data["count"] == len(data["items"]) == len(elements)
+    for row, q in zip(data["items"], elements):
+        p = poly_for_dissection(q)
+        assert row == {
+            "diagonals": [list(d) for d in q.diagonals],
+            "rank": q.rank,
+            "vector": list(phi(q)),
+            "poly": p.text(),
+            "leading": leading_monomial(p).text(),
+        }
+
+
 def test_enumerate_builds_one_polynomial_per_element(capsys, monkeypatch):
     calls = []
 
@@ -841,6 +878,30 @@ def test_export_stdout_matches_its_pinned_digest(capsys, label):
     code, out, _ = run_cli(capsys, *label.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[label]
+
+
+# sha256 of export stdout the benchmark does not pin: the --final filter,
+# m = 3 rows, and the JSON and the other DOT labels of a poset export.
+TEST_PINNED_DIGESTS = {
+    "enumerate --m 2 --n 4 --final --format csv":
+        "69467fcdb64c7b5d98afd01aa6bde687dcbefdb01ca3fbb56528055e37470c36",
+    "enumerate --m 3 --n 3":
+        "62e0fbf4085d36d4b61178da55d116479a26b4887c0572f6b81bb3e2c7663ee4",
+    "poset --m 2 --n 4 --emit json":
+        "dbe9b7e15f14bf141acceaef323056cf28481a6e7e473a7f73ccde184781500f",
+    "poset --m 2 --n 4 --emit dot --label dyck":
+        "c2814b83550a7a394d32bab28b2161319fe5f378980d290ba2fcea4ed2189aca",
+    "poset --m 2 --n 4 --emit dot --label diagonals":
+        "c4d9b69b8c04f015ad2c12c9caf3b6c2fd806bdfebb0bfe4ab1fe0912b64a183",
+}
+
+
+@pytest.mark.parametrize("label", sorted(TEST_PINNED_DIGESTS))
+def test_unbenchmarked_export_matches_its_pinned_digest(capsys, label):
+    assert label not in PINNED_DIGESTS
+    code, out, _ = run_cli(capsys, *label.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TEST_PINNED_DIGESTS[label]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
