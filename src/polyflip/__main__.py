@@ -1,0 +1,8 @@
+"""`python -m polyflip ARGS` runs the command line front end, as the
+`polyflip` console script does."""
+
+import sys
+
+from .cli import main
+
+sys.exit(main())

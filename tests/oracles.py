@@ -7,13 +7,15 @@ a walk of every region, psi by scanning for letters, admissible vectors by
 filtering full product spaces with a lattice-path walk, order relations by
 plain set DFS, interval factorizations by cover-degree polynomials, and
 the ideal's graded rows densely, one zero row per generator filled in
-place.
+place, and sparsely with tuple-keyed columns.
 """
 
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
+from operator import add
 
 from polyflip import MalformedDissection, enumerate_compositions, fundamental_qsym
+from polyflip.qsym import _fundamental_terms, monomials_of_degree
 
 
 def crossing(c1, c2) -> bool:
@@ -287,3 +289,21 @@ def dense_ideal_matrix(m, n, d):
                 row[col[tuple(a + b for a, b in zip(e, mu))]] += coef
             rows.append(row)
     return cols, rows
+
+
+def tuple_keyed_ideal_rows(m, n, d):
+    """The degree-d rows mu * F_c of the qsym ideal as {column: coefficient},
+    built as the package built them before it packed its monomials:
+    each exponent of F_c shifted by mu entry by entry and looked up as a
+    tuple.  Returns (monomials, rows) like `qsym._ideal_rows`."""
+    nvars = m * n
+    monomials = monomials_of_degree(nvars, d)
+    col = {e: i for i, e in enumerate(monomials)}
+    rows = []
+    for c in enumerate_compositions(m, d):
+        terms = _fundamental_terms(m, c, n)
+        if not terms:
+            continue
+        for mu in monomials_of_degree(nvars, d - sum(c)):
+            rows.append({col[tuple(map(add, e, mu))]: x for e, x in terms})
+    return monomials, rows

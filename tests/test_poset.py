@@ -611,6 +611,7 @@ HAND_MADE = {
     "N5": [[1, 2], [3], [4], [4], []],
     # not a lattice (5 and 6 both cover 1 and 4), yet its irreducibles form
     # a forest with 8 ideals: Birkhoff's map, not injective, tells it apart
+    # first, and a cover that adds no irreducible would next
     "bowtie-8": [[1, 2, 3], [5, 6], [4], [4], [5, 6], [7], [7], []],
     # a square with a shortcut bottom -> top: that "cover" adds two irreducibles
     "shortcut": [[1, 2, 3], [3], [3], []],
@@ -625,6 +626,27 @@ def test_hand_made_non_distributive_intervals_fail(name):
     if name != "shortcut":  # a shortcut is no cover graph of an order
         assert not is_distributive_lattice(above, iv.indices())
     with pytest.raises(StructureViolation) as info:
+        interval_structure(iv)
+    assert info.value.counterexample == iv.to_json()
+
+
+def test_twin_elements_fail_only_the_injectivity_check():
+    # Irreducibles a, c, e, g (1-4) with no order among them: 16 ideals for
+    # 16 elements.  Rank 2 holds ac twice (5, 6), eg twice (7, 8), ae and
+    # cg; rank 3 the four triples.  Every cover adds one irreducible and
+    # every element has as many up-covers as one-element extensions, so
+    # only Birkhoff's map, which sends 5 and 6 to {a, c}, tells it apart.
+    covers = [
+        [1, 2, 3, 4],
+        [5, 6, 9], [5, 6, 10], [7, 8, 9], [7, 8, 10],
+        [11, 12], [11, 12], [13, 14], [13, 14], [11, 13], [12, 14],
+        [15], [15], [15], [15],
+        [],
+    ]
+    iv = _hand_made(covers)
+    above = closure_from_covers(len(covers), iv.poset.covers_up)
+    assert not is_distributive_lattice(above, iv.indices())
+    with pytest.raises(StructureViolation, match="same irreducibles below them") as info:
         interval_structure(iv)
     assert info.value.counterexample == iv.to_json()
 

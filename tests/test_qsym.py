@@ -24,7 +24,7 @@ from polyflip.qsym import (
     integer_matrix_rank,
     monomials_of_degree,
 )
-from oracles import dense_ideal_matrix
+from oracles import dense_ideal_matrix, tuple_keyed_ideal_rows
 
 
 def dense_rows(m, n, d):
@@ -239,7 +239,10 @@ def test_certificate_matches_exact_rank(m, n):
                 assert sum(row[c] * x for c, x in lam.items()) == 0
 
 
-@pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (4, 3)])
+# with (1, 7), at about 1 s, these are the largest sizes under the column cap
+@pytest.mark.parametrize(
+    "m,n", [(2, 4), (3, 3), (4, 3), (1, 6), (2, 5), (3, 4), (4, 4), (5, 3)]
+)
 def test_verify_basis_graded_larger_sizes(m, n, monkeypatch):
     calls = count_exact_ranks(monkeypatch)
     table = verify_basis_graded(m, n)["degrees"]
@@ -333,33 +336,106 @@ def test_annihilates_matches_the_all_rows_definition():
     assert not annihilates([{}, {0: 5, 1: 1}], [{1: 7}])
 
 
-def record_eliminations(monkeypatch):
+def record_calls(monkeypatch, name):
+    """The nonzero counts of the rows each call of qsym.`name` is handed."""
     counts = []
-    eliminate = qsym._eliminate
+    real = getattr(qsym, name)
 
     def recorded(rows, *args):
         counts.append([len(row) for row in rows])
-        return eliminate(rows, *args)
+        return real(rows, *args)
 
-    monkeypatch.setattr(qsym, "_eliminate", recorded)
+    monkeypatch.setattr(qsym, name, recorded)
     return counts
 
 
 @pytest.mark.parametrize("prime", [qsym.PRIME, 2])
 def test_elimination_takes_the_sparsest_rows_first(prime, monkeypatch):
     expected = {mn: verify_basis_graded(*mn) for mn in ((2, 3), (1, 4))}
-    counts = record_eliminations(monkeypatch)
+    offered = record_calls(monkeypatch, "_select_mod2")
+    eliminated = record_calls(monkeypatch, "_eliminate")
     exact = count_exact_ranks(monkeypatch)
     monkeypatch.setattr(qsym, "PRIME", prime)
     for (m, n), report in expected.items():
-        counts.clear()
+        offered.clear()
+        eliminated.clear()
         assert verify_basis_graded(m, n) == report
         built = [
             sorted(map(len, _ideal_rows(m, n, d)[1]))
             for d in range(n + 1)
         ]
-        assert counts == built  # every row, in nondecreasing nonzero count
+        assert offered == built  # every row, in nondecreasing nonzero count
+        # mod p only the rows selected mod 2, still sparsest first, and
+        # only at the degrees that have admissible monomials
+        selected = [row["ideal_rank"] for row in report["degrees"] if row["admissible"]]
+        assert list(map(len, eliminated)) == selected
+        assert all(counts == sorted(counts) for counts in eliminated)
     assert bool(exact) == (prime == 2)  # mod 2 some degree falls back
+
+
+def test_rows_short_mod_2_fall_back_to_exact_rank(monkeypatch):
+    # full rank over Q, rank 0 mod 2: undecided, not refuted
+    assert _certify([(0,)], [{0: 2}], []) is None
+    assert integer_matrix_rank(_densify([{0: 2}], 1)) == 1
+    expected = {mn: verify_basis_graded(*mn) for mn in ((2, 2), (1, 4))}
+    real = qsym._ideal_rows
+
+    def doubled(*args):
+        monomials, rows = real(*args)
+        return monomials, [{c: 2 * x for c, x in row.items()} for row in rows]
+
+    monkeypatch.setattr(qsym, "_ideal_rows", doubled)
+    calls = count_exact_ranks(monkeypatch)
+    for mn, report in expected.items():
+        assert verify_basis_graded(*mn) == report
+    # every degree but 0, which has no rows, is decided exactly: the ideal
+    # rank, then the rank with the unit rows
+    assert len(calls) == 2 * (2 + 4)
+
+
+def test_a_lead_mod_2_on_an_admissible_column_is_undecided(monkeypatch):
+    monomials = [(0,), (1,), (2,)]
+    rows = [{0: 2, 2: 1}, {1: 1}]
+    # over Q the claim holds: rank 2, and e_2 completes it (determinant 2)
+    dense = _densify(rows, 3)
+    assert integer_matrix_rank(dense) == 2
+    assert integer_matrix_rank(dense + [[0, 0, 1]]) == 3
+
+    def eliminate(*args):
+        raise AssertionError("eliminated mod p after the selection failed")
+
+    monkeypatch.setattr(qsym, "_eliminate", eliminate)
+    # mod 2 the first row is e_2, a lead on the admissible column
+    assert _certify(monomials, rows, [(2,)]) is None
+    # the selection stops at such a lead, though later rows would complete it
+    assert qsym._select_mod2([{2: 1}, {0: 1}, {1: 1}], {0: 0, 1: 1, 2: 2}, 2) is None
+
+
+def test_selected_rows_short_mod_p_are_undecided(monkeypatch):
+    p = qsym.PRIME
+    monomials = [(0,), (1,), (2,)]
+    # determinant p: odd, so mod 2 both rows are selected, but mod p the
+    # second reduces to zero
+    rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + p}]
+    dense = _densify(rows, 3)
+    assert integer_matrix_rank(dense) == 2
+    assert integer_matrix_rank(dense + [[0, 0, 1]]) == 3
+    selections = []
+    select = qsym._select_mod2
+
+    def recorded(*args):
+        selections.append(select(*args))
+        return selections[-1]
+
+    monkeypatch.setattr(qsym, "_select_mod2", recorded)
+    assert _certify(monomials, rows, [(2,)]) is None
+    assert selections == [rows]
+
+
+@pytest.mark.parametrize("m,n", [(1, 5), (2, 4), (3, 3), (4, 3)])
+def test_packed_rows_match_the_tuple_keyed_oracle(m, n):
+    for d in range(n + 1):
+        assert _ideal_rows(m, n, d) == tuple_keyed_ideal_rows(m, n, d)
 
 
 def test_certificate_drops_entries_that_vanish_mod_p():

@@ -926,16 +926,46 @@ def test_an_export_failing_partway_exits_1_with_partial_output(capsys, monkeypat
         assert len(list(csv.reader(io.StringIO(out)))) == 1 + 4  # header, 4 rows
 
 
+def _child_env():
+    """The environment of a CLI child, with this checkout's src importable."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _run_child(*command):
+    """Exit code, stdout and stderr of `python COMMAND`."""
+    child = subprocess.run(
+        [sys.executable, *command], capture_output=True, env=_child_env(), timeout=60
+    )
+    return child.returncode, child.stdout, child.stderr
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (("enumerate", "--m", "1", "--n", "3"), 0),
+        (("verify", "--suite", "qsym", "--m", "2", "--n", "2"), 0),
+        (("verify", "--suite", "qsym", "--m", "1", "--n", "8"), 2),  # column cap
+        (("series", "--order", "x"), 2),  # usage error
+    ],
+)
+def test_python_m_polyflip_runs_the_console_script(argv, code):
+    # the console script `polyflip = polyflip.cli:main` runs exactly this
+    script = "import sys; from polyflip.cli import main; sys.exit(main())"
+    expected = _run_child("-c", script, *argv)
+    assert expected[0] == code
+    assert _run_child("-m", "polyflip", *argv) == expected
+
+
 def _read_one_line_and_close(*argv):
     """`polyflip ARGV | head -1`: the first line, the exit code and stderr
     of a CLI child whose reader takes one line and goes."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     child = subprocess.Popen(
         [sys.executable, "-m", "polyflip.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     line = child.stdout.readline()
     child.stdout.close()
