@@ -410,17 +410,20 @@ def width_and_blocks(q: Dissection) -> tuple[int, list[Dissection]]:
     Each block is re-indexed with its smaller attachment vertex as apex.
     Width 0 happens exactly for n = 1.
     """
-    r0 = apex_region(q)  # raises NotFinal
     blocks = []
-    for u, w in zip(r0[1:], r0[2:]):
-        if w - u >= 2:
-            chords = [
-                (a - u, b - u)
-                for a, b in q.diagonals
-                if u <= a and b <= w and (a, b) != (u, w)
-            ]
-            blocks.append(_unchecked(q.m, (w - u - 1) // q.m, chords))
+    for u, w in _block_gaps(q):
+        chords = [
+            (a - u, b - u) for a, b in q.diagonals if u <= a and b <= w and (a, b) != (u, w)
+        ]
+        blocks.append(_unchecked(q.m, (w - u - 1) // q.m, chords))
     return len(blocks), blocks
+
+
+def _block_gaps(q: Dissection) -> list[tuple[int, int]]:
+    """The gaps (u, w) between consecutive apex-region vertices of a final
+    q that hold a width block, one per block (raises NotFinal)."""
+    r0 = apex_region(q)
+    return [(u, w) for u, w in zip(r0[1:], r0[2:]) if w - u >= 2]
 
 
 def apex_diagonal_set_D(q: Dissection) -> frozenset[Chord]:

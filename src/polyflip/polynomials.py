@@ -291,15 +291,23 @@ class SparsePoly:
 
 
 def expand(p: FactoredPoly) -> SparsePoly:
-    """Multiply the binomial factors out."""
-    nv = p.m * p.n
-    poly = SparsePoly.one(nv)
+    """Multiply the binomial factors out, each monomial held packed as
+    `qsym._pack` packs it, one byte per variable: no exponent exceeds the
+    number of factors, so below 256 of them no byte carries."""
+    m, nv = p.m, p.m * p.n
+    if len(p.factors) > 255:
+        raise ValueError(f"{len(p.factors)} factors overflow a byte per exponent")
+    terms = {0: 1}
     for f in p.factors:
-        hi = [0] * nv
-        hi[f.high.position(p.m) - 1] = 1
-        lo = [0] * nv
-        lo[f.low.position(p.m) - 1] = 1
-        poly = poly * SparsePoly(nv, {tuple(hi): 1, tuple(lo): -1})
+        hi = 1 << 8 * (nv - f.high.position(m))
+        lo = 1 << 8 * (nv - f.low.position(m))
+        out: dict[int, int] = {}
+        for e, c in terms.items():
+            out[e + hi] = out.get(e + hi, 0) + c
+            out[e + lo] = out.get(e + lo, 0) - c
+        terms = {e: c for e, c in out.items() if c}
+    poly = SparsePoly(nv)
+    poly.terms = {tuple(e.to_bytes(nv, "big")): c for e, c in terms.items()}
     return poly
 
 

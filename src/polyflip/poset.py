@@ -14,15 +14,17 @@ cut pieces and width blocks, all read by translating chord bits.
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import chain
 from math import factorial, prod
+from operator import or_
 from types import MappingProxyType
 
 from .dissections import (
     DEFAULT_MAX_MN,
     Chord,
     Dissection,
+    _block_gaps,
     _glue_frame,
     _unchecked,
     apex_region,
@@ -508,13 +510,24 @@ def descent_check(poset: FlipPoset) -> bool:
 
 
 def mobius(interval: Interval) -> int:
+    """mu(bottom, top) by the recursion mu(z) = -sum of mu(w) over w < z,
+    in rank order.  Positions are kept by their value, so each sum takes
+    one mask and a popcount per nonzero value, not a step per element."""
     local = interval.closure
     bottom = local.idx.index(interval.bottom)
-    mu = {bottom: 1}
+    by_value = {1: 1 << bottom}  # each nonzero value -> its positions
     for z in local.order:
         if z != bottom:
-            mu[z] = -sum(mu[w] for w in _bits(local.below[z] ^ 1 << z))
-    return mu[local.idx.index(interval.top)]
+            below, mu = local.below[z] ^ 1 << z, 0
+            for v, held in by_value.items():
+                mu -= v * (below & held).bit_count()
+            if mu:
+                by_value[mu] = by_value.get(mu, 0) | 1 << z
+    top = 1 << local.idx.index(interval.top)
+    for v, held in by_value.items():
+        if held & top:
+            return v
+    return 0
 
 
 def _translation(bits: Mapping, small: FlipPoset, pos: Mapping) -> dict[int, int]:
@@ -731,9 +744,11 @@ def _product_check(poset: FlipPoset, top: Dissection, factors) -> bool:
     element in every factor; (3) the sizes match.  D and the chord maps are
     injective, so this is a bijection onto the product, and between
     certified inclusion orders (`inclusion_check`) an order isomorphism.
-    Raises VerificationFailure with [fan, top].  Each order keeps the size
-    of every [fan, p] it has walked (`_fan_sizes`), so a piece that recurs
-    across tops is walked once.
+    Raises VerificationFailure with [fan, top], naming an s that does not
+    translate.  s goes to factor i as D[s] & part_i, part_i the chords
+    factor i owns, and each distinct projection is translated once.  Each
+    order keeps the size of every [fan, p] it has walked (`_fan_sizes`),
+    so a recurring piece is walked once.
     """
     order = _order_of_size(poset, top.n)
     D, ti = order.diagonal_masks, _locate(order.index, top)
@@ -749,20 +764,27 @@ def _product_check(poset: FlipPoset, top: Dissection, factors) -> bool:
         smalls.append(_order_of_size(poset, p.n))
         ends.append(_locate(smalls[-1].index, p))
         images.append(_translation(chords, smalls[-1], pos))
-    owner = {j: (f, bit) for f, image in enumerate(images) for j, bit in image.items()}
+    parts = [sum(1 << j for j in image) for image in images]  # chords in D's bits
     split = [sorted(image.values()) for image in images]
     want = [[1 << k for k in _bits(o.diagonal_masks[i])] for o, i in zip(smalls, ends)]
-    if not len(chords) == len(owner) == sum(map(len, split)) or split != want:
+    # the parts cover D[top], and their sizes add up to its size: disjoint
+    if reduce(or_, parts, 0) != D[ti] or sum(map(len, images)) != len(chords) or split != want:
         raise failure("does not translate to its factors")
     below = _reached(order.covers_down, ti)
     order._fan_sizes[ti] = len(below)
-    for si in below:
-        masks = [0] * len(images)
-        for j in _bits(D[si] & D[ti]):
-            f, bit = owner[j]
-            masks[f] |= bit
-        if D[si] & ~D[ti] or any(m not in o.mask_index for o, m in zip(smalls, masks)):
-            raise failure(f"holds {order.elements[si]}, which does not translate")
+    held = [D[si] for si in below]
+
+    def stray(match) -> VerificationFailure:
+        si = next(si for si in below if match(D[si]))
+        return failure(f"holds {order.elements[si]}, which does not translate")
+
+    outside = reduce(or_, held) & ~D[ti]
+    if outside:
+        raise stray(lambda ds: ds & outside)
+    for part, image, o in zip(parts, images, smalls):
+        for sub in {ds & part for ds in held}:
+            if sum(image[j] for j in _bits(sub)) not in o.mask_index:
+                raise stray(lambda ds: ds & part == sub)
     size = prod(_fan_size(o, i) for o, i in zip(smalls, ends))
     if len(below) != size:
         raise failure(f"has {len(below)} elements, its factors' product {size}")
@@ -804,9 +826,8 @@ def _one_block_final(q: Dissection, keep: tuple[int, int]) -> tuple[Dissection, 
 def width_factorization_check(poset: FlipPoset, final_q: Dissection) -> bool:
     """[fan, final] is the product of the initial intervals of its width
     blocks' one-block finals, relabelled as `_one_block_final` keeps them."""
-    r0 = apex_region(final_q)
-    gaps = [(u, w) for u, w in zip(r0[1:], r0[2:]) if w - u >= 2]
-    return _product_check(poset, final_q, [_one_block_final(final_q, g) for g in gaps])
+    factors = [_one_block_final(final_q, g) for g in _block_gaps(final_q)]
+    return _product_check(poset, final_q, factors)
 
 
 def _dot_quote(text: str) -> str:

@@ -5,16 +5,22 @@ algorithms than the package: dissections by filtering chord subsets with a
 split-based face computation, validation by a scan of every chord pair and
 a walk of every region, psi by scanning for letters, admissible vectors by
 filtering full product spaces with a lattice-path walk, order relations by
-plain set DFS, interval factorizations by cover-degree polynomials, and
-the ideal's graded rows densely, one zero row per generator filled in
-place, and sparsely with tuple-keyed columns.
+plain set DFS, interval factorizations by cover-degree polynomials,
+expanded polynomials by products of tuple-keyed binomials, and the
+ideal's graded rows densely, one zero row per generator filled in place,
+and sparsely with tuple-keyed columns.
 """
 
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
 from operator import add
 
-from polyflip import MalformedDissection, enumerate_compositions, fundamental_qsym
+from polyflip import (
+    MalformedDissection,
+    SparsePoly,
+    enumerate_compositions,
+    fundamental_qsym,
+)
 from polyflip.qsym import _fundamental_terms, monomials_of_degree
 
 
@@ -198,6 +204,20 @@ def closure_from_covers(count, covers_up):
     for i in range(count):
         walk(i)
     return above
+
+
+def expand_by_tuples(p):
+    """A factored polynomial multiplied out as a product of tuple-keyed
+    SparsePoly binomials, one exponent tuple per monomial throughout."""
+    nv = p.m * p.n
+    poly = SparsePoly.one(nv)
+    for f in p.factors:
+        hi = [0] * nv
+        hi[f.high.position(p.m) - 1] = 1
+        lo = [0] * nv
+        lo[f.low.position(p.m) - 1] = 1
+        poly = poly * SparsePoly(nv, {tuple(hi): 1, tuple(lo): -1})
+    return poly
 
 
 def cover_degree_poly(covers_up, members):

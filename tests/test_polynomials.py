@@ -28,7 +28,7 @@ from polyflip.polynomials import (
     variable_at_position,
 )
 
-from oracles import closure_from_covers
+from oracles import closure_from_covers, expand_by_tuples
 
 EXAMPLE_Q = Dissection.new(2, 7, ((0, 11), (2, 11), (4, 11), (6, 11), (7, 10), (12, 15)))
 
@@ -87,6 +87,33 @@ def test_expand_hexagon():
     # x2 - y1 over variables (x1, y1, x2, y2)
     assert expand(p).terms == {(0, 0, 1, 0): 1, (0, 1, 0, 0): -1}
     assert expand(poly_for_dissection(make_q0(2, 2))) == SparsePoly.one(4)
+
+
+@pytest.mark.parametrize("m,n", [(1, 5), (2, 4), (3, 3)])
+def test_packed_expansion_is_the_tuple_product(m, n):
+    for q in enumerate_dissections(m, n):
+        p = poly_for_dissection(q)
+        assert expand(p) == expand_by_tuples(p)
+
+
+def test_expand_drops_cancelled_terms():
+    # the Vandermonde product (x2 - x1)(x3 - x1)(x3 - x2): 8 products of
+    # one side each, x1 x2 x3 twice with opposite signs, so 6 terms
+    x1, x2, x3 = (Variable(1, k) for k in (1, 2, 3))
+    factors = (BinomialFactor(x2, x1), BinomialFactor(x3, x1), BinomialFactor(x3, x2))
+    p = FactoredPoly(1, 3, factors)
+    assert len(expand(p).terms) == 6 and (1, 1, 1) not in expand(p).terms
+    assert expand(p) == expand_by_tuples(p)
+
+
+def test_expand_refuses_exponents_past_a_byte():
+    # (x2 - x1)^255 has every exponent 0..255 in each byte; one more
+    # factor would carry
+    x1, x2 = Variable(1, 1), Variable(1, 2)
+    full = FactoredPoly(1, 2, (BinomialFactor(x2, x1),) * 255)
+    assert expand(full) == expand_by_tuples(full)
+    with pytest.raises(ValueError, match="256 factors overflow a byte"):
+        expand(FactoredPoly(1, 2, full.factors + full.factors[:1]))
 
 
 def test_divides():

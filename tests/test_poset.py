@@ -2,6 +2,7 @@ import gc
 import re
 import tracemalloc
 from dataclasses import FrozenInstanceError
+from math import prod
 
 import pytest
 
@@ -39,6 +40,7 @@ from polyflip import (
     series_I,
     to_dot,
     to_json_dict,
+    width_and_blocks,
 )
 from polyflip.poset import (
     _one_block_final,
@@ -293,6 +295,35 @@ def test_initial_intervals_factor_by_cover_degree_polynomials(m, n):
         assert poly(q) == product
 
 
+@pytest.mark.parametrize("m,n", PAIRS)
+def test_factorized_initial_intervals_carry_ideal_counts_and_mobius(m, n):
+    # The intervals suite certifies [fan, t] directly only for a final t of
+    # width at most 1 and carries the rest through the factorizations.
+    # Computed directly, every other initial interval's forest-ideal count
+    # and Mobius value are the products of its factors'.
+    def direct(q):
+        order = build_poset(m, q.n)
+        iv = order.interval(order.minimum, q)
+        return interval_structure(iv)[1].ideal_count(), mobius(iv)
+
+    carried = {"cut": 0, "width": 0}
+    for k in range(1, n + 1):
+        for q in build_poset(m, k).elements:
+            if not is_final(q):
+                kind, factors = "cut", cut_L(q)
+            elif width_and_blocks(q)[0] > 1:
+                r0 = apex_region(q)
+                gaps = [(u, w) for u, w in zip(r0[1:], r0[2:]) if w - u >= 2]
+                kind, factors = "width", [_one_block_final(q, g)[0] for g in gaps]
+            else:
+                continue
+            values = [direct(p) for p in factors]
+            assert direct(q) == (prod(c for c, _ in values), prod(mu for _, mu in values))
+            carried[kind] += 1
+    # of PAIRS, only (2, 3) has a final of two blocks: TOP
+    assert carried["cut"] and carried["width"] == ((m, n) == (2, 3))
+
+
 def test_flip_up_matches_cover_relation():
     poset = build_poset(2, 3)
     for i, q in enumerate(poset.elements):
@@ -457,8 +488,10 @@ def test_a_wrong_block_map_fails_the_width_factorization(monkeypatch):
     message = "does not translate to its factors"
     # TOP's (4, 7) leaves both of its blocks
     _fails_with(width_factorization_check, poset, TOP, message)
-    # the suite's first final has one block, itself, which (1, 6) leaves
-    first = next(q for q in poset.elements if is_final(q))
+    # the suite factorizes only finals of two or more blocks (one block is
+    # the final itself); the first of them is TOP
+    first = next(q for q in poset.elements if is_final(q) and width_and_blocks(q)[0] > 1)
+    assert first == TOP
     _suite_fails_like(width_factorization_check, poset, first, message)
 
 
@@ -485,6 +518,19 @@ def test_a_down_set_one_element_short_fails_the_factorization(monkeypatch):
     monkeypatch.setattr(verify_module, "build_poset", lambda m, n, max_mn=None: broken)
     message = "has 3 elements, its factors' product 4"
     _suite_fails_like(initial_factorization_check, broken, top, message)
+
+
+def test_a_wrong_factor_size_fails_the_factorization(monkeypatch):
+    # every |[fan, p]| read one too large: top's two pieces, each the
+    # 2-element order of size 2, give 3 x 3 against its 4 elements
+    poset = build_poset(1, 4)
+    top = Dissection.new(1, 4, ((0, 3), (1, 3), (3, 5)))
+    real = poset_module._fan_size
+    monkeypatch.setattr(poset_module, "_fan_size", lambda order, i: real(order, i) + 1)
+    _fails_with(initial_factorization_check, poset, top, "has 4 elements, its factors' product 9")
+    # the suite's first top is the fan, a product of four 1-element orders
+    message = "has 1 elements, its factors' product 16"
+    _suite_fails_like(initial_factorization_check, poset, poset.minimum, message)
 
 
 def test_a_down_set_element_off_the_top_fails_the_factorization():
@@ -649,6 +695,23 @@ def test_twin_elements_fail_only_the_injectivity_check():
     with pytest.raises(StructureViolation, match="same irreducibles below them") as info:
         interval_structure(iv)
     assert info.value.counterexample == iv.to_json()
+
+
+@pytest.mark.parametrize(
+    "covers,want",
+    [
+        (HAND_MADE["M3"], 2),
+        ([[1, 2, 3, 4], [5], [5], [5], [5], []], 3),  # M4
+        ([[1, 2, 3], [4], [4], [4], [5], []], 0),  # M3 under one more top
+        ([[1, 2, 3], [4, 5], [4, 5], [4, 5], [6], [6], []], -2),  # K3,2 in the middle
+        (HAND_MADE["bowtie-8"], -1),
+    ],
+)
+def test_mobius_beyond_plus_minus_one_matches_the_textbook_recursion(covers, want):
+    # flip orders only reach -1, 0 and 1; these orders reach 2, 3 and -2
+    iv = _hand_made(covers)
+    above = closure_from_covers(len(covers), iv.poset.covers_up)
+    assert mobius(iv) == brute_mobius(above, iv.bottom, iv.top) == want
 
 
 def test_hand_made_boolean_square_passes():

@@ -37,6 +37,7 @@ from polyflip import (
     series_F,
     series_I,
     to_json_dict,
+    width_and_blocks,
 )
 from polyflip.cli import main
 from polyflip.polynomials import variable_at_position
@@ -342,8 +343,12 @@ def test_cli_structure_failure_carries_counterexample(capsys, monkeypatch):
     assert code == 1
     (report,) = json.loads(out)
     assert report["detail"].startswith("StructureViolation: ")
-    fan = build_poset(2, 2).minimum.to_json()
-    assert report["counterexample"] == [fan, fan]  # the first interval, [fan, fan]
+    # the first interval certified directly: [fan, fan] is a product of its
+    # two cut pieces', [fan, ((1, 4),)] a final of width 1
+    poset = build_poset(2, 2)
+    fan, top = poset.minimum, poset.elements[1]
+    assert not is_final(fan) and is_final(top) and top.diagonals == ((1, 4),)
+    assert report["counterexample"] == [fan.to_json(), top.to_json()]
 
 
 def test_decomposition_failure_carries_counterexample(monkeypatch):
@@ -630,9 +635,11 @@ def test_a_callers_order_is_the_one_the_suites_use(monkeypatch):
 
 
 def test_intervals_suite_glues_nothing_and_scans_no_lattice(monkeypatch):
-    # and certifies one interval per isomorphism class: the intervals
-    # [fan_k, t] of the orders k = 1, 2, 3, FC(2, k) = 1 + 3 + 12 of them;
-    # tops reach their cores by chord-bit translation, not by gluing
+    # and certifies one interval per isomorphism class directly: of the
+    # FC(2, k) = 1 + 3 + 12 intervals [fan_k, t] of the orders k = 1, 2, 3,
+    # the 1 + 2 + 6 with t final of width at most 1, the others being
+    # products of smaller ones; tops reach their cores by chord-bit
+    # translation, not by gluing
     calls = {"glue_G": 0, "is_lattice": 0, "interval_structure": 0, "mobius": 0}
 
     def counting(name, real):
@@ -654,7 +661,7 @@ def test_intervals_suite_glues_nothing_and_scans_no_lattice(monkeypatch):
     (report,) = run_suite("intervals", 2, 3)
     assert report.passed and report.detail == "31 intervals certified"
     assert calls == {
-        "glue_G": 0, "is_lattice": 0, "interval_structure": 16, "mobius": 16
+        "glue_G": 0, "is_lattice": 0, "interval_structure": 9, "mobius": 9
     }
 
 
@@ -663,10 +670,34 @@ def test_intervals_suite_reports_a_bad_mobius_value_once(monkeypatch):
     monkeypatch.setattr(verify_module, "mobius", lambda iv: calls.append(iv) or 2)
     (report,) = run_suite("intervals", 2, 2)
     assert not report.passed
-    fan = build_poset(2, 2).minimum
-    assert report.detail == f"Mobius value 2 at [{fan}, {fan}]"
-    assert report.counterexample == [fan.to_json(), fan.to_json()]
+    # the first interval certified directly, [fan, ((1, 4),)]: the fan's
+    # own is a product of its cut pieces'
+    poset = build_poset(2, 2)
+    fan, top = poset.minimum, poset.elements[1]
+    assert top.diagonals == ((1, 4),)
+    assert report.detail == f"Mobius value 2 at [{fan}, {top}]"
+    assert report.counterexample == [fan.to_json(), top.to_json()]
     assert len(calls) == 1
+
+
+def test_intervals_suite_certifies_the_irreducibles_of_smaller_orders(monkeypatch):
+    # Birkhoff's certificate miscounts the forest ideals of one interval
+    # [fan, t] of the 3-piece order, t final of width 1; the suite on (2,4)
+    # certifies it directly, after the 4-piece order, and names it
+    small = build_poset(2, 3)
+    fan = small.minimum
+    top = [q for q in small.elements if is_final(q) and width_and_blocks(q)[0] == 1][-1]
+    iv = small.interval(fan, top)
+    _, forest = poset_module.interval_structure(iv)
+    real = ForestPoset.ideal_count
+    monkeypatch.setattr(ForestPoset, "ideal_count", lambda f: real(f) + (f == forest))
+    (report,) = run_suite("intervals", 2, 4)
+    assert not report.passed
+    assert report.detail == (
+        f"StructureViolation: {iv.size + 1} forest ideals for an interval of "
+        f"size {iv.size} in [{fan}, {top}]"
+    )
+    assert report.counterexample == [fan.to_json(), top.to_json()]
 
 
 def test_intervals_suite_fails_on_a_wrong_cover_inside_a_non_initial_interval(
