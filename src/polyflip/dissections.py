@@ -123,10 +123,10 @@ def _unchecked(m: int, n: int, chords) -> Dissection:
     return Dissection(m, n, tuple(sorted(chords)))
 
 
-def _chord_ends(q: Dissection) -> dict[int, list[int]]:
+def _chord_ends(chords) -> dict[int, list[int]]:
     # Each vertex's chord endpoints above it, farthest first.
     ends: dict[int, list[int]] = {}
-    for a, b in q.diagonals:
+    for a, b in chords:
         ends.setdefault(a, []).append(b)
     for a in ends:
         ends[a].sort(reverse=True)
@@ -154,7 +154,7 @@ def _walk_region(ends: dict[int, list[int]], lo: int, hi: int) -> tuple[int, ...
 
 def _walk_regions(q: Dissection) -> list[tuple[int, ...]]:
     # Peel off the region hugging the closing chord of each sub-polygon.
-    ends = _chord_ends(q)
+    ends = _chord_ends(q.diagonals)
     regs = []
     stack = [(0, q.m * q.n + 1)]
     while stack:
@@ -247,7 +247,7 @@ def apex_region(q: Dissection) -> tuple[int, ...]:
     """The region containing the apex; well defined only when q is final."""
     if not is_final(q):
         raise NotFinal("the apex region is only unique for final dissections")
-    return _walk_region(_chord_ends(q), 0, q.m * q.n + 1)
+    return _walk_region(_chord_ends(q.diagonals), 0, q.m * q.n + 1)
 
 
 def _compositions(total: int, parts: int):
@@ -332,7 +332,7 @@ def flip_up(q: Dissection, d: Chord) -> list[Dissection]:
         raise NotAQ0Diagonal(f"{d} is not a shared fan diagonal")
     # The two regions beside d: the one d closes, and the one closed by the
     # next fan chord above d (or by the side (0, m*n+1)), which starts 0, d[1].
-    ends = _chord_ends(q)
+    ends = _chord_ends(q.diagonals)
     above = min((b for b in ends[0] if b > d[1]), default=q.m * q.n + 1)
     below, beside = _walk_region(ends, 0, d[1]), _walk_region(ends, 0, above)
     merged = sorted(set(below) | set(beside))
@@ -372,22 +372,22 @@ def _glue_frame(
     # Embed the pieces side by side (piece i's arc re-indexed after piece
     # i-1's, consecutive pieces sharing the cut vertex) WITHOUT drawing the
     # cut diagonals, and return the cycle of the (m*k+2)-gon this leaves
-    # around the apex: the apex regions of the pieces merged along the cuts.
-    # Vertex i of that polygon is cycle[i].
+    # around the apex: the apex regions of the pieces merged along the cuts,
+    # walked once as the region of the embedded chords that holds the apex
+    # (no chord reaches it: the pieces are final).  Vertex i of that polygon
+    # is cycle[i].
     chords: list[Chord] = []
-    cycle = [0]
     offset = 0
-    for i, p in enumerate(parts):
+    for p in parts:
         if p.m != m:
             raise ArityMismatch(f"piece has m={p.m}, expected {m}")
         if not is_final(p):
             raise NotFinal("glue parts must be final dissections")
         chords.extend((a + offset, b + offset) for a, b in p.diagonals)
-        rim = [v + offset for v in apex_region(p)[1:]]
-        cycle.extend(rim if i == 0 else rim[1:])
         offset += m * p.n
+    cycle = _walk_region(_chord_ends(chords), 0, offset + 1)
     assert len(cycle) == m * len(parts) + 2
-    return tuple(chords), tuple(cycle)
+    return tuple(chords), cycle
 
 
 def glue_G(b0: Dissection, parts: list[Dissection]) -> Dissection:

@@ -14,10 +14,10 @@ cut pieces and width blocks, all read by translating chord bits.
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import chain
-from math import factorial, prod
-from operator import or_
+from math import factorial
+from operator import itemgetter
 from types import MappingProxyType
 
 from .dissections import (
@@ -89,9 +89,8 @@ class FlipPoset:
     reachability closure.  `up_masks` and `down_masks` build it on demand:
     only `is_lattice` reads `up_masks`, on a bounded order, and both are
     kept as oracles; no suite builds them.  Frozen, with read-only
-    mappings: `build_poset` shares one instance per order.  Its one
-    mutable part is the private `_fan_sizes` memo, which only ever gains
-    sizes read off the covers.
+    mappings and no memo that grows: `build_poset` shares one instance per
+    order.
     """
 
     m: int
@@ -125,12 +124,6 @@ class FlipPoset:
     def down_masks(self) -> tuple[int, ...]:
         ranks = self.ranks
         return _fold(sorted(range(len(ranks)), key=ranks.__getitem__), self.covers_down)
-
-    @cached_property
-    def _fan_sizes(self) -> dict[int, int]:
-        # |[fan, p]| by element index p, filled in by `_product_check` as it
-        # walks them: a private memo, read only there.
-        return {}
 
     @cached_property
     def diagonal_bits(self) -> MappingProxyType:
@@ -382,55 +375,88 @@ def _containing_count(m: int, n: int, chords) -> int:
     non-crossing diagonals off the apex: the product of FC(m, k) over the
     regions they cut, a region of m*k+2 vertices having FC(m, k) of its own.
 
-    Spans are the chords and the side (0, m*n+1); each closes the region
-    made of its own vertices minus those strictly inside its maximal
-    sub-spans, found with a stack of the open spans.
+    Spans are the chords, given sorted as an element holds them, and the
+    side (0, m*n+1); each closes the region made of its own vertices minus
+    those strictly inside its maximal sub-spans, found in one pass in
+    (a, -b) order with a stack of the open spans.
     """
     total = 1
-    stack: list[list[int]] = []  # [end, vertices] of each open span
-    for a, b in sorted([(0, m * n + 1), *chords], key=lambda c: (c[0], -c[1])):
-        while stack and stack[-1][0] <= a:
-            total *= _fillings(m, stack.pop()[1])
-        if stack:
-            stack[-1][1] -= b - a - 1
-        stack.append([b, b - a + 1])
-    for _, vertices in stack:
+    ends, sizes = [m * n + 1], [m * n + 2]  # each open span's end and vertices
+    # stable by a on the descending chords: the (a, -b) order
+    for a, b in sorted(reversed(chords), key=itemgetter(0)):
+        while ends[-1] <= a:
+            ends.pop()
+            total *= _fillings(m, sizes.pop())
+        sizes[-1] -= b - a - 1
+        ends.append(b)
+        sizes.append(b - a + 1)
+    for vertices in sizes:
         total *= _fillings(m, vertices)
     return total
 
 
 def inclusion_check(poset: FlipPoset) -> int:
     """Certify that the order is inclusion of non-apex diagonal sets, the
-    theorem `leq` and `interval` read it by.
+    theorem `leq` and `interval` read it by, from facts local to each
+    element: no up-set is walked.
 
-    (a) Every cover adds exactly one non-apex diagonal, so each up-set lies
-    among the elements holding the bottom's non-apex diagonals.  (b) Each
-    up-set, counted by DFS over the covers, is as large as the number of
-    M-angulations holding those diagonals (`_containing_count`, a closed
-    form that flips nothing), so it is all of them.  Returns the sum of the
-    up-set sizes, the number of intervals; raises VerificationFailure with
-    the element's JSON.
+    (a) Every cover adds exactly one non-apex diagonal.  (b) D, the map to
+    diagonal masks, is injective: the masks are N distinct ints.  (c) Each
+    element's lower covers remove exactly the bits of its maximal spans,
+    the non-apex diagonals nested in no other: D[i] less the chords nested
+    inside its own, read off one nest mask per chord of the order.
+
+    Proof, for elements that are M-angulations.  By (a), Q <= Q' puts
+    D(Q) inside D(Q').  Conversely let D(Q) be a proper subset of D(Q').
+    Some maximal span of Q' is not in D(Q): otherwise Q holds every span
+    closing the apex region of Q', and under each span both are
+    dissections into (m+2)-gons by non-apex diagonals, one inside the
+    other, so D(Q) = D(Q').  By (c), Q' covers an R with D(R) = D(Q') less
+    that span, so D(Q) lies in D(R), and induction on |D(Q') - D(Q)| ends
+    at an element with Q's mask, which is Q by (b).  So Q <= Q'.
+
+    Returns the sum over the elements of `_containing_count`, the number of
+    M-angulations holding the element's non-apex diagonals.  By the
+    theorem that is the element's up-set size when the order holds every
+    M-angulation, so the sum is then the number of intervals.  Raises
+    VerificationFailure with an element's JSON.
     """
-    D = poset.diagonal_masks
-    for i, q in enumerate(poset.elements):
+    D, elements = poset.diagonal_masks, poset.elements
+    for i, q in enumerate(elements):
         for j in poset.covers_up[i]:
             if D[i] & ~D[j] or (D[i] ^ D[j]).bit_count() != 1:
                 raise VerificationFailure(
-                    f"cover {q} -> {poset.elements[j]} does not add exactly one "
+                    f"cover {q} -> {elements[j]} does not add exactly one "
                     f"non-apex diagonal",
                     q.to_json(),
                 )
+    if len(set(D)) != len(D):
+        first: dict[int, int] = {}
+        i = next(i for i, d in enumerate(D) if first.setdefault(d, i) != i)
+        q = elements[i]
+        raise VerificationFailure(
+            f"{q} and {elements[first[D[i]]]} hold the same non-apex diagonals",
+            q.to_json(),
+        )
+    bits = poset.diagonal_bits
+    inside = {  # each chord -> the chords nested inside it, as a mask
+        (a, b): sum(1 << k for (u, v), k in bits.items() if a <= u and v <= b) ^ 1 << j
+        for (a, b), j in bits.items()
+    }
     total = 0
-    for i, q in enumerate(poset.elements):
-        size = len(_reached(poset.covers_up, i))
-        want = _containing_count(poset.m, poset.n, [d for d in q.diagonals if d[0]])
-        if size != want:
+    for i, q in enumerate(elements):
+        chords = [d for d in q.diagonals if d[0]]
+        nested = removed = 0
+        for d in chords:
+            nested |= inside[d]
+        for j in poset.covers_down[i]:
+            removed |= D[i] ^ D[j]
+        if removed != D[i] & ~nested:
             raise VerificationFailure(
-                f"{size} elements above {q}, but {want} M-angulations hold its "
-                f"non-apex diagonals",
+                f"the lower covers of {q} do not remove exactly its maximal spans",
                 q.to_json(),
             )
-        total += size
+        total += _containing_count(poset.m, poset.n, chords)
     return total
 
 
@@ -542,52 +568,35 @@ def _translation(bits: Mapping, small: FlipPoset, pos: Mapping) -> dict[int, int
     return image
 
 
-def _core_map(poset: FlipPoset, bi: int):
-    """The pieces of cut(bi), their k-piece order, and the map from a top
-    t above bi to its core's index there.
-
-    A chord with both ends on the pieces' glue frame is the k-piece
-    order's chord between their frame positions; t's core is the image of
-    D[t] & ~D[bi], looked up in that order's `mask_index`.  The map raises
-    DecompositionFailure with [bottom, top] unless D[bi] lies in D[t] and
-    the image is an element's mask.
-    """
-    bottom = poset.elements[bi]
-    parts = cut_L(bottom)
-    small = _order_of_size(poset, len(parts))
-    _, cycle = _glue_frame(bottom.m, tuple(parts))
-    pos = {v: i for i, v in enumerate(cycle)}
-    image = _translation(poset.diagonal_bits, small, pos)
-    D, at = poset.diagonal_masks, small.mask_index
-    inner = D[bi]
-
-    def core(ti: int) -> int:
-        mask = -1 if inner & ~D[ti] else 0  # -1 sticks: no element's mask
-        for j in _bits(D[ti] & ~inner):
-            mask |= image.get(j, -1)
-        ci = at.get(mask)
-        if ci is None:
-            top = poset.elements[ti]
-            raise DecompositionFailure(
-                f"{top} does not translate over cut({bottom})",
-                [bottom.to_json(), top.to_json()],
-            )
-        return ci
-
-    return parts, small, core
-
-
 def interval_decompose(interval: Interval) -> tuple[Dissection, list[Dissection]]:
     """Split [bottom, top] as a gluing over the pieces cut from bottom.
 
     Cutting the bottom along its apex diagonals yields final pieces; the
     top is the gluing (`glue_G`) of a unique smaller dissection, its core,
-    over those pieces.  Returns the core, by chord-bit translation, with
-    the pieces; raises DecompositionFailure unless the top is above the
+    over those pieces.  A chord with both ends on the pieces' glue frame
+    is the k-piece order's chord between their frame positions, and the
+    core is the element whose mask is the image of top's non-apex
+    diagonals less bottom's.  Returns the core with the pieces; raises
+    DecompositionFailure with [bottom, top] unless the top is above the
     bottom and translates.
     """
-    parts, small, core = _core_map(interval.poset, interval.bottom)
-    return small.elements[core(interval.top)], parts
+    poset, bi, ti = interval.poset, interval.bottom, interval.top
+    bottom, top = poset.elements[bi], poset.elements[ti]
+    parts = cut_L(bottom)
+    small = _order_of_size(poset, len(parts))
+    _, cycle = _glue_frame(bottom.m, tuple(parts))
+    image = _translation(poset.diagonal_bits, small, {v: i for i, v in enumerate(cycle)})
+    D = poset.diagonal_masks
+    mask = -1 if D[bi] & ~D[ti] else 0  # -1 sticks: no element's mask
+    for j in _bits(D[ti] & ~D[bi]):
+        mask |= image.get(j, -1)
+    ci = small.mask_index.get(mask)
+    if ci is None:
+        raise DecompositionFailure(
+            f"{top} does not translate over cut({bottom})",
+            [bottom.to_json(), top.to_json()],
+        )
+    return small.elements[ci], parts
 
 
 @dataclass(frozen=True)
@@ -714,91 +723,73 @@ def width_cover_check(poset: FlipPoset) -> bool:
 
 
 def upper_ideal_iso_check(poset: FlipPoset, bottom: Dissection) -> int:
-    """The filter above bottom is a copy of a full smaller order.
+    """The filter above bottom is a copy of the k = |cut(bottom)| piece
+    order; returns its size, the number of intervals with this bottom.
 
-    The cores of the elements above bottom (`_core_map`) must be exactly
-    the elements of the k = |cut(bottom)| piece order.  The translation
-    comes from an injection on chords, so between certified inclusion
-    orders (`inclusion_check`) this bijection is an order isomorphism that
-    takes bottom, core mask 0, to the fan.  Returns the filter's size, the
-    number of intervals with this bottom.
+    By the inclusion theorem (`inclusion_check`) the filter is every t with
+    D(bottom) inside D(t): bottom's non-apex diagonals with any dissection
+    of the polygon they leave around the apex, the pieces' apex regions
+    merged along the cuts (`_glue_frame`).  The frame's vertex map, each
+    vertex to its place on the cycle, must send 0 to 0, be strictly
+    increasing and be onto 0..m*k+1.  It then keeps the apex and the
+    cyclic order, so it takes (m+2)-gon cells to cells and non-apex chords
+    to non-apex chords, both ways.  Translation is then a bijection from
+    the filter onto that polygon's M-angulations, which the k-piece order
+    holds when it holds every M-angulation, and it preserves and reflects
+    inclusion: an order isomorphism taking bottom to the fan.  O(k), with
+    no top visited.  Raises VerificationFailure with bottom's JSON.
     """
-    bi = poset.index[bottom]
-    _, small, core = _core_map(poset, bi)
-    cores = sorted(core(ti) for ti in sorted(_reached(poset.covers_up, bi)))
-    if cores != list(range(len(small.elements))):
-        raise VerificationFailure(
-            f"the cores above {bottom} are not the {small.n}-piece order",
-            bottom.to_json(),
-        )
-    return len(cores)
+    parts = cut_L(bottom)
+    k = len(parts)
+    _, cycle = _glue_frame(bottom.m, tuple(parts))
+    if cycle[0]:
+        flaw = "does not send 0 to 0"
+    elif any(u >= v for u, v in zip(cycle, cycle[1:])):
+        flaw = "is not strictly increasing"
+    elif len(cycle) != bottom.m * k + 2:
+        flaw = f"is not onto 0..{bottom.m * k + 1}"
+    else:
+        return len(_order_of_size(poset, k).elements)
+    raise VerificationFailure(
+        f"the glue frame's vertex map of {bottom} {flaw}", bottom.to_json()
+    )
 
 
 def _product_check(poset: FlipPoset, top: Dissection, factors) -> bool:
     """[fan, top] is the product of the initial intervals [fan, p_i] of the
-    factors, pairs (p_i, pos_i) with pos_i taking top's vertices to p_i's.
+    factors, pairs (p_i, pos_i) with pos_i taking top's vertices to p_i's
+    in order.
 
-    Translating chord bits (`_translation`), (1) the factors split D[top]
-    and take it to exactly (D[p_1], ..., D[p_k]); (2) every s in [fan, top],
-    a DFS over the lower covers, has its diagonals in D[top] and goes to an
-    element in every factor; (3) the sizes match.  D and the chord maps are
-    injective, so this is a bijection onto the product, and between
-    certified inclusion orders (`inclusion_check`) an order isomorphism.
-    Raises VerificationFailure with [fan, top], naming an s that does not
-    translate.  s goes to factor i as D[s] & part_i, part_i the chords
-    factor i owns, and each distinct projection is translated once.  Each
-    order keeps the size of every [fan, p] it has walked (`_fan_sizes`),
-    so a recurring piece is walked once.
+    The certificate is at chord level, with no element below top visited.
+    Translating chord bits (`_translation`), each non-apex chord of top
+    must go to exactly one factor, so the factors' parts partition D[top],
+    and factor i's image must be exactly D[p_i].  The parts lie in
+    disjoint sub-polygons, the pieces between top's apex diagonals or the
+    width blocks.  An s below top has D[s] inside D[top]
+    (`inclusion_check`), and its chords in each part, with the apex
+    diagonals they leave, dissect that factor's polygon: an element below
+    p_i of the factor order, which holds every M-angulation.  Conversely
+    any tuple of elements below the p_i, glued back, is an M-angulation s
+    with D[s] inside D[top], so s <= top.  The map from s to its tuple is
+    then onto, injective because D is, and preserves and reflects
+    inclusion part by part: an order isomorphism onto the product.  Raises
+    VerificationFailure with [fan, top].
     """
     order = _order_of_size(poset, top.n)
-    D, ti = order.diagonal_masks, _locate(order.index, top)
-
-    def failure(message: str) -> VerificationFailure:
-        return VerificationFailure(
-            f"[fan, {top}] {message}", [order.minimum.to_json(), top.to_json()]
-        )
-
     chords = {d: order.diagonal_bits[d] for d in top.diagonals if d[0]}  # D[top]'s
-    smalls, ends, images = [], [], []
+    owned, exact = [], True
     for p, pos in factors:
-        smalls.append(_order_of_size(poset, p.n))
-        ends.append(_locate(smalls[-1].index, p))
-        images.append(_translation(chords, smalls[-1], pos))
-    parts = [sum(1 << j for j in image) for image in images]  # chords in D's bits
-    split = [sorted(image.values()) for image in images]
-    want = [[1 << k for k in _bits(o.diagonal_masks[i])] for o, i in zip(smalls, ends)]
-    # the parts cover D[top], and their sizes add up to its size: disjoint
-    if reduce(or_, parts, 0) != D[ti] or sum(map(len, images)) != len(chords) or split != want:
-        raise failure("does not translate to its factors")
-    below = _reached(order.covers_down, ti)
-    order._fan_sizes[ti] = len(below)
-    held = [D[si] for si in below]
-
-    def stray(match) -> VerificationFailure:
-        si = next(si for si in below if match(D[si]))
-        return failure(f"holds {order.elements[si]}, which does not translate")
-
-    outside = reduce(or_, held) & ~D[ti]
-    if outside:
-        raise stray(lambda ds: ds & outside)
-    for part, image, o in zip(parts, images, smalls):
-        for sub in {ds & part for ds in held}:
-            if sum(image[j] for j in _bits(sub)) not in o.mask_index:
-                raise stray(lambda ds: ds & part == sub)
-    size = prod(_fan_size(o, i) for o, i in zip(smalls, ends))
-    if len(below) != size:
-        raise failure(f"has {len(below)} elements, its factors' product {size}")
+        small = _order_of_size(poset, p.n)
+        image = _translation(chords, small, pos)
+        mask = small.diagonal_masks[_locate(small.index, p)]
+        exact &= sorted(image.values()) == [1 << k for k in _bits(mask)]
+        owned += image
+    if not exact or sorted(owned) != sorted(chords.values()):
+        raise VerificationFailure(
+            f"[fan, {top}] does not translate to its factors",
+            [order.minimum.to_json(), top.to_json()],
+        )
     return True
-
-
-def _fan_size(order: FlipPoset, i: int) -> int:
-    """|[fan, p]| for element i of order, by DFS over the lower covers the
-    first time it is asked for."""
-    sizes = order._fan_sizes
-    size = sizes.get(i)
-    if size is None:
-        size = sizes[i] = len(_reached(order.covers_down, i))
-    return size
 
 
 def initial_factorization_check(poset: FlipPoset, top: Dissection) -> bool:

@@ -133,11 +133,14 @@ def suite_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationRep
 
     Beyond the element count, the unique minimum, cover degrees, chain
     count, descent swaps and the rank census, the suite certifies that the
-    order is inclusion of non-apex diagonal sets (`inclusion_check`): every
-    cover adds exactly one such diagonal, so goes one rank up, and each
-    element's up-set, by DFS over the covers, is as large as the
-    closed-form count of M-angulations holding its non-apex diagonals.  The
-    up-set sizes must then add up to the interval count of the I series.
+    order is inclusion of non-apex diagonal sets (`inclusion_check`), from
+    facts local to each element: every cover adds exactly one such
+    diagonal, so goes one rank up; no two elements share their non-apex
+    diagonals; and each element's lower covers remove exactly its maximal
+    non-apex diagonals.  The elements being every M-angulation (validated,
+    distinct and Fuss-Catalan many), each up-set is then the closed-form
+    count of M-angulations holding the element's non-apex diagonals, and
+    those counts must add up to the interval count of the I series.
     Whether the whole order is a lattice is observed, not asserted; the
     covers settle it for every order with two maximal elements, so the
     suite builds no reachability table.
@@ -236,14 +239,15 @@ def suite_divisibility(
 ) -> VerificationReport:
     """P_Q divides P_Q' exactly when Q <= Q', on all N^2 pairs, with no
     N x N table.  Premise, as in `inclusion_check`: the enumerated elements
-    are exactly the M-angulations.
+    are M-angulations.
 
     (1) Each P_Q has rank(Q) factors, none repeated, so `divides` is set
     inclusion.  (2) Each element's factors and non-apex diagonals have the
     same holder sets, the elements whose polynomial has the factor or that
     hold the diagonal.  So if Q's diagonals lie in Q', each factor of P_Q
     has a diagonal's holders, Q' among them, and divides P_Q'; and back.
-    (3) `inclusion_check`: diagonal inclusion is the closure of the covers.
+    (3) `inclusion_check`: diagonal inclusion is the closure of the covers,
+    certified from each element's own covers and maximal spans.
     Each failure names one element.  `DIVISION_SAMPLES` pairs then check
     `divides` against sparse long division, and every poly against the
     mirror involution.
@@ -310,21 +314,23 @@ def suite_intervals(
     """Every interval is a distributive forest-ideal lattice with Mobius
     value in {-1, 0, 1}, certified once per isomorphism class.
 
-    `inclusion_check` certifies each order k <= n, the suite's own first, as
-    inclusion of non-apex diagonal sets.  Each initial interval [fan_k, t]
-    then gets one certificate: the product of its cut pieces' initial
-    intervals for a non-final t, of its width blocks' for a final t of two
-    or more, and `interval_structure` with `mobius` only for the rest,
-    finals of width at most 1.  Factors are initial intervals of smaller
-    orders; forest-ideal lattices multiply as the ideal lattices of
-    disjoint unions and Mobius values as numbers (Rota 1964), so by strong
-    induction on k every initial interval has both properties.  For each
-    bottom b, `upper_ideal_iso_check` translates the chord bits of every
-    top above b to the order of k = |cut(b)| pieces.  Between inclusion
-    orders this bijection, induced by an injection on chords, is an
-    isomorphism taking b to the fan, so [b, t] is isomorphic to
-    [fan_k, core(t)].  The filter sizes add up to the interval count,
-    checked against the I series.
+    Each order k <= n, the suite's own first, must hold FC(m, k) elements,
+    and `inclusion_check` certifies it as inclusion of non-apex diagonal
+    sets, so it holds every M-angulation: the premise of the chord-level
+    isomorphisms below.  Each initial interval [fan_k, t] then gets one
+    certificate: the product of its cut pieces' initial intervals for a
+    non-final t, of its width blocks' for a final t of two or more (a
+    chord-level split of D[t], `_product_check`), and `interval_structure`
+    with `mobius` only for the rest, finals of width at most 1.  Factors
+    are initial intervals of smaller orders; forest-ideal lattices
+    multiply as the ideal lattices of disjoint unions and Mobius values as
+    numbers (Rota 1964), so by strong induction on k every initial interval
+    has both properties.  For each bottom b, `upper_ideal_iso_check`
+    certifies b's glue-frame vertex map, which makes the filter above b
+    isomorphic to the order of k = |cut(b)| pieces, b going to the fan, so
+    each [b, t] is isomorphic to an initial interval [fan_k, core(t)].  The
+    filter sizes add up to the interval count, checked against the I
+    series.
     """
 
     def check():
@@ -332,6 +338,12 @@ def suite_intervals(
         poset = _order(m, n)
         for k in range(n, 0, -1):
             order = _order_of_size(poset, k)
+            size, want = len(order.elements), fuss_catalan(m, k)
+            if size != want:
+                _fail(
+                    f"the size-{k} order has {size} elements, expected {want}",
+                    {"m": m, "n": k, "elements": size},
+                )
             inclusion_check(order)
             for iv in order.intervals_above(order.index[order.minimum]):
                 top = iv.top_q

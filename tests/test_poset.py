@@ -2,6 +2,7 @@ import gc
 import re
 import tracemalloc
 from dataclasses import FrozenInstanceError
+from itertools import product
 from math import prod
 
 import pytest
@@ -289,10 +290,10 @@ def test_initial_intervals_factor_by_cover_degree_polynomials(m, n):
             factors = [_one_block_final(q, g)[0] for g in gaps]
         else:
             factors = cut_L(q)
-        product = (1,)
+        want = (1,)
         for p in factors:
-            product = poly_mul(product, poly(p))
-        assert poly(q) == product
+            want = poly_mul(want, poly(p))
+        assert poly(q) == want
 
 
 @pytest.mark.parametrize("m,n", PAIRS)
@@ -422,9 +423,45 @@ def test_a_rotated_glue_frame_fails_the_filter_check(monkeypatch):
     poset = build_poset(2, 3)
     assert upper_ideal_iso_check(poset, MID) == 3  # MID's filter: three tops
     _rotated_frame(monkeypatch)
-    with pytest.raises(DecompositionFailure, match="does not translate") as info:
+    with pytest.raises(VerificationFailure) as info:
         upper_ideal_iso_check(poset, MID)
-    assert info.value.counterexample[0] == MID.to_json()
+    assert str(info.value) == f"the glue frame's vertex map of {MID} does not send 0 to 0"
+    assert info.value.counterexample == MID.to_json()
+
+
+# Each fault breaks one condition of the filter certificate and keeps the
+# other two: the cycle is 0 first, strictly increasing and m*k+2 long.
+FRAME_FAULTS = {
+    "does not send 0 to 0": lambda cycle: tuple(v + 1 for v in cycle),
+    "is not strictly increasing": lambda cycle: cycle[:1] + cycle[2:0:-1] + cycle[3:],
+    "is not onto 0..5": lambda cycle: cycle[:-1],
+}
+
+
+@pytest.mark.parametrize("flaw", FRAME_FAULTS)
+def test_each_glue_frame_condition_fails_the_intervals_suite_alone(monkeypatch, flaw):
+    # only MID's frame is broken: the suite names MID, the bottom whose
+    # filter would not be the 2-piece order
+    poset = build_poset(2, 3)
+    parts = tuple(cut_L(MID))
+    _, cycle = poset_module._glue_frame(2, parts)
+    bad = FRAME_FAULTS[flaw](cycle)
+    held = [bad[0] == 0, all(u < v for u, v in zip(bad, bad[1:])), len(bad) == 6]
+    assert held.count(False) == 1
+    real = poset_module._glue_frame
+
+    def faulty(m, pieces):
+        chords, frame = real(m, pieces)
+        return chords, (bad if pieces == parts else frame)
+
+    monkeypatch.setattr(poset_module, "_glue_frame", faulty)
+    message = f"the glue frame's vertex map of {MID} {flaw}"
+    with pytest.raises(VerificationFailure) as info:
+        upper_ideal_iso_check(poset, MID)
+    assert str(info.value) == message
+    (report,) = run_suite("intervals", 2, 3)
+    assert not report.passed
+    assert (report.detail, report.counterexample) == (message, MID.to_json())
 
 
 def test_cut_piece_outside_the_order_is_malformed(monkeypatch):
@@ -495,89 +532,102 @@ def test_a_wrong_block_map_fails_the_width_factorization(monkeypatch):
     _suite_fails_like(width_factorization_check, poset, first, message)
 
 
-def _with_lower_covers(poset, changed, elements=None):
-    """A copy of poset, with other elements if given, whose lower covers
-    are changed as the mapping from index to lower covers says."""
+def _with_lower_covers(poset, changed):
+    """A copy of poset whose lower covers are changed as the mapping from
+    index to lower covers says."""
     down = list(poset.covers_down)
     for i, ws in changed.items():
         down[i] = ws
-    broken = FlipPoset(poset.m, poset.n, elements or poset.elements, poset.covers_up)
+    broken = FlipPoset(poset.m, poset.n, poset.elements, poset.covers_up)
     broken.__dict__["covers_down"] = tuple(down)
     return broken
 
 
+def _spans_message(q):
+    return f"the lower covers of {q} do not remove exactly its maximal spans"
+
+
 def test_a_down_set_one_element_short_fails_the_factorization(monkeypatch):
-    # ((0, 3), (1, 3), (3, 5)) covers two elements; without the first
-    # of them its down-set is fan, itself and the second, against the
-    # 2 x 2 of its pieces
+    # ((0, 3), (1, 3), (3, 5)) covers two elements; without the first of
+    # them its down-set is fan, itself and the second, against the 2 x 2 of
+    # its pieces.  The factorization certificate reads chords, not covers,
+    # so it holds; the suite's inclusion check names top, whose lower
+    # covers no longer remove its maximal span (1, 3).
     poset = build_poset(1, 4)
     top = Dissection.new(1, 4, ((0, 3), (1, 3), (3, 5)))
     ti = poset.index[top]
-    assert initial_factorization_check(poset, top)
     broken = _with_lower_covers(poset, {ti: poset.covers_down[ti][1:]})
-    monkeypatch.setattr(verify_module, "build_poset", lambda m, n, max_mn=None: broken)
-    message = "has 3 elements, its factors' product 4"
-    _suite_fails_like(initial_factorization_check, broken, top, message)
+    assert initial_factorization_check(broken, top)
+    _assert_suite_fails_at(monkeypatch, broken, top, _spans_message(top), "intervals")
 
 
-def test_a_wrong_factor_size_fails_the_factorization(monkeypatch):
-    # every |[fan, p]| read one too large: top's two pieces, each the
-    # 2-element order of size 2, give 3 x 3 against its 4 elements
-    poset = build_poset(1, 4)
-    top = Dissection.new(1, 4, ((0, 3), (1, 3), (3, 5)))
-    real = poset_module._fan_size
-    monkeypatch.setattr(poset_module, "_fan_size", lambda order, i: real(order, i) + 1)
-    _fails_with(initial_factorization_check, poset, top, "has 4 elements, its factors' product 9")
-    # the suite's first top is the fan, a product of four 1-element orders
-    message = "has 1 elements, its factors' product 16"
-    _suite_fails_like(initial_factorization_check, poset, poset.minimum, message)
-
-
-def test_a_down_set_element_off_the_top_fails_the_factorization():
+def test_a_down_set_element_off_the_top_fails_the_factorization(monkeypatch):
+    # x, put below MID, is not inside MID's diagonals: the bit MID loses to
+    # x is none of its maximal spans, so the suite's inclusion check names
+    # MID before any factorization is certified
     poset = build_poset(2, 3)
     ti = poset.index[MID]
     D = poset.diagonal_masks
     x = next(i for i, d in enumerate(D) if d & ~D[ti])
-    broken = _with_lower_covers(poset, {ti: poset.covers_down[ti] + (x,), x: ()})
-    message = f"holds {poset.elements[x]}, which does not translate"
-    _fails_with(initial_factorization_check, broken, MID, message)
+    broken = _with_lower_covers(poset, {ti: poset.covers_down[ti] + (x,)})
+    _assert_suite_fails_at(monkeypatch, broken, MID, _spans_message(MID), "intervals")
 
 
-def test_a_down_set_element_outside_the_product_fails_the_factorization():
+def test_a_down_set_element_outside_the_product_fails_the_factorization(monkeypatch):
     # top's first piece is the pentagon's ((1, 3), (1, 4)), whose order has
-    # no element with the non-apex diagonal (1, 4) alone; a bogus element
-    # with just that one, put below top, has top's chords but no translation
+    # no element with the non-apex diagonal (1, 4) alone.  A bogus element
+    # with just that one (and a crossing apex chord), covered by top and by
+    # nothing else, keeps every cover adding one diagonal and every mask
+    # distinct; but top's cover of it removes (1, 3), nested in (1, 4), so
+    # top's lower covers remove more than its maximal spans.
     poset = build_poset(1, 4)
     top = Dissection.new(1, 4, ((0, 4), (1, 3), (1, 4)))
     bogus = Dissection(1, 4, ((0, 2), (0, 4), (1, 4)))
     ti, x = poset.index[top], len(poset.elements) - 1
-    assert initial_factorization_check(poset, top) and x != ti
-    elements = poset.elements[:x] + (bogus,) + poset.elements[x + 1 :]
-    changed = {ti: poset.covers_down[ti] + (x,), x: ()}
-    broken = _with_lower_covers(poset, changed, elements)
-    message = f"holds {bogus}, which does not translate"
-    _fails_with(initial_factorization_check, broken, top, message)
+    assert not poset.covers_up[x] and x > ti
+    elements = poset.elements[:x] + (bogus,)
+    covers = [tuple(j for j in ups if j != x) for ups in poset.covers_up[:x]] + [(ti,)]
+    broken = FlipPoset(1, 4, elements, tuple(covers))
+    with pytest.raises(VerificationFailure) as info:
+        inclusion_check(broken)
+    assert (str(info.value), info.value.counterexample) == (_spans_message(top), top.to_json())
+    _assert_suite_fails_at(monkeypatch, broken, top, _spans_message(top), "intervals")
 
 
-def test_factorization_checks_walk_each_initial_interval_once(monkeypatch):
-    # |[fan, p]| is read once per (order, element): over every top of (2,4),
-    # each down-set walk starts at a different element of some order.  A
-    # walk per factor would make 149 walks for these 65 starts.
-    poset = build_poset(2, 4)
-    for k in range(1, 5):
-        build_poset(2, k).__dict__.pop("_fan_sizes", None)
-    starts = []
+def test_the_certificates_walk_no_up_set_or_down_set(monkeypatch):
+    # `inclusion_check`, `upper_ideal_iso_check` and the factorization
+    # checks read chords and each element's own covers: no DFS
+    walks = []
     real = poset_module._reached
+    monkeypatch.setattr(
+        poset_module, "_reached", lambda *args: walks.append(args) or real(*args)
+    )
+    for m, n in [(2, 4), (1, 6)]:
+        poset = build_poset(m, n)
+        assert inclusion_check(poset) == series_I(m, n).coefficient(n)
+        count = 0
+        for q in poset.elements:
+            count += upper_ideal_iso_check(poset, q)
+            check = width_factorization_check if is_final(q) else initial_factorization_check
+            assert check(poset, q)
+        assert count == series_I(m, n).coefficient(n)
+    assert walks == []
 
-    def counting(covers, start, keep=None):
-        starts.append((id(covers), start))
-        return real(covers, start, keep)
 
-    monkeypatch.setattr(poset_module, "_reached", counting)
-    for q in poset.elements:
-        check = width_factorization_check if is_final(q) else initial_factorization_check
-        assert check(poset, q)
-    assert len(starts) == len(set(starts)) == 65
+def test_a_block_counted_twice_fails_the_partition_alone(monkeypatch):
+    # every factor's image is still exactly its D[p_i], but TOP's chords of
+    # its first block go to two factors: the product would count that
+    # block's interval twice
+    poset = build_poset(2, 3)
+    gaps = poset_module._block_gaps(TOP)
+    monkeypatch.setattr(poset_module, "_block_gaps", lambda q: gaps + gaps[:1])
+    chords = {d: poset.diagonal_bits[d] for d in TOP.diagonals if d[0]}
+    for block, pos in (poset_module._one_block_final(TOP, g) for g in gaps + gaps[:1]):
+        small = build_poset(2, block.n)
+        image = poset_module._translation(chords, small, pos)
+        want = small.diagonal_masks[small.index[block]]
+        assert sum(image.values()) == want and len(image) == want.bit_count()
+    _suite_fails_like(width_factorization_check, poset, TOP, "does not translate to its factors")
 
 
 def test_a_chord_in_no_factor_or_in_two_fails_the_split(monkeypatch):
@@ -761,6 +811,73 @@ def test_every_interval_certifies_like_its_initial_class(m, n):
     assert report.passed and report.detail == f"{count} intervals certified"
 
 
+@pytest.mark.parametrize("m,n", PAIRS)
+def test_cores_above_each_bottom_are_the_piece_order(m, n):
+    # The per-top translation `upper_ideal_iso_check` no longer makes, as
+    # an oracle: the cores of the tops in each bottom's up-set, walked by
+    # DFS, are every element of the |cut(bottom)|-piece order, once each.
+    poset = build_poset(m, n)
+    for bi, bottom in enumerate(poset.elements):
+        small = build_poset(m, len(cut_L(bottom)))
+        cores = sorted(
+            small.index[interval_decompose(iv)[0]] for iv in poset.intervals_above(bi)
+        )
+        assert cores == list(range(len(small.elements)))
+        assert upper_ideal_iso_check(poset, bottom) == len(cores)
+
+
+def _factors_with_ranges(top):
+    """Each factor of [fan, top] with its vertex map and the range of top's
+    vertices it covers: cut pieces for a non-final top, width blocks for a
+    final one."""
+    if is_final(top):
+        gaps = poset_module._block_gaps(top)
+        return [(*_one_block_final(top, gap), gap) for gap in gaps]
+    ends = [1] + [b for a, b in top.diagonals if not a] + [top.m * top.n + 1]
+    return [
+        (piece, {v: v - lo + 1 for v in range(lo, hi + 1)}, (lo, hi))
+        for piece, (lo, hi) in zip(cut_L(top), zip(ends, ends[1:]))
+    ]
+
+
+@pytest.mark.parametrize("m,n", PAIRS)
+def test_initial_intervals_are_the_products_of_their_factors(m, n):
+    # The down-set walk the factorization checks no longer make, as an
+    # oracle: the DFS down-set of each factorized top goes one to one onto
+    # the product of its factors' down-sets, s to the chords of s in each
+    # factor's range, relabelled.
+    def down_sets(k):
+        order = build_poset(m, k)
+        above = closure_from_covers(len(order.elements), order.covers_up)
+        return {
+            t: [order.elements[s] for s in range(len(above)) if ti in above[s]]
+            for ti, t in enumerate(order.elements)
+        }
+
+    downs = {k: down_sets(k) for k in range(1, n + 1)}
+
+    def non_apex(q):
+        return frozenset(d for d in q.diagonals if d[0])
+
+    factorized = 0
+    for top, below in downs[n].items():
+        factors = _factors_with_ranges(top)
+        if is_final(top) and len(factors) < 2:
+            continue  # certified directly, not as a product
+        factorized += 1
+        tuples = product(*(downs[p.n][p] for p, _, _ in factors))
+        want = {tuple(map(non_apex, pick)) for pick in tuples}
+        images = {
+            tuple(
+                frozenset((pos[a], pos[b]) for a, b in non_apex(s) if lo <= a and b <= hi)
+                for _, pos, (lo, hi) in factors
+            )
+            for s in below
+        }
+        assert images == want and len(below) == len(want)
+    assert factorized
+
+
 def test_decompositions_validate_no_core(monkeypatch):
     poset = build_poset(2, 3)
     validated = []
@@ -942,9 +1059,9 @@ def _redirect(poset):
     raise AssertionError("no cover to redirect")
 
 
-def _assert_suite_fails_at(monkeypatch, broken, q, message):
+def _assert_suite_fails_at(monkeypatch, broken, q, message, suite="poset"):
     monkeypatch.setattr(verify_module, "build_poset", lambda m, n, max_mn=None: broken)
-    (report,) = run_suite("poset", broken.m, broken.n)
+    (report,) = run_suite(suite, broken.m, broken.n)
     assert not report.passed and message in report.detail
     assert report.counterexample == q.to_json()
 
@@ -980,20 +1097,70 @@ def test_an_extra_cover_fails_the_inclusion_check(monkeypatch, m, n):
 
 
 @pytest.mark.parametrize("m,n", [(2, 3), (1, 5)])
-def test_a_missing_cover_fails_the_up_set_count(monkeypatch, m, n):
+def test_a_missing_cover_fails_the_span_check(monkeypatch, m, n):
+    # i -> j dropped: every other cover still adds one diagonal and every
+    # mask is distinct, but j's lower covers no longer remove the maximal
+    # span j holds over i; the up-set of i shrinks, as the oracle sees
     poset = build_poset(m, n)
     i, j, _ = _redirect(poset)
     broken = _broken_covers(poset, lambda covers: covers[i].remove(j))
     size = len(poset.elements)
-    pairs = zip(
-        closure_from_covers(size, broken.covers_up),
-        closure_from_covers(size, poset.covers_up),
+    assert len(closure_from_covers(size, broken.covers_up)[i]) < len(
+        closure_from_covers(size, poset.covers_up)[i]
     )
-    q = poset.elements[next(z for z, (got, want) in enumerate(pairs) if got != want)]
-    with pytest.raises(VerificationFailure, match="M-angulations hold its") as info:
+    q = poset.elements[j]
+    message = f"the lower covers of {q} do not remove exactly its maximal spans"
+    with pytest.raises(VerificationFailure) as info:
         inclusion_check(broken)
-    assert info.value.counterexample == q.to_json()
-    _assert_suite_fails_at(monkeypatch, broken, q, "M-angulations hold its")
+    assert (str(info.value), info.value.counterexample) == (message, q.to_json())
+    _assert_suite_fails_at(monkeypatch, broken, q, message)
+
+
+def test_twin_elements_fail_the_injectivity_of_the_masks(monkeypatch):
+    # a second fan, with the fan's covers: every cover adds one diagonal and
+    # every element's lower covers remove its maximal spans, but two
+    # elements share one mask.  The divisibility suite, which does not
+    # count the elements, fails on it at the fan.
+    poset = build_poset(2, 3)
+    fan = poset.minimum
+    broken = FlipPoset(2, 3, poset.elements + (fan,), poset.covers_up + poset.covers_up[:1])
+    message = f"{fan} and {fan} hold the same non-apex diagonals"
+    with pytest.raises(VerificationFailure) as info:
+        inclusion_check(broken)
+    assert (str(info.value), info.value.counterexample) == (message, fan.to_json())
+    monkeypatch.setattr(verify_module, "build_poset", lambda m, n, max_mn=None: broken)
+    (report,) = run_suite("divisibility", 2, 3)
+    assert not report.passed
+    assert (report.detail, report.counterexample) == (message, fan.to_json())
+
+
+@pytest.mark.parametrize("m,n", PAIRS)
+def test_up_set_sizes_are_the_containing_counts(m, n):
+    # The up-set walk `inclusion_check` no longer makes, as an oracle: each
+    # element's up-set, by DFS over the covers, holds as many elements as
+    # there are M-angulations holding its non-apex diagonals.
+    poset = build_poset(m, n)
+    above = closure_from_covers(len(poset.elements), poset.covers_up)
+    for i, q in enumerate(poset.elements):
+        chords = [d for d in q.diagonals if d[0]]
+        assert len(above[i]) == poset_module._containing_count(m, n, chords)
+
+
+@pytest.mark.parametrize("m,n", PAIRS)
+def test_lower_covers_remove_the_apex_region_sides(m, n):
+    # the fact the span check rests on, against a region walk: the
+    # diagonals an element's lower covers remove are the non-apex sides of
+    # the region its non-apex diagonals leave around the apex
+    poset = build_poset(m, n)
+    D = poset.diagonal_masks
+    chord = {k: d for d, k in poset.diagonal_bits.items()}
+    for i, q in enumerate(poset.elements):
+        chords = [d for d in q.diagonals if d[0]]
+        ends = dissections_module._chord_ends(chords)
+        cycle = dissections_module._walk_region(ends, 0, m * n + 1)
+        sides = {(u, v) for u, v in zip(cycle[1:], cycle[2:]) if v - u >= 2}
+        removed = {chord[(D[i] ^ D[j]).bit_length() - 1] for j in poset.covers_down[i]}
+        assert removed == sides
 
 
 def test_poset_suite_checks_the_up_sets_against_the_interval_series(monkeypatch):

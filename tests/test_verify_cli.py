@@ -19,6 +19,7 @@ import polyflip.qsym as qsym
 import polyflip.verify as verify_module
 from polyflip import (
     SUITES,
+    DecompositionFailure,
     Dissection,
     FactoredPoly,
     FlipPoset,
@@ -29,6 +30,7 @@ from polyflip import (
     binomial_for_diagonal,
     build_poset,
     enumerate_dissections,
+    interval_decompose,
     is_final,
     leading_monomial,
     phi,
@@ -361,12 +363,16 @@ def test_decomposition_failure_carries_counterexample(monkeypatch):
         return chords, cycle[1:] + cycle[:1]
 
     monkeypatch.setattr(poset_module, "_glue_frame", rotated)
+    # the suite checks each bottom's frame and names the first, the fan
     (report,) = run_suite("intervals", 2, 2)
     assert not report.passed
-    assert report.detail.startswith("DecompositionFailure: ")
-    assert "does not translate" in report.detail
-    bottom, top = report.counterexample
-    assert bottom == fan.to_json() and top != fan.to_json()
+    assert report.detail == f"the glue frame's vertex map of {fan} does not send 0 to 0"
+    assert report.counterexample == fan.to_json()
+    # a core read through that frame is the decomposition's failure
+    top = build_poset(2, 2).elements[1]
+    with pytest.raises(DecompositionFailure, match="does not translate") as info:
+        interval_decompose(build_poset(2, 2).interval(fan, top))
+    assert info.value.counterexample == [fan.to_json(), top.to_json()]
 
 
 def test_run_all_builds_each_order_once():
@@ -394,7 +400,7 @@ def _first_holder_mismatch(poset, polys):
 
 def test_divisibility_reports_the_first_pair_of_a_wrong_closure(monkeypatch):
     # A dropped cover leaves the divisibility side whole: only the inclusion
-    # certificate sees it, at the element whose up-set shrank.
+    # certificate sees it, at the element whose lower covers lost a span.
     good = build_poset(2, 4)
     ups = list(good.covers_up)
     assert 16 in ups[1]
@@ -403,8 +409,8 @@ def test_divisibility_reports_the_first_pair_of_a_wrong_closure(monkeypatch):
     monkeypatch.setattr(verify_module, "build_poset", lambda m, n, max_mn=None: broken)
     (report,) = run_suite("divisibility", 2, 4)
     assert not report.passed
-    assert report.detail.endswith("M-angulations hold its non-apex diagonals")
-    assert report.counterexample == good.elements[1].to_json()
+    assert report.detail.endswith("do not remove exactly its maximal spans")
+    assert report.counterexample == good.elements[16].to_json()
 
 
 def test_divisibility_reports_the_first_pair_of_a_wrong_poly(monkeypatch):
@@ -706,8 +712,9 @@ def test_intervals_suite_fails_on_a_wrong_cover_inside_a_non_initial_interval(
     # Drop the cover x -> y, x above the fan: it lies in the interval [x, y].
     # The fan still reaches every element and every initial interval of the
     # broken order still certifies, but x's up-set, short of y, is smaller
-    # than the count of M-angulations holding x's non-apex diagonals, so
-    # `inclusion_check` on the suite's own order names x.
+    # than the count of M-angulations holding x's non-apex diagonals.  y's
+    # lower covers no longer remove its maximal span over x, so
+    # `inclusion_check` on the suite's own order names y.
     good = build_poset(2, 4)
     x, y = 1, 16
     assert y in good.covers_up[x] and good.elements[x] != good.minimum
@@ -722,40 +729,45 @@ def test_intervals_suite_fails_on_a_wrong_cover_inside_a_non_initial_interval(
     (report,) = run_suite("intervals", 2, 4)
     assert not report.passed
     got, want = (len(poset_module._reached(p.covers_up, x)) for p in (broken, good))
+    assert got < want
     assert report.detail == (
-        f"{got} elements above {good.elements[x]}, but {want} "
-        f"M-angulations hold its non-apex diagonals"
+        f"the lower covers of {good.elements[y]} do not remove exactly its "
+        f"maximal spans"
     )
-    assert report.counterexample == good.elements[x].to_json()
+    assert report.counterexample == good.elements[y].to_json()
+
+
+def _without(order, x):
+    """A copy of order without element x, its covers renumbered."""
+    keep = [i for i in range(len(order.elements)) if i != x]
+    new = {i: k for k, i in enumerate(keep)}
+    covers = tuple(tuple(new[j] for j in order.covers_up[i] if j != x) for i in keep)
+    return FlipPoset(order.m, order.n, tuple(order.elements[i] for i in keep), covers)
 
 
 def test_intervals_suite_fails_on_a_missing_top(monkeypatch):
-    # The filter walk above x drops its last element, while the orders
-    # themselves stay certified: only the bijection onto the 3-piece order
-    # can tell, and it names x.
-    poset = verify_module._order(2, 4)
-    x = 1
-    real_reached = poset_module._reached
-    real_check = verify_module.inclusion_check
-
-    def short_walk(covers, start, keep=None):
-        seen = real_reached(covers, start, keep)
-        if covers is poset.covers_up and start == x and keep is None:
-            seen.discard(max(seen))
-        return seen
-
-    def certified(order):  # the inclusion theorem on the true walk
-        with monkeypatch.context() as inner:
-            inner.setattr(poset_module, "_reached", real_reached)
-            return real_check(order)
-
-    monkeypatch.setattr(poset_module, "_reached", short_walk)
-    monkeypatch.setattr(verify_module, "inclusion_check", certified)
+    # The 3-piece order without its last maximal element still passes the
+    # local inclusion certificate, and its filters and products would all
+    # translate; only the count of M-angulations tells the order is not
+    # all of them, and the suite names the order.
+    small = build_poset(2, 3)
+    x = max(i for i, ups in enumerate(small.covers_up) if not ups)
+    broken = _without(small, x)
+    assert poset_module.inclusion_check(broken)
+    real = verify_module._order_of_size
+    monkeypatch.setattr(
+        verify_module, "_order_of_size", lambda p, k: broken if k == 3 else real(p, k)
+    )
     (report,) = run_suite("intervals", 2, 4)
     assert not report.passed
-    q = poset.elements[x]
-    assert report.detail == f"the cores above {q} are not the 3-piece order"
-    assert report.counterexample == q.to_json()
+    assert report.detail == "the size-3 order has 11 elements, expected 12"
+    assert report.counterexample == {"m": 2, "n": 3, "elements": 11}
+    # the suite's own order, without a maximal element, fails first of all
+    own = build_poset(2, 4)
+    y = max(i for i, ups in enumerate(own.covers_up) if not ups)
+    monkeypatch.setattr(verify_module, "_order", lambda m, n: _without(own, y))
+    (report,) = run_suite("intervals", 2, 4)
+    assert report.detail == "the size-4 order has 54 elements, expected 55"
 
 
 def test_cli_qsym_honours_the_env_guard(capsys, monkeypatch):
