@@ -7,20 +7,17 @@ generating series tying the counts together.
 from .bijection import phi, psi
 from .dissections import (
     Dissection,
-    apex_diagonal_set_D,
     apex_region,
     chords_cross,
     cut_L,
     enumerate_dissections,
     flip_up,
-    glue_G,
     is_final,
     make_q0,
     reflect,
     regions,
     validate,
     vertex_label,
-    width_and_blocks,
 )
 from .dyck import (
     check_m_vector,
@@ -68,11 +65,8 @@ from .poset import (
     ForestPoset,
     Interval,
     build_poset,
-    descend_to_fan,
     expected_maximal_chain_count,
-    interval_decompose,
     interval_structure,
-    lemma_descent_witness,
     maximal_chain_count,
     mobius,
     to_dot,

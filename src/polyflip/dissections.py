@@ -16,19 +16,19 @@ Validation policy: `Dissection.new` is the one validating constructor.  It
 runs `validate`, one linear pass over the chords; `regions` is the same
 check followed by the region walk.  It takes chord data from outside
 (`from_json`) and the constructions whose validity is itself a claim of
-the paper (`make_q0`, `bijection.psi`, and in `poset` each step of
-`descend_to_fan` and the one-block shrinks).  Everything derived here from
-dissections already held (`flip_up` results, `cut_L` pieces, the `glue_G`
-result, `width_and_blocks` blocks, `reflect`) is built unchecked, and
+the paper (`make_q0`, `bijection.psi`, and the one-block shrinks in
+`poset`).  Everything derived here from dissections already held
+(`flip_up` results, `cut_L` pieces, `reflect`) is built unchecked, and
 enumeration is correct by construction.  Flip results, cut pieces and, in
 the poset suite, descent swaps are checked by identity instead: `poset`
 looks each one up among the enumerated elements (flip results by chord
 bitmask, the others with `_locate`) and raises MalformedDissection on a
-miss.  Interval cores are never built: `poset` looks up their diagonal
-masks, and a miss is the interval's DecompositionFailure.  The poset
-suite runs `validate` once on every element, and the tests check all
-five constructions against an independent face computation, and
-`validate` against the pairwise crossing scan and region walk it replaced.
+miss.  No suite builds an interval core or a width block: the intervals
+suite reads the glue frame's vertex map and the blocks' gaps.  The poset
+suite runs `validate` once on every element, and the tests check the
+three constructions, and the gluings and blocks of their own oracles,
+against an independent face computation, and `validate` against the
+pairwise crossing scan and region walk it replaced.
 
 Memory: enumeration builds every chord through one intern table
 (`_chord`), so all enumerated elements share one tuple per chord: the
@@ -390,54 +390,12 @@ def _glue_frame(
     return tuple(chords), cycle
 
 
-def glue_G(b0: Dissection, parts: list[Dissection]) -> Dissection:
-    """Glue the final pieces around the apex and dissect the exposed
-    (m*k+2)-gon by a copy of b0.
-
-    Inverse of cut_L when b0 is the fan: glue_G(fan, cut_L(q)) == q.
-    """
-    if len(parts) != b0.n:
-        raise ArityMismatch(f"b0 has {b0.n} regions but {len(parts)} parts given")
-    chords, cycle = _glue_frame(b0.m, tuple(parts))
-    glued = chords + tuple((cycle[a], cycle[b]) for a, b in b0.diagonals)
-    return _unchecked(b0.m, sum(p.n for p in parts), glued)
-
-
-def width_and_blocks(q: Dissection) -> tuple[int, list[Dissection]]:
-    """Polygon pieces left when the apex region of a final dissection is
-    removed, preceded by their number (the width, between 0 and m).
-
-    Each block is re-indexed with its smaller attachment vertex as apex.
-    Width 0 happens exactly for n = 1.
-    """
-    blocks = []
-    for u, w in _block_gaps(q):
-        chords = [
-            (a - u, b - u) for a, b in q.diagonals if u <= a and b <= w and (a, b) != (u, w)
-        ]
-        blocks.append(_unchecked(q.m, (w - u - 1) // q.m, chords))
-    return len(blocks), blocks
-
-
 def _block_gaps(q: Dissection) -> list[tuple[int, int]]:
     """The gaps (u, w) between consecutive apex-region vertices of a final
-    q that hold a width block, one per block (raises NotFinal)."""
+    q that hold a width block, one per block, so their number is q's
+    width (raises NotFinal)."""
     r0 = apex_region(q)
     return [(u, w) for u, w in zip(r0[1:], r0[2:]) if w - u >= 2]
-
-
-def apex_diagonal_set_D(q: Dissection) -> frozenset[Chord]:
-    """Chords from the apex to the non-neighbour vertices of its region.
-
-    For a final dissection these m-1 chords lie inside the apex region, so
-    they cross no diagonal of q and belong to none; they are the cutting
-    lines of the width factorization.
-    """
-    r0 = apex_region(q)
-    out = frozenset((0, u) for u in r0[2:-1])
-    assert not (out & set(q.diagonals))
-    assert not any(chords_cross(c, d) for c in out for d in q.diagonals)
-    return out
 
 
 def reflect(q: Dissection) -> Dissection:

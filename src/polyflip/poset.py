@@ -31,13 +31,10 @@ from .dissections import (
     chords_cross,
     cut_L,
     enumerate_dissections,
-    flip_up,
     is_final,
     make_q0,
-    width_and_blocks,
 )
 from .errors import (
-    DecompositionFailure,
     MalformedDissection,
     NoWitness,
     StructureViolation,
@@ -85,12 +82,9 @@ class FlipPoset:
     Elements sit in canonical (sorted) order.  Comparisons read the flip
     order as inclusion of non-apex diagonal sets (`diagonal_masks`, a few
     dozen bits per element; `inclusion_check` certifies the theorem for an
-    order), and intervals walk the covers, so no query builds the O(N^2)
-    reachability closure.  `up_masks` and `down_masks` build it on demand:
-    only `is_lattice` reads `up_masks`, on a bounded order, and both are
-    kept as oracles; no suite builds them.  Frozen, with read-only
-    mappings and no memo that grows: `build_poset` shares one instance per
-    order.
+    order), and intervals walk the covers, so no query and no suite builds
+    the O(N^2) reachability closure.  Frozen, with read-only mappings and
+    no memo that grows: `build_poset` shares one instance per order.
     """
 
     m: int
@@ -116,6 +110,10 @@ class FlipPoset:
 
     @cached_property
     def up_masks(self) -> tuple[int, ...]:
+        """The reachability closure: bit j of entry i marks j at or above i
+        (`down_masks`: at or below).  Nothing in the package reads either;
+        they stay only because the benchmark tracer (`perfbench/tracer.py`)
+        names them, until ROADMAP item 1 drops those names."""
         ranks = self.ranks
         order = sorted(range(len(ranks)), key=ranks.__getitem__, reverse=True)
         return _fold(order, self.covers_up)
@@ -144,11 +142,6 @@ class FlipPoset:
                     acc |= one[d]
             masks.append(acc)
         return tuple(masks)
-
-    @cached_property
-    def mask_index(self) -> MappingProxyType:
-        """Element index by diagonal mask, which fixes the apex diagonals."""
-        return MappingProxyType({d: i for i, d in enumerate(self.diagonal_masks)})
 
     def leq(self, a: Dissection, b: Dissection) -> bool:
         D = self.diagonal_masks
@@ -263,9 +256,9 @@ class LocalClosure:
 def _locate(index: Mapping, q: Dissection) -> int:
     """Position of a derived dissection among the enumerated elements.
 
-    Cuts, gluings and descent swaps build their results unchecked, so a
-    miss here is a malformed result, reported with the dissection as
-    counterexample (`build_poset` raises the same for a flip result).
+    Cuts and descent swaps build their results unchecked, so a miss here
+    is a malformed result, reported with the dissection as counterexample
+    (`build_poset` raises the same for a flip result).
     """
     i = index.get(q)
     if i is None:
@@ -340,13 +333,16 @@ def build_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> FlipPoset:
     return poset
 
 
+def _order(m: int, n: int) -> FlipPoset:
+    """The (m, n) flip order, once the caller has checked its guard, under
+    the cache key of a caller's own `build_poset(m, n)`."""
+    return build_poset(m, n) if m * n <= DEFAULT_MAX_MN else build_poset(m, n, m * n)
+
+
 def _order_of_size(poset: FlipPoset, n: int) -> FlipPoset:
     """The size-n order for poset's m: poset itself at its own size, else
-    cached as `verify._order` keys it, the caller having checked its cap."""
-    m = poset.m
-    if n == poset.n:
-        return poset
-    return build_poset(m, n) if m * n <= DEFAULT_MAX_MN else build_poset(m, n, m * n)
+    `_order(m, n)`, the caller having checked its cap."""
+    return poset if n == poset.n else _order(poset.m, n)
 
 
 def cover_count_check(poset: FlipPoset) -> bool:
@@ -395,7 +391,7 @@ def _containing_count(m: int, n: int, chords) -> int:
     return total
 
 
-def inclusion_check(poset: FlipPoset) -> int:
+def inclusion_check(poset: FlipPoset) -> bool:
     """Certify that the order is inclusion of non-apex diagonal sets, the
     theorem `leq` and `interval` read it by, from facts local to each
     element: no up-set is walked.
@@ -415,11 +411,7 @@ def inclusion_check(poset: FlipPoset) -> int:
     that span, so D(Q) lies in D(R), and induction on |D(Q') - D(Q)| ends
     at an element with Q's mask, which is Q by (b).  So Q <= Q'.
 
-    Returns the sum over the elements of `_containing_count`, the number of
-    M-angulations holding the element's non-apex diagonals.  By the
-    theorem that is the element's up-set size when the order holds every
-    M-angulation, so the sum is then the number of intervals.  Raises
-    VerificationFailure with an element's JSON.
+    Raises VerificationFailure with an element's JSON.
     """
     D, elements = poset.diagonal_masks, poset.elements
     for i, q in enumerate(elements):
@@ -443,12 +435,11 @@ def inclusion_check(poset: FlipPoset) -> int:
         (a, b): sum(1 << k for (u, v), k in bits.items() if a <= u and v <= b) ^ 1 << j
         for (a, b), j in bits.items()
     }
-    total = 0
     for i, q in enumerate(elements):
-        chords = [d for d in q.diagonals if d[0]]
         nested = removed = 0
-        for d in chords:
-            nested |= inside[d]
+        for d in q.diagonals:
+            if d[0]:
+                nested |= inside[d]
         for j in poset.covers_down[i]:
             removed |= D[i] ^ D[j]
         if removed != D[i] & ~nested:
@@ -456,8 +447,7 @@ def inclusion_check(poset: FlipPoset) -> int:
                 f"the lower covers of {q} do not remove exactly its maximal spans",
                 q.to_json(),
             )
-        total += _containing_count(poset.m, poset.n, chords)
-    return total
+    return True
 
 
 def maximal_chain_count(poset: FlipPoset) -> int:
@@ -478,9 +468,10 @@ def _descent_swap(q: Dissection) -> tuple[Chord, Dissection]:
     """The descent lemma's witness for q and the swap it gives.
 
     The witness is an apex diagonal crossing exactly one diagonal d of q;
-    trading d for it gives `lower`, which q should cover.  `lower` is built
-    unchecked: the poset suite looks it up among the enumerated elements,
-    and `descend_to_fan` validates it.
+    trading d for it gives `lower`, which q should cover.  Such a chord
+    always exists away from the fan (NoWitness otherwise).  `lower` is
+    built unchecked: the poset suite looks it up among the enumerated
+    elements.
     """
     for k in range(1, q.n):
         cand = (0, q.m * k + 1)
@@ -491,29 +482,6 @@ def _descent_swap(q: Dissection) -> tuple[Chord, Dissection]:
     raise NoWitness(
         f"no apex diagonal crosses exactly one diagonal of {q}", q.to_json()
     )
-
-
-def lemma_descent_witness(q: Dissection):
-    """An apex diagonal crossing exactly one diagonal of q.
-
-    Such a chord always exists away from the fan; swapping it for the
-    crossed diagonal steps one rank down.
-    """
-    return _descent_swap(q)[0]
-
-
-def descend_to_fan(q: Dissection) -> list[Dissection]:
-    """A saturated chain from q down to the fan, witness by witness, each
-    step validated and checked to flip back up to the one before."""
-    chain = [q]
-    q0 = make_q0(q.m, q.n)
-    while chain[-1] != q0:
-        cur = chain[-1]
-        cand, lower = _descent_swap(cur)
-        nxt = Dissection.new(q.m, q.n, lower.diagonals)
-        assert cur in flip_up(nxt, cand), (cur, nxt)
-        chain.append(nxt)
-    return chain
 
 
 def descent_check(poset: FlipPoset) -> bool:
@@ -568,37 +536,6 @@ def _translation(bits: Mapping, small: FlipPoset, pos: Mapping) -> dict[int, int
     return image
 
 
-def interval_decompose(interval: Interval) -> tuple[Dissection, list[Dissection]]:
-    """Split [bottom, top] as a gluing over the pieces cut from bottom.
-
-    Cutting the bottom along its apex diagonals yields final pieces; the
-    top is the gluing (`glue_G`) of a unique smaller dissection, its core,
-    over those pieces.  A chord with both ends on the pieces' glue frame
-    is the k-piece order's chord between their frame positions, and the
-    core is the element whose mask is the image of top's non-apex
-    diagonals less bottom's.  Returns the core with the pieces; raises
-    DecompositionFailure with [bottom, top] unless the top is above the
-    bottom and translates.
-    """
-    poset, bi, ti = interval.poset, interval.bottom, interval.top
-    bottom, top = poset.elements[bi], poset.elements[ti]
-    parts = cut_L(bottom)
-    small = _order_of_size(poset, len(parts))
-    _, cycle = _glue_frame(bottom.m, tuple(parts))
-    image = _translation(poset.diagonal_bits, small, {v: i for i, v in enumerate(cycle)})
-    D = poset.diagonal_masks
-    mask = -1 if D[bi] & ~D[ti] else 0  # -1 sticks: no element's mask
-    for j in _bits(D[ti] & ~D[bi]):
-        mask |= image.get(j, -1)
-    ci = small.mask_index.get(mask)
-    if ci is None:
-        raise DecompositionFailure(
-            f"{top} does not translate over cut({bottom})",
-            [bottom.to_json(), top.to_json()],
-        )
-    return small.elements[ci], parts
-
-
 @dataclass(frozen=True)
 class ForestPoset:
     """Each node covered by at most one parent; parent -1 marks a root."""
@@ -633,15 +570,18 @@ def is_lattice(poset: FlipPoset):
 
     Two minimal elements have no meet, and two maximal ones no join, so the
     covers alone answer for every flip order but n = 1 and (1, 2).  Only a
-    bounded order is scanned, pair by pair on `up_masks`.  Returns
-    (True, None) or (False, witness pair): the poset suite's ambient
-    observation.  Intervals are certified by `interval_structure`.
+    bounded order is scanned, as one interval from its least to its
+    greatest element, pair by pair on that interval's local closure.
+    Returns (True, None) or (False, witness pair): the poset suite's
+    ambient observation.  Intervals are certified by `interval_structure`.
     """
+    ends = []
     for covers in (poset.covers_down, poset.covers_up):
         extremes = [i for i, ws in enumerate(covers) if not ws]
         if len(extremes) > 1:
             return False, (poset.elements[extremes[1]], poset.elements[extremes[0]])
-    up = poset.up_masks
+        ends += extremes
+    up = Interval(poset, *ends, (1 << len(poset.elements)) - 1).closure.above
     for a in range(len(up)):
         for b in range(a):
             uppers = up[a] & up[b]
@@ -713,7 +653,7 @@ def width_cover_check(poset: FlipPoset) -> bool:
     for i, q in enumerate(poset.elements):
         if not is_final(q):
             continue
-        width, _ = width_and_blocks(q)
+        width = len(_block_gaps(q))
         got = len(poset.covers_down[i])
         if got != width:
             raise VerificationFailure(

@@ -32,9 +32,10 @@ from .polynomials import (
     poly_for_dissection,
 )
 from .poset import (
+    _containing_count,
+    _order,
     _order_of_size,
     _reached,
-    build_poset,
     cover_count_check,
     descent_check,
     expected_maximal_chain_count,
@@ -122,12 +123,6 @@ def _guard(suite: str, m: int, n: int, max_mn: int) -> None:
         _check_columns(m * n, n, DEFAULT_MAX_COLUMNS)
 
 
-def _order(m: int, n: int):
-    """The (m, n) flip order, once the caller has checked its guard, under
-    the cache key of a caller's own `build_poset(m, n)`."""
-    return build_poset(m, n) if m * n <= DEFAULT_MAX_MN else build_poset(m, n, m * n)
-
-
 def suite_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationReport:
     """The order's shape, and the inclusion theorem its queries rely on.
 
@@ -159,7 +154,11 @@ def suite_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationRep
         ]
         if bottoms != [make_q0(m, n)]:
             _fail(f"minimum not unique: {bottoms}", [q.to_json() for q in bottoms])
-        intervals = inclusion_check(poset)
+        inclusion_check(poset)
+        intervals = sum(
+            _containing_count(m, n, [d for d in q.diagonals if d[0]])
+            for q in poset.elements
+        )
         expect = series_I(m, n).coefficient(n)
         if intervals != expect:
             _fail(f"up-sets hold {intervals} intervals, series says {expect}")

@@ -1,6 +1,6 @@
 """Independent brute-force oracles used to freeze derived test values.
 
-Everything here recomputes objects from first principles with different
+Most of this recomputes objects from first principles with different
 algorithms than the package: dissections by filtering chord subsets with a
 split-based face computation, validation by a scan of every chord pair and
 a walk of every region, psi by scanning for letters, admissible vectors by
@@ -9,18 +9,34 @@ plain set DFS, interval factorizations by cover-degree polynomials,
 expanded polynomials by products of tuple-keyed binomials, and the
 ideal's graded rows densely, one zero row per generator filled in place,
 and sparsely with tuple-keyed columns.
+
+The rest are the paper's constructions that no suite runs, kept here to
+test the certificates against: gluing pieces around a core, the
+decomposition of an interval into its core and pieces, the descent chain
+to the fan, width blocks and the apex chords of a final dissection.  They
+build on the package's own frames and orders.
 """
 
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
 from operator import add
 
+import polyflip.poset as poset_module
 from polyflip import (
+    ArityMismatch,
+    DecompositionFailure,
+    Dissection,
     MalformedDissection,
     SparsePoly,
+    apex_region,
+    cut_L,
     enumerate_compositions,
+    flip_up,
     fundamental_qsym,
+    make_q0,
 )
+from polyflip.dissections import _block_gaps, _glue_frame, _unchecked
+from polyflip.poset import _bits, _descent_swap, _order_of_size, _translation
 from polyflip.qsym import _fundamental_terms, monomials_of_degree
 
 
@@ -327,3 +343,91 @@ def tuple_keyed_ideal_rows(m, n, d):
         for mu in monomials_of_degree(nvars, d - sum(c)):
             rows.append({col[tuple(map(add, e, mu))]: x for e, x in terms})
     return monomials, rows
+
+
+def glue_G(b0, parts):
+    """Glue the final pieces around the apex and dissect the exposed
+    (m*k+2)-gon by a copy of b0.
+
+    Inverse of cut_L when b0 is the fan: glue_G(fan, cut_L(q)) == q.
+    """
+    if len(parts) != b0.n:
+        raise ArityMismatch(f"b0 has {b0.n} regions but {len(parts)} parts given")
+    chords, cycle = _glue_frame(b0.m, tuple(parts))
+    glued = chords + tuple((cycle[a], cycle[b]) for a, b in b0.diagonals)
+    return _unchecked(b0.m, sum(p.n for p in parts), glued)
+
+
+def interval_decompose(interval):
+    """Split [bottom, top] as a gluing over the pieces cut from bottom.
+
+    Cutting the bottom along its apex diagonals yields final pieces; the
+    top is the gluing (`glue_G`) of a unique smaller dissection, its core,
+    over those pieces.  A chord with both ends on the pieces' glue frame
+    (read through `polyflip.poset` when called) is the k-piece order's
+    chord between their frame positions, and the core is the element whose
+    mask is the image of top's non-apex diagonals less bottom's.  Returns
+    the core with the pieces; raises DecompositionFailure with [bottom,
+    top] unless the top is above the bottom and translates.
+    """
+    poset, bi, ti = interval.poset, interval.bottom, interval.top
+    bottom, top = poset.elements[bi], poset.elements[ti]
+    parts = cut_L(bottom)
+    small = _order_of_size(poset, len(parts))
+    _, cycle = poset_module._glue_frame(bottom.m, tuple(parts))
+    image = _translation(poset.diagonal_bits, small, {v: i for i, v in enumerate(cycle)})
+    D = poset.diagonal_masks
+    mask = -1 if D[bi] & ~D[ti] else 0  # -1 sticks: no element's mask
+    for j in _bits(D[ti] & ~D[bi]):
+        mask |= image.get(j, -1)
+    ci = {d: i for i, d in enumerate(small.diagonal_masks)}.get(mask)
+    if ci is None:
+        raise DecompositionFailure(
+            f"{top} does not translate over cut({bottom})",
+            [bottom.to_json(), top.to_json()],
+        )
+    return small.elements[ci], parts
+
+
+def descend_to_fan(q):
+    """A saturated chain from q down to the fan, witness by witness, each
+    step validated and checked to flip back up to the one before."""
+    chain = [q]
+    q0 = make_q0(q.m, q.n)
+    while chain[-1] != q0:
+        cur = chain[-1]
+        cand, lower = _descent_swap(cur)
+        nxt = Dissection.new(q.m, q.n, lower.diagonals)
+        assert cur in flip_up(nxt, cand), (cur, nxt)
+        chain.append(nxt)
+    return chain
+
+
+def width_and_blocks(q):
+    """Polygon pieces left when the apex region of a final dissection is
+    removed, preceded by their number (the width, between 0 and m).
+
+    Each block is re-indexed with its smaller attachment vertex as apex.
+    Width 0 happens exactly for n = 1.
+    """
+    blocks = []
+    for u, w in _block_gaps(q):
+        chords = [
+            (a - u, b - u) for a, b in q.diagonals if u <= a and b <= w and (a, b) != (u, w)
+        ]
+        blocks.append(_unchecked(q.m, (w - u - 1) // q.m, chords))
+    return len(blocks), blocks
+
+
+def apex_diagonal_set_D(q):
+    """Chords from the apex to the non-neighbour vertices of its region.
+
+    For a final dissection these m-1 chords lie inside the apex region, so
+    they cross no diagonal of q and belong to none; they are the cutting
+    lines of the width factorization.
+    """
+    r0 = apex_region(q)
+    out = frozenset((0, u) for u in r0[2:-1])
+    assert not (out & set(q.diagonals))
+    assert not any(crossing(c, d) for c in out for d in q.diagonals)
+    return out

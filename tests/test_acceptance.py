@@ -22,13 +22,10 @@ from polyflip import (
     expand,
     expected_maximal_chain_count,
     fuss_catalan,
-    glue_G,
-    interval_decompose,
     interval_structure,
     involution_image,
     is_dyck,
     leading_monomial,
-    lemma_descent_witness,
     make_q0,
     maximal_chain_count,
     mobius,
@@ -43,8 +40,10 @@ from polyflip import (
     series_T,
     verify_basis_graded,
 )
-from polyflip.poset import width_cover_check
+from polyflip.poset import _descent_swap, width_cover_check
 from polyflip.series import residual_F, residual_I, residual_T
+
+from oracles import glue_G, interval_decompose
 
 UNIVERSE = [(m, n) for m in (1, 2, 3) for n in range(1, 6)]
 
@@ -105,7 +104,7 @@ def test_criterion_02_poset_structure():
         for q in poset.elements:
             if q == q0:
                 continue
-            cand = lemma_descent_witness(q)
+            cand, _ = _descent_swap(q)
             crossed = [d for d in q.diagonals if chords_cross(cand, d)]
             if cand[0] != 0 or len(crossed) != 1:
                 problems.append((m, n, "witness", q))

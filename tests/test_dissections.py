@@ -11,29 +11,29 @@ from polyflip import (
     NotAQ0Diagonal,
     NotFinal,
     SizeGuardExceeded,
-    apex_diagonal_set_D,
     apex_region,
     chords_cross,
     cut_L,
     enumerate_dissections,
     flip_up,
     fuss_catalan,
-    glue_G,
     is_final,
     make_q0,
     reflect,
     regions,
     validate,
     vertex_label,
-    width_and_blocks,
 )
 
 from oracles import (
+    apex_diagonal_set_D,
     brute_dissections,
     candidate_chords,
     faces_by_splitting,
+    glue_G,
     is_m_angulation,
     regions_by_scan,
+    width_and_blocks,
 )
 
 SMALL = [(m, n) for m in (1, 2, 3) for n in range(1, 6) if m * n <= 9]

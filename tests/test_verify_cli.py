@@ -13,7 +13,6 @@ import pytest
 
 import polyflip.bijection as bijection_module
 import polyflip.cli as cli_module
-import polyflip.dissections as dissections_module
 import polyflip.poset as poset_module
 import polyflip.qsym as qsym
 import polyflip.verify as verify_module
@@ -30,7 +29,6 @@ from polyflip import (
     binomial_for_diagonal,
     build_poset,
     enumerate_dissections,
-    interval_decompose,
     is_final,
     leading_monomial,
     phi,
@@ -39,11 +37,12 @@ from polyflip import (
     series_F,
     series_I,
     to_json_dict,
-    width_and_blocks,
 )
 from polyflip.cli import main
 from polyflip.polynomials import variable_at_position
 from polyflip.qsym import _densify, _ideal_rows, integer_matrix_rank
+
+from oracles import interval_decompose, width_and_blocks
 
 EXPECTED_SUITES = ["poset", "bijection", "divisibility", "qsym", "intervals", "series"]
 
@@ -251,7 +250,7 @@ def test_poset_suite_reports_a_malformed_element(monkeypatch):
     good = build_poset(2, 3)
     bogus = Dissection(2, 3, ((1, 4), (3, 6)))
     broken = FlipPoset(2, 3, good.elements[:-1] + (bogus,), good.covers_up)
-    monkeypatch.setattr(verify_module, "build_poset", lambda m, n, max_mn=None: broken)
+    monkeypatch.setattr(verify_module, "_order", lambda m, n: broken)
     (report,) = run_suite("poset", 2, 3)
     assert not report.passed
     assert report.detail == "MalformedDissection: (1, 4) crosses (3, 6)"
@@ -266,7 +265,7 @@ def test_poset_suite_reports_a_derived_non_element(monkeypatch):
         return [((0, 5), (3, 6))] if q.diagonals == ((0, 5), (1, 4)) else real(q)
 
     monkeypatch.setattr(poset_module, "_up_flips", flips)
-    monkeypatch.setattr(verify_module, "build_poset", build_poset.__wrapped__)
+    monkeypatch.setattr(verify_module, "_order", build_poset.__wrapped__)
     (report,) = run_suite("poset", 2, 3)
     assert not report.passed
     assert report.detail.startswith("MalformedDissection: derived ")
@@ -301,13 +300,7 @@ def test_poset_suite_reports_a_descent_swap_outside_the_order(monkeypatch):
 
 
 def test_poset_suite_walks_no_chain_and_validates_only_the_fan(monkeypatch):
-    walks = []
-    real_descend = poset_module.descend_to_fan
-
-    def counting_descend(q):
-        walks.append(q)
-        return real_descend(q)
-
+    # the package defines no chain walk: descend_to_fan is a test oracle
     validated = []
     real_new = Dissection.new.__func__
 
@@ -315,13 +308,9 @@ def test_poset_suite_walks_no_chain_and_validates_only_the_fan(monkeypatch):
         validated.append(real_new(cls, m, n, chords))
         return validated[-1]
 
-    monkeypatch.setattr(poset_module, "descend_to_fan", counting_descend)
-    # also where a suite would find it by name
-    monkeypatch.setattr(verify_module, "descend_to_fan", counting_descend, raising=False)
     monkeypatch.setattr(Dissection, "new", classmethod(counting_new))
     (report,) = run_suite("poset", 2, 3)
     assert report.passed
-    assert walks == []
     # only the fan, which make_q0 validates once and caches
     assert set(validated) <= {build_poset(2, 3).minimum}
 
@@ -406,7 +395,7 @@ def test_divisibility_reports_the_first_pair_of_a_wrong_closure(monkeypatch):
     assert 16 in ups[1]
     ups[1] = tuple(j for j in ups[1] if j != 16)
     broken = FlipPoset(2, 4, good.elements, tuple(ups))
-    monkeypatch.setattr(verify_module, "build_poset", lambda m, n, max_mn=None: broken)
+    monkeypatch.setattr(verify_module, "_order", lambda m, n: broken)
     (report,) = run_suite("divisibility", 2, 4)
     assert not report.passed
     assert report.detail.endswith("do not remove exactly its maximal spans")
@@ -645,8 +634,9 @@ def test_intervals_suite_glues_nothing_and_scans_no_lattice(monkeypatch):
     # FC(2, k) = 1 + 3 + 12 intervals [fan_k, t] of the orders k = 1, 2, 3,
     # the 1 + 2 + 6 with t final of width at most 1, the others being
     # products of smaller ones; tops reach their cores by chord-bit
-    # translation, not by gluing
-    calls = {"glue_G": 0, "is_lattice": 0, "interval_structure": 0, "mobius": 0}
+    # translation, not by gluing (the package defines no gluing: glue_G is
+    # a test oracle)
+    calls = {"is_lattice": 0, "interval_structure": 0, "mobius": 0}
 
     def counting(name, real):
         def wrapped(*args):
@@ -656,8 +646,6 @@ def test_intervals_suite_glues_nothing_and_scans_no_lattice(monkeypatch):
         return wrapped
 
     assert not hasattr(poset_module, "glue_G")
-    glue = counting("glue_G", dissections_module.glue_G)
-    monkeypatch.setattr(dissections_module, "glue_G", glue)
     lattice = counting("is_lattice", poset_module.is_lattice)
     monkeypatch.setattr(poset_module, "is_lattice", lattice)
     monkeypatch.setattr(verify_module, "is_lattice", lattice)
@@ -666,9 +654,7 @@ def test_intervals_suite_glues_nothing_and_scans_no_lattice(monkeypatch):
         monkeypatch.setattr(verify_module, name, counting(name, real))
     (report,) = run_suite("intervals", 2, 3)
     assert report.passed and report.detail == "31 intervals certified"
-    assert calls == {
-        "glue_G": 0, "is_lattice": 0, "interval_structure": 9, "mobius": 9
-    }
+    assert calls == {"is_lattice": 0, "interval_structure": 9, "mobius": 9}
 
 
 def test_intervals_suite_reports_a_bad_mobius_value_once(monkeypatch):
@@ -793,13 +779,16 @@ def test_cli_qsym_env_guard_lifts_the_vector_enumeration(capsys, monkeypatch):
     assert report["pass"] is True
 
 
-@pytest.mark.parametrize("m,n", [(1, 6), (2, 4), (3, 3)])
+@pytest.mark.parametrize("m,n", [(1, 6), (2, 4), (3, 3), (1, 1), (1, 2), (3, 1)])
 def test_poset_suite_builds_no_reachability_table(m, n):
-    # nor does the divisibility suite, which reuses the inclusion theorem
+    # nor does the divisibility suite, which reuses the inclusion theorem;
+    # the bounded orders are lattices, scanned on their own interval's
+    # local closure
+    ambient = (m, n) in [(1, 1), (1, 2), (3, 1)]
     build_poset.cache_clear()
     (report,) = run_suite("poset", m, n)
     assert report.passed
-    assert report.detail == "ambient_lattice=False (observed, not asserted)"
+    assert report.detail == f"ambient_lattice={ambient} (observed, not asserted)"
     (report,) = run_suite("divisibility", m, n)
     assert report.passed
     poset = verify_module._order(m, n)
