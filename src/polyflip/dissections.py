@@ -19,16 +19,16 @@ check followed by the region walk.  It takes chord data from outside
 the paper (`make_q0`, `bijection.psi`, and the one-block shrinks in
 `poset`).  Everything derived here from dissections already held
 (`flip_up` results, `cut_L` pieces, `reflect`) is built unchecked, and
-enumeration is correct by construction.  Flip results, cut pieces and, in
-the poset suite, descent swaps are checked by identity instead: `poset`
-looks each one up among the enumerated elements (flip results by chord
-bitmask, the others with `_locate`) and raises MalformedDissection on a
-miss.  No suite builds an interval core or a width block: the intervals
-suite reads the glue frame's vertex map and the blocks' gaps.  The poset
-suite runs `validate` once on every element, and the tests check the
-three constructions, and the gluings and blocks of their own oracles,
-against an independent face computation, and `validate` against the
-pairwise crossing scan and region walk it replaced.
+enumeration is correct by construction.  Flip results and cut pieces are
+checked by identity instead: `poset` looks each one up among the
+enumerated elements (flip results by chord bitmask, pieces with
+`_locate`) and raises MalformedDissection on a miss.  No suite builds an
+interval core or a width block: the intervals suite reads the glue
+frame's vertex map and the blocks' gaps.  The poset suite runs `validate`
+once on every element, and the tests check the three constructions, and
+the gluings and blocks of their own oracles, against an independent face
+computation, and `validate` against the pairwise crossing scan and region
+walk it replaced.
 
 Memory: enumeration builds every chord through one intern table
 (`_chord`), so all enumerated elements share one tuple per chord: the
@@ -167,15 +167,35 @@ def _walk_regions(q: Dissection) -> list[tuple[int, ...]]:
     return regs
 
 
+def _region_sizes(top: int, chords) -> list[int] | None:
+    """The vertex count of each region that `chords`, sorted, cut from the
+    polygon 0..top, or None at the first chord that crosses an open span.
+
+    One pass over the spans, the side (0, top) and the chords by (a, -b),
+    with a stack of the open spans: each span closes the region of its own
+    vertices minus those strictly inside its maximal sub-spans.
+    """
+    ends, sizes, closed = [top], [top + 1], []  # the side stays open: a < top
+    # stable by a on the descending chords: the (a, -b) order
+    for a, b in sorted(reversed(chords), key=itemgetter(0)):
+        while ends[-1] <= a:
+            ends.pop()
+            closed.append(sizes.pop())
+        if b > ends[-1]:
+            return None
+        sizes[-1] -= b - a - 1
+        ends.append(b)
+        sizes.append(b - a + 1)
+    closed += sizes
+    return closed
+
+
 def validate(q: Dissection) -> None:
     """Raise MalformedDissection, carrying q's JSON as its counterexample,
     unless q is a valid M-angulation: this is the validator.
 
     The diagonals are checked one by one (count, range, span mod m, strict
-    sort), then in one pass over the spans, the side (0, m*n+1) and the
-    chords by (a, -b), with a stack of the open spans: a chord ending past
-    the innermost open span crosses it, and each span closes the region of
-    its own vertices minus those strictly inside its maximal sub-spans.
+    sort), then the regions' sizes are read in one pass (`_region_sizes`).
     Only a crossing pays the pairwise scan, to name its first pair.
     """
     m, n = q.m, q.n
@@ -201,24 +221,16 @@ def validate(q: Dissection) -> None:
         if prev is not None and d <= prev:
             raise bad("diagonals not strictly sorted")
         prev = d
-    ends, sizes, closed = [top], [top + 1], []  # the side stays open: a < top
-    # stable by a on the descending diagonals: the (a, -b) order
-    for a, b in sorted(reversed(diagonals), key=itemgetter(0)):
-        while ends[-1] <= a:
-            ends.pop()
-            closed.append(sizes.pop())
-        if b > ends[-1]:
-            for c1, c2 in combinations(diagonals, 2):
-                if chords_cross(c1, c2):
-                    raise bad(f"{c1} crosses {c2}")
-        sizes[-1] -= b - a - 1
-        ends.append(b)
-        sizes.append(b - a + 1)
-    closed += sizes
-    # Cannot fail after the checks above: each of the n regions' sizes less
-    # 2 is a positive multiple of m (every span is 1 mod m), and they add
-    # up to m*n (m*n+2 sides and each chord twice, less 2 per region).
-    assert len(closed) == n and closed.count(m + 2) == n, (q, closed)
+    closed = _region_sizes(top, diagonals)
+    if closed is None:
+        for c1, c2 in combinations(diagonals, 2):
+            if chords_cross(c1, c2):
+                raise bad(f"{c1} crosses {c2}")
+    # Cannot fail after the checks above: the sweep stops only at a chord
+    # crossing an open span, which the scan names; each of the n regions'
+    # sizes less 2 is a positive multiple of m (every span is 1 mod m), and
+    # they add up to m*n (m*n+2 sides and each chord twice, less 2 per region).
+    assert closed and len(closed) == n and closed.count(m + 2) == n, (q, closed)
 
 
 def regions(q: Dissection) -> list[tuple[int, ...]]:

@@ -7,9 +7,9 @@ minimum, final M-angulations are the maximal elements, and the rank of an
 element is its number of non-apex diagonals.
 
 The checks in this module certify the advertised structure exactly: cover
-degrees, maximal chain counts, descent witnesses, interval lattices and
-their order-ideal forests, and the isomorphisms that split intervals over
-cut pieces and width blocks, all read by translating chord bits.
+degrees, maximal chain counts, the inclusion theorem, interval lattices
+and their order-ideal forests, and the isomorphisms that split intervals
+over cut pieces and width blocks, all read by translating chord bits.
 """
 
 from collections.abc import Mapping
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import factorial
-from operator import itemgetter
 from types import MappingProxyType
 
 from .dissections import (
@@ -26,20 +25,14 @@ from .dissections import (
     Dissection,
     _block_gaps,
     _glue_frame,
+    _region_sizes,
     _unchecked,
     apex_region,
-    chords_cross,
     cut_L,
     enumerate_dissections,
-    is_final,
     make_q0,
 )
-from .errors import (
-    MalformedDissection,
-    NoWitness,
-    StructureViolation,
-    VerificationFailure,
-)
+from .errors import MalformedDissection, StructureViolation, VerificationFailure
 from .series import fuss_catalan
 
 
@@ -256,8 +249,8 @@ class LocalClosure:
 def _locate(index: Mapping, q: Dissection) -> int:
     """Position of a derived dissection among the enumerated elements.
 
-    Cuts and descent swaps build their results unchecked, so a miss here
-    is a malformed result, reported with the dissection as counterexample
+    Cuts build their pieces unchecked, so a miss here is a malformed
+    result, reported with the dissection as counterexample
     (`build_poset` raises the same for a flip result).
     """
     i = index.get(q)
@@ -353,17 +346,19 @@ def cover_count_check(poset: FlipPoset) -> bool:
         got = len(poset.covers_up[i])
         if got != want:
             raise VerificationFailure(
-                f"{q} has {got} covers, expected {want}"
+                f"{q} has {got} covers, expected {want}", q.to_json()
             )
     return True
 
 
 @lru_cache(maxsize=None)
-def _fillings(m: int, vertices: int) -> int:
-    """M-angulations of a polygon with this many vertices: FC(m, k) for
-    m*k+2 of them, else none."""
-    k, r = divmod(vertices - 2, m)
-    return 0 if r else fuss_catalan(m, k)
+def _fillings(m: int, most: int) -> tuple[int, ...]:
+    """Entry v <= most: the M-angulations of a polygon with v vertices,
+    FC(m, k) for v = m*k+2, else none."""
+    return tuple(
+        0 if v < 2 or (v - 2) % m else fuss_catalan(m, (v - 2) // m)
+        for v in range(most + 1)
+    )
 
 
 def _containing_count(m: int, n: int, chords) -> int:
@@ -371,23 +366,12 @@ def _containing_count(m: int, n: int, chords) -> int:
     non-crossing diagonals off the apex: the product of FC(m, k) over the
     regions they cut, a region of m*k+2 vertices having FC(m, k) of its own.
 
-    Spans are the chords, given sorted as an element holds them, and the
-    side (0, m*n+1); each closes the region made of its own vertices minus
-    those strictly inside its maximal sub-spans, found in one pass in
-    (a, -b) order with a stack of the open spans.
+    The chords come sorted, as an element holds them, and their regions'
+    sizes from one pass of `_region_sizes`.
     """
-    total = 1
-    ends, sizes = [m * n + 1], [m * n + 2]  # each open span's end and vertices
-    # stable by a on the descending chords: the (a, -b) order
-    for a, b in sorted(reversed(chords), key=itemgetter(0)):
-        while ends[-1] <= a:
-            ends.pop()
-            total *= _fillings(m, sizes.pop())
-        sizes[-1] -= b - a - 1
-        ends.append(b)
-        sizes.append(b - a + 1)
-    for vertices in sizes:
-        total *= _fillings(m, vertices)
+    fills, total = _fillings(m, m * n + 2), 1
+    for vertices in _region_sizes(m * n + 1, chords):
+        total *= fills[vertices]
     return total
 
 
@@ -410,6 +394,26 @@ def inclusion_check(poset: FlipPoset) -> bool:
     other, so D(Q) = D(Q').  By (c), Q' covers an R with D(R) = D(Q') less
     that span, so D(Q) lies in D(R), and induction on |D(Q') - D(Q)| ends
     at an element with Q's mask, which is Q by (b).  So Q <= Q'.
+
+    Two corollaries need no check of their own, once the elements are every
+    M-angulation (validated, distinct by (b) and Fuss-Catalan many):
+    - Descent lemma, by (b) and (c).  A non-fan Q has a maximal span
+      d = (a, b), and the region under d (away from the apex) has vertices
+      a = u_0 < ... < u_{m+1} = b.  Its sides span 1 mod m, so exactly one
+      u_i (0 < i <= m) is 1 mod m, and (0, u_i) is an apex diagonal
+      crossing d and no other diagonal: a chord (x, y) with x < u_i < y
+      would hold d, which is maximal, or cut u_i off d's region.  The one
+      diagonal that any such witness crosses is a maximal span: the witness
+      would cross a chord holding it too.  Trading that span for the
+      witness leaves n - 1 non-crossing chords spanning 1 mod m, so n
+      regions of at least m + 2 vertices and m*n + 2n in all: an
+      M-angulation S with D(S) = D(Q) less that span.  By (c) a lower
+      cover of Q removes the span, and by (b) it is S.  By (a) and (c),
+      induction on rank gives every element a saturated chain to the fan.
+    - Width, by (a), (b) and (c).  A final Q's maximal spans are the edges
+      of its apex region that are not sides (`_block_gaps`), as they hold
+      every other chord.  By (c) its lower covers remove them, by (a) one
+      each and by (b) each a different one: Q has width-many lower covers.
 
     Raises VerificationFailure with an element's JSON.
     """
@@ -462,45 +466,6 @@ def maximal_chain_count(poset: FlipPoset) -> int:
 
 def expected_maximal_chain_count(m: int, n: int) -> int:
     return m ** (n - 1) * factorial(n - 1)
-
-
-def _descent_swap(q: Dissection) -> tuple[Chord, Dissection]:
-    """The descent lemma's witness for q and the swap it gives.
-
-    The witness is an apex diagonal crossing exactly one diagonal d of q;
-    trading d for it gives `lower`, which q should cover.  Such a chord
-    always exists away from the fan (NoWitness otherwise).  `lower` is
-    built unchecked: the poset suite looks it up among the enumerated
-    elements.
-    """
-    for k in range(1, q.n):
-        cand = (0, q.m * k + 1)
-        crossed = [d for d in q.diagonals if chords_cross(cand, d)]
-        if len(crossed) == 1:
-            kept = [d for d in q.diagonals if d != crossed[0]]
-            return cand, _unchecked(q.m, q.n, kept + [cand])
-    raise NoWitness(
-        f"no apex diagonal crosses exactly one diagonal of {q}", q.to_json()
-    )
-
-
-def descent_check(poset: FlipPoset) -> bool:
-    """Every element but the fan covers its descent swap.
-
-    The swap must be an enumerated element with q among its upward covers.
-    With every cover one rank up (checked by the poset suite), induction on
-    rank gives each element a saturated chain of length `rank` to the fan.
-    """
-    q0 = poset.minimum
-    for i, q in enumerate(poset.elements):
-        if q == q0:
-            continue
-        _, lower = _descent_swap(q)
-        if i not in poset.covers_up[_locate(poset.index, lower)]:
-            raise VerificationFailure(
-                f"descent swap {lower} of {q} is not a lower cover", q.to_json()
-            )
-    return True
 
 
 def mobius(interval: Interval) -> int:
@@ -646,20 +611,6 @@ def interval_structure(interval: Interval) -> tuple[bool, ForestPoset]:
                 f"{grows} one-element extensions"
             )
     return True, forest
-
-
-def width_cover_check(poset: FlipPoset) -> bool:
-    """Final elements have exactly width-many downward covers."""
-    for i, q in enumerate(poset.elements):
-        if not is_final(q):
-            continue
-        width = len(_block_gaps(q))
-        got = len(poset.covers_down[i])
-        if got != width:
-            raise VerificationFailure(
-                f"{q} has {got} downward covers but width {width}", q.to_json()
-            )
-    return True
 
 
 def upper_ideal_iso_check(poset: FlipPoset, bottom: Dissection) -> int:

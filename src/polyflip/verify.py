@@ -37,7 +37,6 @@ from .poset import (
     _order_of_size,
     _reached,
     cover_count_check,
-    descent_check,
     expected_maximal_chain_count,
     inclusion_check,
     initial_factorization_check,
@@ -46,7 +45,6 @@ from .poset import (
     maximal_chain_count,
     mobius,
     upper_ideal_iso_check,
-    width_cover_check,
     width_factorization_check,
 )
 from .qsym import DEFAULT_MAX_COLUMNS, _check_columns, verify_basis_graded
@@ -127,15 +125,16 @@ def suite_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationRep
     """The order's shape, and the inclusion theorem its queries rely on.
 
     Beyond the element count, the unique minimum, cover degrees, chain
-    count, descent swaps and the rank census, the suite certifies that the
-    order is inclusion of non-apex diagonal sets (`inclusion_check`), from
-    facts local to each element: every cover adds exactly one such
-    diagonal, so goes one rank up; no two elements share their non-apex
-    diagonals; and each element's lower covers remove exactly its maximal
-    non-apex diagonals.  The elements being every M-angulation (validated,
-    distinct and Fuss-Catalan many), each up-set is then the closed-form
-    count of M-angulations holding the element's non-apex diagonals, and
-    those counts must add up to the interval count of the I series.
+    count and the rank census, the suite certifies that the order is
+    inclusion of non-apex diagonal sets (`inclusion_check`), from facts
+    local to each element: every cover adds exactly one such diagonal, so
+    goes one rank up; no two elements share their non-apex diagonals; and
+    each element's lower covers remove exactly its maximal non-apex
+    diagonals.  The elements being every M-angulation (validated, distinct
+    and Fuss-Catalan many), the descent lemma follows (a corollary in
+    `inclusion_check`), and each up-set is the closed-form count of
+    M-angulations holding the element's non-apex diagonals; those counts
+    must add up to the interval count of the I series.
     Whether the whole order is a lattice is observed, not asserted; the
     covers settle it for every order with two maximal elements, so the
     suite builds no reachability table.
@@ -169,7 +168,6 @@ def suite_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationRep
                 f"{chains} maximal chains, expected "
                 f"{expected_maximal_chain_count(m, n)}"
             )
-        descent_check(poset)
         census = Counter(poset.ranks)
         want = rank_polynomial(m, n)
         got = tuple(census.get(k, 0) for k in range(n))
@@ -329,7 +327,8 @@ def suite_intervals(
     isomorphic to the order of k = |cut(b)| pieces, b going to the fan, so
     each [b, t] is isomorphic to an initial interval [fan_k, core(t)].  The
     filter sizes add up to the interval count, checked against the I
-    series.
+    series.  That each final has width-many lower covers is a corollary in
+    `inclusion_check`.
     """
 
     def check():
@@ -355,7 +354,6 @@ def suite_intervals(
                     mu = mobius(iv)
                     if mu not in (-1, 0, 1):
                         _fail(f"Mobius value {mu} at [{iv.bottom_q}, {top}]", iv.to_json())
-        width_cover_check(poset)
         count = sum(upper_ideal_iso_check(poset, q) for q in poset.elements)
         expect = series_I(m, n).coefficient(n)
         if count != expect:

@@ -12,9 +12,12 @@ and sparsely with tuple-keyed columns.
 
 The rest are the paper's constructions that no suite runs, kept here to
 test the certificates against: gluing pieces around a core, the
-decomposition of an interval into its core and pieces, the descent chain
-to the fan, width blocks and the apex chords of a final dissection.  They
-build on the package's own frames and orders.
+decomposition of an interval into its core and pieces, the descent
+witness and its chain to the fan, width blocks and the apex chords of a
+final dissection.  They build on the package's own frames and orders.
+Two scans restate corollaries of `poset.inclusion_check` on their own:
+`descent_check` (each non-fan element covers its descent swap) and
+`width_cover_check` (each final has width-many lower covers).
 """
 
 from collections import Counter
@@ -27,16 +30,19 @@ from polyflip import (
     DecompositionFailure,
     Dissection,
     MalformedDissection,
+    NoWitness,
     SparsePoly,
+    VerificationFailure,
     apex_region,
     cut_L,
     enumerate_compositions,
     flip_up,
     fundamental_qsym,
+    is_final,
     make_q0,
 )
 from polyflip.dissections import _block_gaps, _glue_frame, _unchecked
-from polyflip.poset import _bits, _descent_swap, _order_of_size, _translation
+from polyflip.poset import _bits, _locate, _order_of_size, _translation
 from polyflip.qsym import _fundamental_terms, monomials_of_degree
 
 
@@ -387,6 +393,61 @@ def interval_decompose(interval):
             [bottom.to_json(), top.to_json()],
         )
     return small.elements[ci], parts
+
+
+def _descent_swap(q):
+    """The descent lemma's witness for q and the swap it gives.
+
+    The witness is an apex diagonal crossing exactly one diagonal d of q;
+    trading d for it gives `lower`, which q should cover.  Such a chord
+    always exists away from the fan (NoWitness otherwise).  `lower` is
+    built unchecked: `descent_check` looks it up among the enumerated
+    elements.
+    """
+    for k in range(1, q.n):
+        cand = (0, q.m * k + 1)
+        crossed = [d for d in q.diagonals if crossing(cand, d)]
+        if len(crossed) == 1:
+            kept = [d for d in q.diagonals if d != crossed[0]]
+            return cand, _unchecked(q.m, q.n, kept + [cand])
+    raise NoWitness(
+        f"no apex diagonal crosses exactly one diagonal of {q}", q.to_json()
+    )
+
+
+def descent_check(poset):
+    """Every element but the fan covers its descent swap, a corollary of
+    `inclusion_check` checked here by its own witness scan.
+
+    The swap must be an enumerated element with q among its upward covers.
+    With every cover one rank up, induction on rank gives each element a
+    saturated chain of length `rank` to the fan.
+    """
+    q0 = poset.minimum
+    for i, q in enumerate(poset.elements):
+        if q == q0:
+            continue
+        _, lower = _descent_swap(q)
+        if i not in poset.covers_up[_locate(poset.index, lower)]:
+            raise VerificationFailure(
+                f"descent swap {lower} of {q} is not a lower cover", q.to_json()
+            )
+    return True
+
+
+def width_cover_check(poset):
+    """Final elements have exactly width-many downward covers, a corollary
+    of `inclusion_check` checked here by each final's apex region."""
+    for i, q in enumerate(poset.elements):
+        if not is_final(q):
+            continue
+        width = len(_block_gaps(q))
+        got = len(poset.covers_down[i])
+        if got != width:
+            raise VerificationFailure(
+                f"{q} has {got} downward covers but width {width}", q.to_json()
+            )
+    return True
 
 
 def descend_to_fan(q):

@@ -40,10 +40,9 @@ from polyflip import (
     series_T,
     verify_basis_graded,
 )
-from polyflip.poset import _descent_swap, width_cover_check
 from polyflip.series import residual_F, residual_I, residual_T
 
-from oracles import glue_G, interval_decompose
+from oracles import _descent_swap, glue_G, interval_decompose, width_cover_check
 
 UNIVERSE = [(m, n) for m in (1, 2, 3) for n in range(1, 6)]
 

@@ -45,22 +45,25 @@ from polyflip.poset import (
     initial_factorization_check,
     is_lattice,
     upper_ideal_iso_check,
-    width_cover_check,
     width_factorization_check,
 )
 
+import oracles
 from oracles import (
+    _descent_swap,
     apex_diagonal_set_D,
     brute_dissections,
     closure_from_covers,
     cover_degree_poly,
     crossing,
     descend_to_fan,
+    descent_check,
     initial_interval_poly,
     interval_decompose,
     is_distributive_lattice,
     poly_mul,
     width_and_blocks,
+    width_cover_check,
 )
 
 PAIRS = [(1, 3), (1, 4), (2, 2), (2, 3), (3, 2)]
@@ -146,9 +149,9 @@ def test_descent_witness_and_chains():
     for q in poset.elements:
         if q == poset.minimum:
             with pytest.raises(NoWitness):
-                poset_module._descent_swap(q)
+                _descent_swap(q)
             continue
-        cand = poset_module._descent_swap(q)[0]
+        cand = _descent_swap(q)[0]
         assert cand[0] == 0 and cand not in q.diagonals
         assert sum(1 for d in q.diagonals if chords_cross(cand, d)) == 1
         chain = descend_to_fan(q)
@@ -176,13 +179,13 @@ def test_descent_swap_is_the_witness_trade(m, n):
     for q in poset.elements:
         if q == poset.minimum:
             with pytest.raises(NoWitness):
-                poset_module._descent_swap(q)
+                _descent_swap(q)
             continue
-        cand, lower = poset_module._descent_swap(q)
+        cand, lower = _descent_swap(q)
         (crossed,) = [d for d in q.diagonals if chords_cross(cand, d)]
         want = set(q.diagonals) - {crossed} | {cand}
         assert lower == Dissection.new(m, n, want)
-    assert poset_module.descent_check(poset)
+    assert descent_check(poset)
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2)])
@@ -659,19 +662,22 @@ def test_a_chord_in_no_factor_or_in_two_fails_the_split(monkeypatch):
 def test_width_cover_check_fails_on_a_wrong_width(monkeypatch):
     poset = build_poset(2, 3)
     final = next(q for q in poset.elements if is_final(q))
-    real = poset_module._block_gaps
+    real = oracles._block_gaps
 
-    def wider(q):  # one gap too many: the suite does not factorize final
+    def wider(q):  # one gap too many
         gaps = real(q)
         return gaps + gaps[:1] if q == final else gaps
 
-    monkeypatch.setattr(poset_module, "_block_gaps", wider)
+    monkeypatch.setattr(oracles, "_block_gaps", wider)
     with pytest.raises(VerificationFailure, match="downward covers but width") as info:
         width_cover_check(poset)
     assert info.value.counterexample == final.to_json()
-    (report,) = run_suite("intervals", 2, 3)
-    assert not report.passed
-    assert (report.detail, report.counterexample) == (str(info.value), final.to_json())
+    # the order fault the width count stands for, a final missing a lower
+    # cover, fails the intervals suite's inclusion check (c) at that final
+    fi = poset.index[final]
+    below = poset.covers_down[fi][0]
+    broken = _broken_covers(poset, lambda covers: covers[below].remove(fi))
+    _assert_suite_fails_at(monkeypatch, broken, final, _spans_message(final), "intervals")
 
 
 def test_interval_failures_carry_the_interval(monkeypatch):
@@ -688,10 +694,21 @@ def test_interval_failures_carry_the_interval(monkeypatch):
     assert info.value.counterexample == iv.to_json()
 
 
+def test_cover_count_check_fails_with_the_element():
+    poset = build_poset(2, 3)
+    fan = poset.minimum
+    fi = poset.index[fan]
+    broken = _broken_covers(poset, lambda covers: covers[fi].pop())
+    with pytest.raises(VerificationFailure) as info:
+        cover_count_check(broken)
+    assert str(info.value) == f"{fan} has 3 covers, expected 4"
+    assert info.value.counterexample == fan.to_json()
+
+
 def test_no_witness_carries_the_element():
     fan = make_q0(2, 3)
     with pytest.raises(NoWitness) as info:
-        poset_module._descent_swap(fan)
+        _descent_swap(fan)
     assert info.value.counterexample == fan.to_json()
 
 
@@ -752,6 +769,19 @@ def test_twin_elements_fail_only_the_injectivity_check():
     assert not is_distributive_lattice(above, iv.indices())
     with pytest.raises(StructureViolation, match="same irreducibles below them") as info:
         interval_structure(iv)
+    assert info.value.counterexample == iv.to_json()
+
+
+def test_an_irreducible_under_two_irreducibles_fails_the_forest():
+    # 0 < 1 < {2, 3} < 4 is a distributive lattice, but its irreducibles
+    # 1 < 2 and 1 < 3 branch upwards: no forest with one parent each
+    iv = _hand_made([[1], [2, 3], [4], [4], []])
+    one = iv.poset.elements[1]
+    with pytest.raises(StructureViolation) as info:
+        interval_structure(iv)
+    assert str(info.value) == (
+        f"irreducible {one} covered by 2 irreducibles in [{iv.bottom_q}, {iv.top_q}]"
+    )
     assert info.value.counterexample == iv.to_json()
 
 

@@ -25,16 +25,20 @@ from polyflip import (
     ForestPoset,
     NotDyck,
     SizeGuardExceeded,
+    TruncatedSeries,
     VerificationFailure,
     binomial_for_diagonal,
     build_poset,
     enumerate_dissections,
+    fuss_catalan,
     is_final,
     leading_monomial,
     phi,
     poly_for_dissection,
+    rank_polynomial,
     run_suite,
     series_F,
+    series_G,
     series_I,
     to_json_dict,
 )
@@ -272,33 +276,6 @@ def test_poset_suite_reports_a_derived_non_element(monkeypatch):
     assert report.counterexample == bogus.to_json()
 
 
-def test_poset_suite_fails_on_a_descent_swap_to_a_non_cover(monkeypatch):
-    poset = build_poset(2, 3)
-    target = next(q for q in poset.elements if q.rank == 2)
-    real = poset_module._descent_swap
-
-    def swap(q):
-        cand, lower = real(q)
-        return (cand, poset.minimum) if q == target else (cand, lower)
-
-    monkeypatch.setattr(poset_module, "_descent_swap", swap)
-    (report,) = run_suite("poset", 2, 3)
-    assert not report.passed
-    assert report.detail == (
-        f"descent swap {poset.minimum} of {target} is not a lower cover"
-    )
-    assert report.counterexample == target.to_json()
-
-
-def test_poset_suite_reports_a_descent_swap_outside_the_order(monkeypatch):
-    bogus = Dissection(2, 3, ())
-    monkeypatch.setattr(poset_module, "_descent_swap", lambda q: ((0, 3), bogus))
-    (report,) = run_suite("poset", 2, 3)
-    assert not report.passed
-    assert report.detail.startswith("MalformedDissection: derived ")
-    assert report.counterexample == bogus.to_json()
-
-
 def test_poset_suite_walks_no_chain_and_validates_only_the_fan(monkeypatch):
     # the package defines no chain walk: descend_to_fan is a test oracle
     validated = []
@@ -313,6 +290,45 @@ def test_poset_suite_walks_no_chain_and_validates_only_the_fan(monkeypatch):
     assert report.passed
     # only the fan, which make_q0 validates once and caches
     assert set(validated) <= {build_poset(2, 3).minimum}
+
+
+def _failed_detail(monkeypatch, suite, **closed_forms):
+    """The detail of `suite` at (2, 3) with verify's closed forms replaced,
+    a failure with no counterexample."""
+    for name, fake in closed_forms.items():
+        monkeypatch.setattr(verify_module, name, fake)
+    (report,) = run_suite(suite, 2, 3)
+    assert not report.passed and report.counterexample is None
+    return report.detail
+
+
+def test_poset_suite_fails_on_a_wrong_element_count(monkeypatch):
+    detail = _failed_detail(monkeypatch, "poset", fuss_catalan=lambda m, n: 13)
+    assert detail == "12 elements, expected 13"
+
+
+def test_poset_suite_fails_on_a_wrong_chain_count(monkeypatch):
+    # the order has 2^2 * 2! = 8 maximal chains
+    detail = _failed_detail(
+        monkeypatch, "poset", expected_maximal_chain_count=lambda m, n: 9
+    )
+    assert detail == "8 maximal chains, expected 9"
+
+
+def test_poset_suite_fails_on_a_wrong_rank_census(monkeypatch):
+    want = rank_polynomial(2, 3)
+    off = want[:-1] + (want[-1] + 1,)
+    detail = _failed_detail(monkeypatch, "poset", rank_polynomial=lambda m, n: off)
+    assert detail == f"rank census {want} != {off}"
+
+
+def test_poset_suite_fails_on_a_wrong_rank_series_slice(monkeypatch):
+    # the census matches the closed form, but the series is m = 3's
+    detail = _failed_detail(
+        monkeypatch, "poset", series_G=lambda m, order: series_G(m + 1, order)
+    )
+    slice_3 = series_G(3, 3).coefficient(3)
+    assert detail == f"rank series slice {slice_3.text()} != {rank_polynomial(2, 3)}"
 
 
 def test_cli_qsym_column_cap_refuses_before_any_work(capsys, monkeypatch):
@@ -837,6 +853,58 @@ def test_series_suite_fails_when_its_order_lacks_a_cover(monkeypatch):
     count, rest = report.detail.split(" ", 1)
     assert rest == "intervals disagree with the composed series"
     assert int(count) < series_I(2, 3).coefficient(3)
+
+
+def test_series_suite_fails_on_a_wrong_composition(monkeypatch):
+    real = TruncatedSeries.compose
+    monkeypatch.setattr(
+        TruncatedSeries,
+        "compose",
+        lambda self, inner: real(self, inner) + TruncatedSeries.x(self.order) ** 2,
+    )
+    detail = _failed_detail(monkeypatch, "series")
+    assert detail == "fixed-point residuals do not vanish to order 8"
+
+
+def test_series_suite_fails_on_a_wrong_fuss_catalan_number(monkeypatch):
+    detail = _failed_detail(
+        monkeypatch, "series", fuss_catalan=lambda m, k: fuss_catalan(m, k) + (k == 3)
+    )
+    assert detail == "T coefficient 3 differs from the closed form"
+
+
+def test_series_suite_fails_on_a_wrong_rank_polynomial(monkeypatch):
+    def fake(m, k):
+        want = rank_polynomial(m, k)
+        return want[:-1] + (want[-1] + 1,) if k == 2 else want
+
+    detail = _failed_detail(monkeypatch, "series", rank_polynomial=fake)
+    assert detail == "G slice 2 differs from the rank polynomial"
+
+
+def test_series_suite_fails_when_g_and_t_disagree(monkeypatch):
+    # G and the rank polynomials agree, both m = 3's, so G at z = 1 counts
+    # 22 elements of size 3 against T's 12
+    detail = _failed_detail(
+        monkeypatch,
+        "series",
+        series_G=lambda m, order: series_G(m + 1, order),
+        rank_polynomial=lambda m, k: rank_polynomial(m + 1, k),
+    )
+    assert detail == "G at z=1 disagrees with T"
+
+
+def test_series_suite_fails_on_a_missing_final(monkeypatch):
+    real = enumerate_dissections
+
+    def one_final_short(m, n, max_mn):
+        elements = real(m, n, max_mn)
+        first = next(i for i, q in enumerate(elements) if is_final(q))
+        return elements[:first] + elements[first + 1 :]
+
+    detail = _failed_detail(monkeypatch, "series", enumerate_dissections=one_final_short)
+    finals = series_F(2, 8).coefficient(3)
+    assert detail == f"{finals - 1} final dissections, series says {finals}"
 
 
 def test_series_suite_refuses_before_any_work(monkeypatch):
