@@ -1,5 +1,5 @@
 """Dissections of a convex polygon into (m+2)-gons: validation, enumeration,
-flips, cutting and gluing.
+flips and cutting.
 
 An M-angulation of size n is a set of n-1 pairwise non-crossing diagonals
 cutting the (m*n+2)-gon into n regions with m+2 sides each.  Vertices are
@@ -16,19 +16,17 @@ Validation policy: `Dissection.new` is the one validating constructor.  It
 runs `validate`, one linear pass over the chords; `regions` is the same
 check followed by the region walk.  It takes chord data from outside
 (`from_json`) and the constructions whose validity is itself a claim of
-the paper (`make_q0`, `bijection.psi`, and the one-block shrinks in
-`poset`).  Everything derived here from dissections already held
-(`flip_up` results, `cut_L` pieces, `reflect`) is built unchecked, and
-enumeration is correct by construction.  Flip results and cut pieces are
-checked by identity instead: `poset` looks each one up among the
-enumerated elements (flip results by chord bitmask, pieces with
-`_locate`) and raises MalformedDissection on a miss.  No suite builds an
-interval core or a width block: the intervals suite reads the glue
-frame's vertex map and the blocks' gaps.  The poset suite runs `validate`
-once on every element, and the tests check the three constructions, and
-the gluings and blocks of their own oracles, against an independent face
-computation, and `validate` against the pairwise crossing scan and region
-walk it replaced.
+the paper (`make_q0` and `bijection.psi`).  Everything derived here from
+dissections already held (`flip_up` results, `cut_L` pieces, `reflect`)
+is built unchecked, and enumeration is correct by construction.
+`build_poset` checks its flip results by identity instead: it looks each
+one up among the enumerated elements by chord bitmask and raises
+MalformedDissection on a miss.  No suite builds a cut piece, an interval
+core or a width block: the intervals suite reads only each final's block
+gaps.  The poset suite runs `validate` once on every element, and the
+tests check the three constructions, and the gluings and blocks of their
+own oracles, against an independent face computation, and `validate`
+against the pairwise crossing scan and region walk it replaced.
 
 Memory: enumeration builds every chord through one intern table
 (`_chord`), so all enumerated elements share one tuple per chord: the
@@ -43,7 +41,6 @@ from itertools import chain, combinations, product
 from operator import itemgetter
 
 from .errors import (
-    ArityMismatch,
     MalformedDissection,
     NotAQ0Diagonal,
     NotFinal,
@@ -376,30 +373,6 @@ def cut_L(q: Dissection) -> list[Dissection]:
         ]
         pieces.append(_unchecked(m, (hi - lo) // m, chords))
     return pieces
-
-
-def _glue_frame(
-    m: int, parts: tuple[Dissection, ...]
-) -> tuple[tuple[Chord, ...], tuple[int, ...]]:
-    # Embed the pieces side by side (piece i's arc re-indexed after piece
-    # i-1's, consecutive pieces sharing the cut vertex) WITHOUT drawing the
-    # cut diagonals, and return the cycle of the (m*k+2)-gon this leaves
-    # around the apex: the apex regions of the pieces merged along the cuts,
-    # walked once as the region of the embedded chords that holds the apex
-    # (no chord reaches it: the pieces are final).  Vertex i of that polygon
-    # is cycle[i].
-    chords: list[Chord] = []
-    offset = 0
-    for p in parts:
-        if p.m != m:
-            raise ArityMismatch(f"piece has m={p.m}, expected {m}")
-        if not is_final(p):
-            raise NotFinal("glue parts must be final dissections")
-        chords.extend((a + offset, b + offset) for a, b in p.diagonals)
-        offset += m * p.n
-    cycle = _walk_region(_chord_ends(chords), 0, offset + 1)
-    assert len(cycle) == m * len(parts) + 2
-    return tuple(chords), cycle
 
 
 def _block_gaps(q: Dissection) -> list[tuple[int, int]]:

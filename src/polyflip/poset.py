@@ -7,12 +7,13 @@ minimum, final M-angulations are the maximal elements, and the rank of an
 element is its number of non-apex diagonals.
 
 The checks in this module certify the advertised structure exactly: cover
-degrees, maximal chain counts, the inclusion theorem, interval lattices
-and their order-ideal forests, and the isomorphisms that split intervals
-over cut pieces and width blocks, all read by translating chord bits.
+degrees, maximal chain counts, the inclusion theorem, and interval
+lattices with their order-ideal forests.  The isomorphisms that carry
+these to every interval, onto filters and products over cut pieces and
+width blocks, are theorems of the certified inclusion order, proved in
+`verify.suite_intervals`; no function here re-checks their maps.
 """
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -23,12 +24,8 @@ from .dissections import (
     DEFAULT_MAX_MN,
     Chord,
     Dissection,
-    _block_gaps,
-    _glue_frame,
     _region_sizes,
     _unchecked,
-    apex_region,
-    cut_L,
     enumerate_dissections,
     make_q0,
 )
@@ -158,29 +155,25 @@ class FlipPoset:
         inside = _reached(self.covers_up, bi, lambda j: not D[j] & ~dt)
         return Interval(self, bi, ti, sum(1 << j for j in inside))
 
-    def intervals_above(self, bi: int):
-        """Every interval with bottom element bi, by ascending top.
+    def all_intervals(self):
+        """Every interval, by bottom and then ascending top.
 
-        Its up-set by DFS over the covers, then the down-closure of each
-        element inside that up-set from its lower covers, in rank order,
-        which is the interval up to that element.
+        For each bottom, its up-set by DFS over the covers, then the
+        down-closure of each element inside that up-set from its lower
+        covers, in rank order, which is the interval up to that element.
         """
         ranks, lower = self.ranks, self.covers_down
-        up = sorted(_reached(self.covers_up, bi))
-        down: dict[int, int] = {}
-        for x in sorted(up, key=ranks.__getitem__):
-            acc = 1 << x
-            for w in lower[x]:
-                if w in down:
-                    acc |= down[w]
-            down[x] = acc
-        for ti in up:
-            yield Interval(self, bi, ti, down[ti])
-
-    def all_intervals(self):
-        """Every interval, by bottom and then ascending top."""
         for bi in range(len(self.elements)):
-            yield from self.intervals_above(bi)
+            up = sorted(_reached(self.covers_up, bi))
+            down: dict[int, int] = {}
+            for x in sorted(up, key=ranks.__getitem__):
+                acc = 1 << x
+                for w in lower[x]:
+                    if w in down:
+                        acc |= down[w]
+                down[x] = acc
+            for ti in up:
+                yield Interval(self, bi, ti, down[ti])
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,19 +239,6 @@ class LocalClosure:
     above: tuple[int, ...]
 
 
-def _locate(index: Mapping, q: Dissection) -> int:
-    """Position of a derived dissection among the enumerated elements.
-
-    Cuts build their pieces unchecked, so a miss here is a malformed
-    result, reported with the dissection as counterexample
-    (`build_poset` raises the same for a flip result).
-    """
-    i = index.get(q)
-    if i is None:
-        raise _derived_miss(q)
-    return i
-
-
 def _derived_miss(q: Dissection) -> MalformedDissection:
     return MalformedDissection(
         f"derived {q} is not among the enumerated M-angulations", q.to_json()
@@ -303,7 +283,8 @@ def _up_flips(q: Dissection) -> list[tuple[Chord, Chord]]:
 def build_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> FlipPoset:
     """The order on the enumerated elements.  Each flip result is looked up
     by its chord bitmask, one bit per distinct chord; a result that is
-    none of them raises MalformedDissection as `_locate` does."""
+    none of them raises MalformedDissection, with the result as its
+    counterexample."""
     elements = tuple(enumerate_dissections(m, n, max_mn))
     ids = list(range(len(elements)))  # one int each for the covers and index
     chords = dict.fromkeys(chain.from_iterable(q.diagonals for q in elements))
@@ -489,18 +470,6 @@ def mobius(interval: Interval) -> int:
     return 0
 
 
-def _translation(bits: Mapping, small: FlipPoset, pos: Mapping) -> dict[int, int]:
-    """j -> 1 << k for each chord (a, b) -> j of `bits`, some of an order's
-    `diagonal_bits`, whose image (pos[a], pos[b]) is chord k of small's."""
-    small_bits = small.diagonal_bits
-    image = {}
-    for (a, b), j in bits.items():
-        k = small_bits.get((pos.get(a), pos.get(b)))
-        if k is not None:
-            image[j] = 1 << k
-    return image
-
-
 @dataclass(frozen=True)
 class ForestPoset:
     """Each node covered by at most one parent; parent -1 marks a root."""
@@ -611,105 +580,6 @@ def interval_structure(interval: Interval) -> tuple[bool, ForestPoset]:
                 f"{grows} one-element extensions"
             )
     return True, forest
-
-
-def upper_ideal_iso_check(poset: FlipPoset, bottom: Dissection) -> int:
-    """The filter above bottom is a copy of the k = |cut(bottom)| piece
-    order; returns its size, the number of intervals with this bottom.
-
-    By the inclusion theorem (`inclusion_check`) the filter is every t with
-    D(bottom) inside D(t): bottom's non-apex diagonals with any dissection
-    of the polygon they leave around the apex, the pieces' apex regions
-    merged along the cuts (`_glue_frame`).  The frame's vertex map, each
-    vertex to its place on the cycle, must send 0 to 0, be strictly
-    increasing and be onto 0..m*k+1.  It then keeps the apex and the
-    cyclic order, so it takes (m+2)-gon cells to cells and non-apex chords
-    to non-apex chords, both ways.  Translation is then a bijection from
-    the filter onto that polygon's M-angulations, which the k-piece order
-    holds when it holds every M-angulation, and it preserves and reflects
-    inclusion: an order isomorphism taking bottom to the fan.  O(k), with
-    no top visited.  Raises VerificationFailure with bottom's JSON.
-    """
-    parts = cut_L(bottom)
-    k = len(parts)
-    _, cycle = _glue_frame(bottom.m, tuple(parts))
-    if cycle[0]:
-        flaw = "does not send 0 to 0"
-    elif any(u >= v for u, v in zip(cycle, cycle[1:])):
-        flaw = "is not strictly increasing"
-    elif len(cycle) != bottom.m * k + 2:
-        flaw = f"is not onto 0..{bottom.m * k + 1}"
-    else:
-        return len(_order_of_size(poset, k).elements)
-    raise VerificationFailure(
-        f"the glue frame's vertex map of {bottom} {flaw}", bottom.to_json()
-    )
-
-
-def _product_check(poset: FlipPoset, top: Dissection, factors) -> bool:
-    """[fan, top] is the product of the initial intervals [fan, p_i] of the
-    factors, pairs (p_i, pos_i) with pos_i taking top's vertices to p_i's
-    in order.
-
-    The certificate is at chord level, with no element below top visited.
-    Translating chord bits (`_translation`), each non-apex chord of top
-    must go to exactly one factor, so the factors' parts partition D[top],
-    and factor i's image must be exactly D[p_i].  The parts lie in
-    disjoint sub-polygons, the pieces between top's apex diagonals or the
-    width blocks.  An s below top has D[s] inside D[top]
-    (`inclusion_check`), and its chords in each part, with the apex
-    diagonals they leave, dissect that factor's polygon: an element below
-    p_i of the factor order, which holds every M-angulation.  Conversely
-    any tuple of elements below the p_i, glued back, is an M-angulation s
-    with D[s] inside D[top], so s <= top.  The map from s to its tuple is
-    then onto, injective because D is, and preserves and reflects
-    inclusion part by part: an order isomorphism onto the product.  Raises
-    VerificationFailure with [fan, top].
-    """
-    order = _order_of_size(poset, top.n)
-    chords = {d: order.diagonal_bits[d] for d in top.diagonals if d[0]}  # D[top]'s
-    owned, exact = [], True
-    for p, pos in factors:
-        small = _order_of_size(poset, p.n)
-        image = _translation(chords, small, pos)
-        mask = small.diagonal_masks[_locate(small.index, p)]
-        exact &= sorted(image.values()) == [1 << k for k in _bits(mask)]
-        owned += image
-    if not exact or sorted(owned) != sorted(chords.values()):
-        raise VerificationFailure(
-            f"[fan, {top}] does not translate to its factors",
-            [order.minimum.to_json(), top.to_json()],
-        )
-    return True
-
-
-def initial_factorization_check(poset: FlipPoset, top: Dissection) -> bool:
-    """[fan, top] is the product of its cut pieces' initial intervals: the
-    piece on top's vertices lo..hi has top's v as v - lo + 1."""
-    factors, lo = [], 1
-    for piece in cut_L(top):
-        hi = lo + top.m * piece.n
-        factors.append((piece, {v: v - lo + 1 for v in range(lo, hi + 1)}))
-        lo = hi
-    return _product_check(poset, top, factors)
-
-
-def _one_block_final(q: Dissection, keep: tuple[int, int]) -> tuple[Dissection, dict]:
-    """Shrink the final q to the final dissection keeping one apex-region
-    gap (u, w) intact and collapsing every other gap to a boundary edge;
-    with the map from q's kept vertices to its own."""
-    u, w = keep
-    kept = sorted(set(apex_region(q)) | set(range(u, w + 1)))
-    relabel = {v: i for i, v in enumerate(kept)}
-    chords = [(relabel[a], relabel[b]) for a, b in q.diagonals if u <= a and b <= w]
-    return Dissection.new(q.m, (len(kept) - 2) // q.m, chords), relabel
-
-
-def width_factorization_check(poset: FlipPoset, final_q: Dissection) -> bool:
-    """[fan, final] is the product of the initial intervals of its width
-    blocks' one-block finals, relabelled as `_one_block_final` keeps them."""
-    factors = [_one_block_final(final_q, g) for g in _block_gaps(final_q)]
-    return _product_check(poset, final_q, factors)
 
 
 def _dot_quote(text: str) -> str:

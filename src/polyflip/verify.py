@@ -39,13 +39,10 @@ from .poset import (
     cover_count_check,
     expected_maximal_chain_count,
     inclusion_check,
-    initial_factorization_check,
     interval_structure,
     is_lattice,
     maximal_chain_count,
     mobius,
-    upper_ideal_iso_check,
-    width_factorization_check,
 )
 from .qsym import DEFAULT_MAX_COLUMNS, _check_columns, verify_basis_graded
 from .series import (
@@ -121,6 +118,16 @@ def _guard(suite: str, m: int, n: int, max_mn: int) -> None:
         _check_columns(m * n, n, DEFAULT_MAX_COLUMNS)
 
 
+def _interval_total(poset) -> int:
+    """The number of intervals of an inclusion order holding every
+    M-angulation: each element's up-set is the M-angulations holding its
+    non-apex diagonals (`inclusion_check`), `_containing_count` many."""
+    m, n = poset.m, poset.n
+    return sum(
+        _containing_count(m, n, [d for d in q.diagonals if d[0]]) for q in poset.elements
+    )
+
+
 def suite_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationReport:
     """The order's shape, and the inclusion theorem its queries rely on.
 
@@ -154,10 +161,7 @@ def suite_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationRep
         if bottoms != [make_q0(m, n)]:
             _fail(f"minimum not unique: {bottoms}", [q.to_json() for q in bottoms])
         inclusion_check(poset)
-        intervals = sum(
-            _containing_count(m, n, [d for d in q.diagonals if d[0]])
-            for q in poset.elements
-        )
+        intervals = _interval_total(poset)
         expect = series_I(m, n).coefficient(n)
         if intervals != expect:
             _fail(f"up-sets hold {intervals} intervals, series says {expect}")
@@ -313,22 +317,42 @@ def suite_intervals(
 
     Each order k <= n, the suite's own first, must hold FC(m, k) elements,
     and `inclusion_check` certifies it as inclusion of non-apex diagonal
-    sets, so it holds every M-angulation: the premise of the chord-level
-    isomorphisms below.  Each initial interval [fan_k, t] then gets one
-    certificate: the product of its cut pieces' initial intervals for a
-    non-final t, of its width blocks' for a final t of two or more (a
-    chord-level split of D[t], `_product_check`), and `interval_structure`
-    with `mobius` only for the rest, finals of width at most 1.  Factors
-    are initial intervals of smaller orders; forest-ideal lattices
-    multiply as the ideal lattices of disjoint unions and Mobius values as
-    numbers (Rota 1964), so by strong induction on k every initial interval
-    has both properties.  For each bottom b, `upper_ideal_iso_check`
-    certifies b's glue-frame vertex map, which makes the filter above b
-    isomorphic to the order of k = |cut(b)| pieces, b going to the fan, so
-    each [b, t] is isomorphic to an initial interval [fan_k, core(t)].  The
-    filter sizes add up to the interval count, checked against the I
-    series.  That each final has width-many lower covers is a corollary in
-    `inclusion_check`.
+    sets, so it holds every M-angulation.  Over such orders the canonical
+    maps below are isomorphisms; they are theorems, and no map is checked.
+
+    Filter.  By `inclusion_check`, the filter above b is every M-angulation
+    holding D(b), b's non-apex diagonals.  Those chords leave (m+2)-gons
+    and one region around the apex with m*k + 2 vertices, k = |cut(b)|:
+    the apex regions of b's cut pieces merged along the cuts.  Numbering
+    that region's vertices in increasing order keeps the apex and the
+    cyclic order, so it takes (m+2)-gon cells to cells and non-apex chords
+    to non-apex chords, both ways, and takes the dissections of the region
+    onto the M-angulations of the (m*k+2)-gon, which the k-piece order
+    holds.  It preserves and reflects inclusion, so the filter is the
+    k-piece order with b at the fan, each [b, t] is an initial interval
+    [fan_k, core(t)], and the filter has `_containing_count(b)` elements.
+
+    Products.  Cut along its apex diagonals, a non-final t gives pieces on
+    the vertices lo..hi between them, each numbered v - lo + 1; a final t
+    of two or more width blocks gives one one-block final per block,
+    keeping the apex region and that block, numbered in increasing order.
+    Every non-apex chord of t lies in exactly one part, and these
+    sub-polygons meet in no chord.  An s <= t has D(s) inside D(t), so its
+    chords in each part, with the apex chords they leave, dissect that
+    factor's polygon: an element below the factor in its complete order.
+    Conversely any tuple of elements below the factors glues back to an
+    M-angulation s with D(s) inside D(t), so s <= t.  The map from s to
+    its tuple is onto, injective because D is, and preserves and reflects
+    inclusion part by part: [fan, t] is the product of its factors'
+    initial intervals, each from a smaller order.
+
+    So the initial intervals [fan_k, t] that are no product, the finals of
+    width at most 1, are the only ones walked: each gets
+    `interval_structure` and `mobius`.  Forest-ideal lattices multiply as
+    the ideal lattices of disjoint unions and Mobius values as numbers
+    (Rota 1964), so by strong induction on k every initial interval, and
+    so every interval, has both properties.  The filter sizes add up to
+    the interval count, checked against the I series.
     """
 
     def check():
@@ -343,18 +367,14 @@ def suite_intervals(
                     {"m": m, "n": k, "elements": size},
                 )
             inclusion_check(order)
-            for iv in order.intervals_above(order.index[order.minimum]):
-                top = iv.top_q
-                if not is_final(top):
-                    initial_factorization_check(order, top)
-                elif len(_block_gaps(top)) > 1:
-                    width_factorization_check(order, top)
-                else:  # width <= 1: its one block would be t itself
+            for top in order.elements:
+                if is_final(top) and len(_block_gaps(top)) <= 1:
+                    iv = order.interval(order.minimum, top)
                     interval_structure(iv)
                     mu = mobius(iv)
                     if mu not in (-1, 0, 1):
                         _fail(f"Mobius value {mu} at [{iv.bottom_q}, {top}]", iv.to_json())
-        count = sum(upper_ideal_iso_check(poset, q) for q in poset.elements)
+        count = _interval_total(poset)
         expect = series_I(m, n).coefficient(n)
         if count != expect:
             _fail(f"{count} intervals, series says {expect}")

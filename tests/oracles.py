@@ -11,10 +11,11 @@ ideal's graded rows densely, one zero row per generator filled in place,
 and sparsely with tuple-keyed columns.
 
 The rest are the paper's constructions that no suite runs, kept here to
-test the certificates against: gluing pieces around a core, the
-decomposition of an interval into its core and pieces, the descent
-witness and its chain to the fan, width blocks and the apex chords of a
-final dissection.  They build on the package's own frames and orders.
+test the certificates and theorems against: the glue frame of cut
+pieces, gluing pieces around a core, the decomposition of an interval
+into its core and pieces, chord translation between orders, the descent
+witness and its chain to the fan, width blocks, one-block finals and the
+apex chords of a final dissection.  They build on the package's orders.
 Two scans restate corollaries of `poset.inclusion_check` on their own:
 `descent_check` (each non-fan element covers its descent swap) and
 `width_cover_check` (each final has width-many lower covers).
@@ -24,12 +25,12 @@ from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
 from operator import add
 
-import polyflip.poset as poset_module
 from polyflip import (
     ArityMismatch,
     DecompositionFailure,
     Dissection,
     MalformedDissection,
+    NotFinal,
     NoWitness,
     SparsePoly,
     VerificationFailure,
@@ -41,8 +42,8 @@ from polyflip import (
     is_final,
     make_q0,
 )
-from polyflip.dissections import _block_gaps, _glue_frame, _unchecked
-from polyflip.poset import _bits, _locate, _order_of_size, _translation
+from polyflip.dissections import _block_gaps, _chord_ends, _unchecked, _walk_region
+from polyflip.poset import _bits, _derived_miss, _order_of_size
 from polyflip.qsym import _fundamental_terms, monomials_of_degree
 
 
@@ -351,6 +352,61 @@ def tuple_keyed_ideal_rows(m, n, d):
     return monomials, rows
 
 
+def _glue_frame(m, parts):
+    """Embed the pieces side by side (piece i's arc re-indexed after piece
+    i-1's, consecutive pieces sharing the cut vertex) WITHOUT drawing the
+    cut diagonals, and return the chords with the cycle of the
+    (m*k+2)-gon this leaves around the apex: the apex regions of the
+    pieces merged along the cuts, walked once as the region of the
+    embedded chords that holds the apex (no chord reaches it: the pieces
+    are final).  Vertex i of that polygon is cycle[i]."""
+    chords = []
+    offset = 0
+    for p in parts:
+        if p.m != m:
+            raise ArityMismatch(f"piece has m={p.m}, expected {m}")
+        if not is_final(p):
+            raise NotFinal("glue parts must be final dissections")
+        chords.extend((a + offset, b + offset) for a, b in p.diagonals)
+        offset += m * p.n
+    cycle = _walk_region(_chord_ends(chords), 0, offset + 1)
+    assert len(cycle) == m * len(parts) + 2
+    return tuple(chords), cycle
+
+
+def _translation(bits, small, pos):
+    """j -> 1 << k for each chord (a, b) -> j of `bits`, some of an order's
+    `diagonal_bits`, whose image (pos[a], pos[b]) is chord k of small's."""
+    small_bits = small.diagonal_bits
+    image = {}
+    for (a, b), j in bits.items():
+        k = small_bits.get((pos.get(a), pos.get(b)))
+        if k is not None:
+            image[j] = 1 << k
+    return image
+
+
+def _locate(index, q):
+    """Position of a derived dissection among the enumerated elements;
+    a miss raises MalformedDissection with the dissection, as
+    `build_poset` does for a flip result."""
+    i = index.get(q)
+    if i is None:
+        raise _derived_miss(q)
+    return i
+
+
+def _one_block_final(q, keep):
+    """Shrink the final q to the final dissection keeping one apex-region
+    gap (u, w) intact and collapsing every other gap to a boundary edge;
+    with the map from q's kept vertices to its own."""
+    u, w = keep
+    kept = sorted(set(apex_region(q)) | set(range(u, w + 1)))
+    relabel = {v: i for i, v in enumerate(kept)}
+    chords = [(relabel[a], relabel[b]) for a, b in q.diagonals if u <= a and b <= w]
+    return Dissection.new(q.m, (len(kept) - 2) // q.m, chords), relabel
+
+
 def glue_G(b0, parts):
     """Glue the final pieces around the apex and dissect the exposed
     (m*k+2)-gon by a copy of b0.
@@ -370,7 +426,7 @@ def interval_decompose(interval):
     Cutting the bottom along its apex diagonals yields final pieces; the
     top is the gluing (`glue_G`) of a unique smaller dissection, its core,
     over those pieces.  A chord with both ends on the pieces' glue frame
-    (read through `polyflip.poset` when called) is the k-piece order's
+    (`_glue_frame`, read from this module when called) is the k-piece order's
     chord between their frame positions, and the core is the element whose
     mask is the image of top's non-apex diagonals less bottom's.  Returns
     the core with the pieces; raises DecompositionFailure with [bottom,
@@ -380,7 +436,7 @@ def interval_decompose(interval):
     bottom, top = poset.elements[bi], poset.elements[ti]
     parts = cut_L(bottom)
     small = _order_of_size(poset, len(parts))
-    _, cycle = poset_module._glue_frame(bottom.m, tuple(parts))
+    _, cycle = _glue_frame(bottom.m, tuple(parts))
     image = _translation(poset.diagonal_bits, small, {v: i for i, v in enumerate(cycle)})
     D = poset.diagonal_masks
     mask = -1 if D[bi] & ~D[ti] else 0  # -1 sticks: no element's mask

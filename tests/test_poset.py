@@ -38,19 +38,12 @@ from polyflip import (
     to_dot,
     to_json_dict,
 )
-from polyflip.poset import (
-    _one_block_final,
-    cover_count_check,
-    inclusion_check,
-    initial_factorization_check,
-    is_lattice,
-    upper_ideal_iso_check,
-    width_factorization_check,
-)
+from polyflip.poset import cover_count_check, inclusion_check, is_lattice
 
 import oracles
 from oracles import (
     _descent_swap,
+    _one_block_final,
     apex_diagonal_set_D,
     brute_dissections,
     closure_from_covers,
@@ -76,13 +69,16 @@ def interval_count(poset):
     return sum(m.bit_count() for m in poset.up_masks)
 
 
+def containing(poset, q):
+    """How many M-angulations of poset's polygon hold q's non-apex
+    diagonals: the size of the filter above q."""
+    return poset_module._containing_count(poset.m, poset.n, [d for d in q.diagonals if d[0]])
+
+
 def containing_total(poset):
-    """The poset suite's interval count: `_containing_count` summed over
-    the elements."""
-    return sum(
-        poset_module._containing_count(poset.m, poset.n, [d for d in q.diagonals if d[0]])
-        for q in poset.elements
-    )
+    """The suites' interval count: `_containing_count` summed over the
+    elements."""
+    return sum(containing(poset, q) for q in poset.elements)
 
 
 def brute_mobius(above, bottom, top):
@@ -254,13 +250,16 @@ def test_ambient_lattice_observation():
 
 @pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (1, 4)])
 def test_structure_checks_hold(m, n):
+    # The filter and product theorems, on sizes: the filter above q has as
+    # many elements as the |cut(q)|-piece order, and [fan, q] as many as
+    # the product of its factors' initial intervals.
     poset = build_poset(m, n)
     assert width_cover_check(poset)
     for q in poset.elements:
-        assert upper_ideal_iso_check(poset, q)
-        assert initial_factorization_check(poset, q)
-        if is_final(q):
-            assert width_factorization_check(poset, q)
+        assert containing(poset, q) == fuss_catalan(m, len(cut_L(q)))
+        factors = [p for p, _, _ in _factors_with_ranges(q)]
+        sizes = [build_poset(m, p.n).interval(make_q0(m, p.n), p).size for p in factors]
+        assert poset.interval(poset.minimum, q).size == prod(sizes)
 
 
 @pytest.mark.parametrize("m,n", PAIRS)
@@ -418,128 +417,174 @@ def test_build_poset_rejects_a_derived_non_element(monkeypatch):
 
 
 def _rotated_frame(monkeypatch):
-    """Patch the glue frame that `poset` reads to hand out its cycle turned
-    by one vertex: a wrong chord translation."""
-    real = poset_module._glue_frame
+    """Patch the glue frame that the oracles read to hand out its cycle
+    turned by one vertex: a wrong chord translation."""
+    real = oracles._glue_frame
 
     def rotated(m, parts):
         chords, cycle = real(m, parts)
         return chords, cycle[1:] + cycle[:1]
 
-    monkeypatch.setattr(poset_module, "_glue_frame", rotated)
+    monkeypatch.setattr(oracles, "_glue_frame", rotated)
+
+
+def _cores_above(poset, bi):
+    """The cores of the intervals with bottom bi, read by the decomposition
+    oracle, as indices in the |cut(bottom)|-piece order."""
+    small = build_poset(poset.m, len(cut_L(poset.elements[bi])))
+    return sorted(
+        small.index[interval_decompose(iv)[0]]
+        for iv in poset.all_intervals()
+        if iv.bottom == bi
+    )
 
 
 def test_a_rotated_glue_frame_fails_the_filter_check(monkeypatch):
+    # The filter theorem's oracle reads each core through the glue frame;
+    # turned by one vertex, the frame sends MID's first proper top nowhere.
     poset = build_poset(2, 3)
-    assert upper_ideal_iso_check(poset, MID) == 3  # MID's filter: three tops
+    mi = poset.index[MID]
+    assert containing(poset, MID) == 3 == len(_cores_above(poset, mi))  # three tops
     _rotated_frame(monkeypatch)
-    with pytest.raises(VerificationFailure) as info:
-        upper_ideal_iso_check(poset, MID)
-    assert str(info.value) == f"the glue frame's vertex map of {MID} does not send 0 to 0"
-    assert info.value.counterexample == MID.to_json()
+    with pytest.raises(DecompositionFailure) as info:
+        _cores_above(poset, mi)
+    top = info.value.counterexample[1]
+    assert str(info.value) == f"{Dissection.from_json(top)} does not translate over cut({MID})"
+    assert info.value.counterexample == [MID.to_json(), top]
 
 
-# Each fault breaks one condition of the filter certificate and keeps the
-# other two: the cycle is 0 first, strictly increasing and m*k+2 long.
-FRAME_FAULTS = {
-    "does not send 0 to 0": lambda cycle: tuple(v + 1 for v in cycle),
-    "is not strictly increasing": lambda cycle: cycle[:1] + cycle[2:0:-1] + cycle[3:],
-    "is not onto 0..5": lambda cycle: cycle[:-1],
-}
-
-
-@pytest.mark.parametrize("flaw", FRAME_FAULTS)
-def test_each_glue_frame_condition_fails_the_intervals_suite_alone(monkeypatch, flaw):
-    # only MID's frame is broken: the suite names MID, the bottom whose
-    # filter would not be the 2-piece order
-    poset = build_poset(2, 3)
-    parts = tuple(cut_L(MID))
-    _, cycle = poset_module._glue_frame(2, parts)
-    bad = FRAME_FAULTS[flaw](cycle)
-    held = [bad[0] == 0, all(u < v for u, v in zip(bad, bad[1:])), len(bad) == 6]
-    assert held.count(False) == 1
-    real = poset_module._glue_frame
-
-    def faulty(m, pieces):
-        chords, frame = real(m, pieces)
-        return chords, (bad if pieces == parts else frame)
-
-    monkeypatch.setattr(poset_module, "_glue_frame", faulty)
-    message = f"the glue frame's vertex map of {MID} {flaw}"
-    with pytest.raises(VerificationFailure) as info:
-        upper_ideal_iso_check(poset, MID)
-    assert str(info.value) == message
-    (report,) = run_suite("intervals", 2, 3)
-    assert not report.passed
-    assert (report.detail, report.counterexample) == (message, MID.to_json())
-
-
-def test_cut_piece_outside_the_order_is_malformed(monkeypatch):
-    poset = build_poset(2, 3)
+def test_cut_piece_outside_the_order_is_malformed():
+    # the oracles look derived pieces up by identity, as `build_poset`
+    # looks up its flip results
     bogus = Dissection(2, 1, ((0, 2),))
-    monkeypatch.setattr(poset_module, "cut_L", lambda q: [bogus])
     with pytest.raises(MalformedDissection) as info:
-        initial_factorization_check(poset, TOP)
+        oracles._locate(build_poset(2, 1).index, bogus)
     assert info.value.counterexample == bogus.to_json()
 
 
-def _fails_with(check, poset, top, message):
-    """The factorization check fails on top with this message and carries
-    [fan, top]; returns the failure."""
-    with pytest.raises(VerificationFailure) as info:
-        check(poset, top)
-    assert str(info.value) == f"[fan, {top}] {message}"
-    assert info.value.counterexample == [poset.minimum.to_json(), top.to_json()]
-    return info.value
+def _factors_with_ranges(top):
+    """Each factor of [fan, top] with its vertex map and the range of top's
+    vertices it covers: cut pieces for a non-final top, width blocks for a
+    final one."""
+    if is_final(top):
+        gaps = dissections_module._block_gaps(top)
+        return [(*_one_block_final(top, gap), gap) for gap in gaps]
+    ends = [1] + [b for a, b in top.diagonals if not a] + [top.m * top.n + 1]
+    return [
+        (piece, {v: v - lo + 1 for v in range(lo, hi + 1)}, (lo, hi))
+        for piece, (lo, hi) in zip(cut_L(top), zip(ends, ends[1:]))
+    ]
 
 
-def _suite_fails_like(check, poset, top, message):
-    failure = _fails_with(check, poset, top, message)
-    (report,) = run_suite("intervals", poset.m, poset.n)
-    assert not report.passed
-    assert (report.detail, report.counterexample) == (str(failure), failure.counterexample)
+def _unfactored_tops(m, n, factors_of=_factors_with_ranges):
+    """The product theorem's oracle, with the down-set walk the suite does
+    not make: the factorized tops of the (m, n) order whose DFS down-set
+    does not go one to one onto the product of its factors' down-sets, s
+    to the chords of s in each factor's range, relabelled; and how many
+    tops were factorized."""
+
+    def down_sets(k):
+        order = build_poset(m, k)
+        above = closure_from_covers(len(order.elements), order.covers_up)
+        return {
+            t: [order.elements[s] for s in range(len(above)) if ti in above[s]]
+            for ti, t in enumerate(order.elements)
+        }
+
+    downs = {k: down_sets(k) for k in range(1, n + 1)}
+
+    def non_apex(q):
+        return frozenset(d for d in q.diagonals if d[0])
+
+    bad, factorized = [], 0
+    for top, below in downs[n].items():
+        factors = factors_of(top)
+        if is_final(top) and len(factors) < 2:
+            continue  # certified directly, not as a product
+        factorized += 1
+        tuples = product(*(downs[p.n][p] for p, _, _ in factors))
+        want = {tuple(map(non_apex, pick)) for pick in tuples}
+        images = {
+            tuple(
+                frozenset((pos[a], pos[b]) for a, b in non_apex(s) if lo <= a and b <= hi)
+                for _, pos, (lo, hi) in factors
+            )
+            for s in below
+        }
+        if images != want or len(below) != len(want):
+            bad.append(top)
+    return bad, factorized
 
 
-def test_a_wrong_piece_map_fails_the_initial_factorization(monkeypatch):
-    # each piece's vertices one off; the piece maps are the ones without
-    # the apex, which the cores' and the blocks' maps keep
+def _changed_factors(change):
+    """`_factors_with_ranges` with `change` applied to each top's list."""
+    return lambda top: change(top, _factors_with_ranges(top))
+
+
+def test_a_wrong_piece_map_fails_the_initial_factorization():
+    # each piece's vertices one off: every non-final top holding a
+    # non-apex chord has it land off its piece's chords
+    def one_off(top, factors):
+        if is_final(top):
+            return factors
+        return [(p, {v: i - 1 for v, i in pos.items()}, r) for p, pos, r in factors]
+
+    # as MID's (4, 7) lands on (1, 4) of its second piece, which holds (2, 5)
+    bad, _ = _unfactored_tops(2, 3, _changed_factors(one_off))
+    elements = build_poset(2, 3).elements
+    assert bad == [q for q in elements if q.rank and not is_final(q)]
+
+
+def test_a_wrong_block_map_fails_the_width_factorization():
+    # the oracle factorizes only finals of two or more blocks (one block
+    # is the final itself); of (2, 3), that is TOP alone, whose (4, 7)
+    # leaves both of its blocks
+    def one_off(top, factors):
+        if not is_final(top):
+            return factors
+        return [(p, {v: i + 1 for v, i in pos.items()}, r) for p, pos, r in factors]
+
+    assert _unfactored_tops(2, 3, _changed_factors(one_off))[0] == [TOP]
+
+
+def test_a_block_counted_twice_fails_the_partition_alone():
+    # every factor's image is still exactly its D[p_i], but TOP's chords of
+    # its first block go to two factors: the product would count that
+    # block's interval twice
     poset = build_poset(2, 3)
-    assert initial_factorization_check(poset, MID)
-    real = poset_module._translation
+    twice = _factors_with_ranges(TOP)
+    twice += twice[:1]
+    chords = {d: poset.diagonal_bits[d] for d in TOP.diagonals if d[0]}
+    for block, pos, _ in twice:
+        small = build_poset(2, block.n)
+        image = oracles._translation(chords, small, pos)
+        want = small.diagonal_masks[small.index[block]]
+        assert sum(image.values()) == want and len(image) == want.bit_count()
 
-    def one_off(bits, small, pos):
-        if 0 not in pos:
-            pos = {v: i - 1 for v, i in pos.items()}
-        return real(bits, small, pos)
+    def doubled(top, factors):
+        return factors + factors[:1] if top == TOP else factors
 
-    monkeypatch.setattr(poset_module, "_translation", one_off)
-    message = "does not translate to its factors"
-    # MID's (4, 7) lands on (1, 4) of its second piece, which holds (2, 5)
-    _fails_with(initial_factorization_check, poset, MID, message)
-    # the suite's first non-final top, ((0, 3), (3, 6)), has its (3, 6) on
-    # the apex chord (0, 3) of its piece, so in no factor
-    first = next(q for q in poset.elements if q.rank and not is_final(q))
-    _suite_fails_like(initial_factorization_check, poset, first, message)
+    assert _unfactored_tops(2, 3, _changed_factors(doubled))[0] == [TOP]
 
 
-def test_a_wrong_block_map_fails_the_width_factorization(monkeypatch):
-    poset = build_poset(2, 3)
-    assert width_factorization_check(poset, TOP)
-    real = poset_module._one_block_final
+def test_a_chord_in_no_factor_or_in_two_fails_the_split():
+    top = Dissection.new(1, 4, ((0, 3), (1, 3), (3, 5)))
+    assert cut_L(top) == [Dissection.new(1, 2, ((1, 3),))] * 2
 
-    def one_off(q, keep):
-        block, relabel = real(q, keep)
-        return block, {v: i + 1 for v, i in relabel.items()}
+    def only(fault):
+        return _changed_factors(lambda t, fs: fault(fs) if t == top else fs)
 
-    monkeypatch.setattr(poset_module, "_one_block_final", one_off)
-    message = "does not translate to its factors"
-    # TOP's (4, 7) leaves both of its blocks
-    _fails_with(width_factorization_check, poset, TOP, message)
-    # the suite factorizes only finals of two or more blocks (one block is
-    # the final itself); the first of them is TOP
-    first = next(q for q in poset.elements if is_final(q) and width_and_blocks(q)[0] > 1)
-    assert first == TOP
-    _suite_fails_like(width_factorization_check, poset, first, message)
+    # each range loses its first vertex, so each piece its chord
+    def narrowed(fs):
+        return [(p, pos, (lo + 1, hi)) for p, pos, (lo, hi) in fs]
+
+    assert _unfactored_tops(1, 4, only(narrowed))[0] == [top]
+    # both pieces read through the first one's range and map: each gets its
+    # own element, but both from the first piece's chord (1, 3)
+    def first_map(fs):
+        return [(p, *fs[0][1:]) for p, _, _ in fs]
+
+    assert _unfactored_tops(1, 4, only(first_map))[0] == [top]
 
 
 def _with_lower_covers(poset, changed):
@@ -560,14 +605,13 @@ def _spans_message(q):
 def test_a_down_set_one_element_short_fails_the_factorization(monkeypatch):
     # ((0, 3), (1, 3), (3, 5)) covers two elements; without the first of
     # them its down-set is fan, itself and the second, against the 2 x 2 of
-    # its pieces.  The factorization certificate reads chords, not covers,
-    # so it holds; the suite's inclusion check names top, whose lower
-    # covers no longer remove its maximal span (1, 3).
+    # its pieces.  The product theorem reads chords, not covers; the
+    # suite's inclusion check names top, whose lower covers no longer
+    # remove its maximal span (1, 3).
     poset = build_poset(1, 4)
     top = Dissection.new(1, 4, ((0, 3), (1, 3), (3, 5)))
     ti = poset.index[top]
     broken = _with_lower_covers(poset, {ti: poset.covers_down[ti][1:]})
-    assert initial_factorization_check(broken, top)
     _assert_suite_fails_at(monkeypatch, broken, top, _spans_message(top), "intervals")
 
 
@@ -605,8 +649,8 @@ def test_a_down_set_element_outside_the_product_fails_the_factorization(monkeypa
 
 
 def test_the_certificates_walk_no_up_set_or_down_set(monkeypatch):
-    # `inclusion_check`, `upper_ideal_iso_check` and the factorization
-    # checks read chords and each element's own covers: no DFS
+    # `inclusion_check` reads chords and each element's own covers, and the
+    # filter sizes are closed-form counts: no DFS
     walks = []
     real = poset_module._reached
     monkeypatch.setattr(
@@ -615,48 +659,10 @@ def test_the_certificates_walk_no_up_set_or_down_set(monkeypatch):
     for m, n in [(2, 4), (1, 6)]:
         poset = build_poset(m, n)
         assert inclusion_check(poset)
-        assert containing_total(poset) == series_I(m, n).coefficient(n)
-        count = 0
-        for q in poset.elements:
-            count += upper_ideal_iso_check(poset, q)
-            check = width_factorization_check if is_final(q) else initial_factorization_check
-            assert check(poset, q)
+        count = sum(containing(poset, q) for q in poset.elements)
         assert count == series_I(m, n).coefficient(n)
+        assert verify_module._interval_total(poset) == count
     assert walks == []
-
-
-def test_a_block_counted_twice_fails_the_partition_alone(monkeypatch):
-    # every factor's image is still exactly its D[p_i], but TOP's chords of
-    # its first block go to two factors: the product would count that
-    # block's interval twice
-    poset = build_poset(2, 3)
-    gaps = poset_module._block_gaps(TOP)
-    monkeypatch.setattr(poset_module, "_block_gaps", lambda q: gaps + gaps[:1])
-    chords = {d: poset.diagonal_bits[d] for d in TOP.diagonals if d[0]}
-    for block, pos in (poset_module._one_block_final(TOP, g) for g in gaps + gaps[:1]):
-        small = build_poset(2, block.n)
-        image = poset_module._translation(chords, small, pos)
-        want = small.diagonal_masks[small.index[block]]
-        assert sum(image.values()) == want and len(image) == want.bit_count()
-    _suite_fails_like(width_factorization_check, poset, TOP, "does not translate to its factors")
-
-
-def test_a_chord_in_no_factor_or_in_two_fails_the_split(monkeypatch):
-    poset = build_poset(1, 4)
-    top = Dissection.new(1, 4, ((0, 3), (1, 3), (3, 5)))
-    assert cut_L(top) == [Dissection.new(1, 2, ((1, 3),))] * 2
-    real = poset_module._translation
-    message = "does not translate to its factors"
-    # each translation loses its first chord
-    monkeypatch.setattr(poset_module, "_translation", lambda *args: dict(
-        sorted(real(*args).items())[1:]
-    ))
-    _fails_with(initial_factorization_check, poset, top, message)
-    # both pieces read through the first one's map: each gets its own
-    # element, but both from the first piece's chord (1, 3)
-    first = {1: 1, 2: 2, 3: 3}
-    monkeypatch.setattr(poset_module, "_translation", lambda b, s, pos: real(b, s, first))
-    _fails_with(initial_factorization_check, poset, top, message)
 
 
 def test_width_cover_check_fails_on_a_wrong_width(monkeypatch):
@@ -851,69 +857,23 @@ def test_every_interval_certifies_like_its_initial_class(m, n):
 
 @pytest.mark.parametrize("m,n", PAIRS)
 def test_cores_above_each_bottom_are_the_piece_order(m, n):
-    # The per-top translation `upper_ideal_iso_check` no longer makes, as
-    # an oracle: the cores of the tops in each bottom's up-set, walked by
-    # DFS, are every element of the |cut(bottom)|-piece order, once each.
+    # The filter theorem, against the oracles: the cores of the tops in
+    # each bottom's up-set, walked by DFS, are every element of the
+    # |cut(bottom)|-piece order, once each, `_containing_count` many.
     poset = build_poset(m, n)
     for bi, bottom in enumerate(poset.elements):
-        small = build_poset(m, len(cut_L(bottom)))
-        cores = sorted(
-            small.index[interval_decompose(iv)[0]] for iv in poset.intervals_above(bi)
-        )
-        assert cores == list(range(len(small.elements)))
-        assert upper_ideal_iso_check(poset, bottom) == len(cores)
-
-
-def _factors_with_ranges(top):
-    """Each factor of [fan, top] with its vertex map and the range of top's
-    vertices it covers: cut pieces for a non-final top, width blocks for a
-    final one."""
-    if is_final(top):
-        gaps = poset_module._block_gaps(top)
-        return [(*_one_block_final(top, gap), gap) for gap in gaps]
-    ends = [1] + [b for a, b in top.diagonals if not a] + [top.m * top.n + 1]
-    return [
-        (piece, {v: v - lo + 1 for v in range(lo, hi + 1)}, (lo, hi))
-        for piece, (lo, hi) in zip(cut_L(top), zip(ends, ends[1:]))
-    ]
+        cores = _cores_above(poset, bi)
+        assert cores == list(range(fuss_catalan(m, len(cut_L(bottom)))))
+        assert containing(poset, bottom) == len(cores)
 
 
 @pytest.mark.parametrize("m,n", PAIRS)
 def test_initial_intervals_are_the_products_of_their_factors(m, n):
-    # The down-set walk the factorization checks no longer make, as an
-    # oracle: the DFS down-set of each factorized top goes one to one onto
-    # the product of its factors' down-sets, s to the chords of s in each
-    # factor's range, relabelled.
-    def down_sets(k):
-        order = build_poset(m, k)
-        above = closure_from_covers(len(order.elements), order.covers_up)
-        return {
-            t: [order.elements[s] for s in range(len(above)) if ti in above[s]]
-            for ti, t in enumerate(order.elements)
-        }
-
-    downs = {k: down_sets(k) for k in range(1, n + 1)}
-
-    def non_apex(q):
-        return frozenset(d for d in q.diagonals if d[0])
-
-    factorized = 0
-    for top, below in downs[n].items():
-        factors = _factors_with_ranges(top)
-        if is_final(top) and len(factors) < 2:
-            continue  # certified directly, not as a product
-        factorized += 1
-        tuples = product(*(downs[p.n][p] for p, _, _ in factors))
-        want = {tuple(map(non_apex, pick)) for pick in tuples}
-        images = {
-            tuple(
-                frozenset((pos[a], pos[b]) for a, b in non_apex(s) if lo <= a and b <= hi)
-                for _, pos, (lo, hi) in factors
-            )
-            for s in below
-        }
-        assert images == want and len(below) == len(want)
-    assert factorized
+    # The product theorem, against the oracle's down-set walk: the DFS
+    # down-set of each factorized top goes one to one onto the product of
+    # its factors' down-sets.
+    bad, factorized = _unfactored_tops(m, n)
+    assert bad == [] and factorized
 
 
 def test_decompositions_validate_no_core(monkeypatch):
@@ -928,8 +888,6 @@ def test_decompositions_validate_no_core(monkeypatch):
     monkeypatch.setattr(Dissection, "new", classmethod(counting_new))
     for iv in poset.all_intervals():
         interval_decompose(iv)
-    for q in poset.elements:
-        upper_ideal_iso_check(poset, q)
     assert validated == []
 
 
@@ -1041,8 +999,7 @@ def test_order_queries_build_no_reachability_closure():
     iv = poset.interval(poset.minimum, top)
     assert mobius(iv) in (-1, 0, 1)
     assert interval_structure(iv)[0]
-    for q in poset.elements:
-        assert upper_ideal_iso_check(poset, q)
+    assert verify_module._interval_total(poset) == series_I(1, 6).coefficient(6)
     assert "up_masks" not in poset.__dict__ and "down_masks" not in poset.__dict__
 
 
@@ -1211,21 +1168,6 @@ def test_poset_suite_checks_the_up_sets_against_the_interval_series(monkeypatch)
     (report,) = run_suite("poset", 2, 3)
     assert not report.passed
     assert report.detail == "up-sets hold 32 intervals, series says 31"
-
-
-def test_glue_frame_is_built_once_per_bottom_and_frozen(monkeypatch):
-    poset = build_poset(1, 6)
-    q = next(q for q in poset.elements if len(cut_L(q)) == 3)
-    calls = []
-    real = dissections_module._glue_frame
-    monkeypatch.setattr(
-        poset_module, "_glue_frame", lambda m, parts: calls.append(parts) or real(m, parts)
-    )
-    above = closure_from_covers(len(poset.elements), poset.covers_up)
-    assert upper_ideal_iso_check(poset, q) == len(above[poset.index[q]])
-    assert calls == [tuple(cut_L(q))]  # one frame for the whole filter
-    chords, cycle = real(1, tuple(cut_L(q)))
-    assert isinstance(chords, tuple) and isinstance(cycle, tuple)
 
 
 def test_a_shortcut_cover_fails_the_inclusion_check():

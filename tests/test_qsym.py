@@ -7,10 +7,13 @@ import pytest
 from polyflip import (
     SizeGuardExceeded,
     SparsePoly,
+    build_poset,
     enumerate_compositions,
     enumerate_dyck,
+    expand,
     fundamental_qsym,
     fuss_catalan,
+    poly_for_dissection,
     verify_basis_graded,
     weight,
     word_of_composition,
@@ -445,3 +448,26 @@ def test_certificate_drops_entries_that_vanish_mod_p():
     # admissible column: undecided, not a failed reduction
     assert _certify(monomials, [{0: p, 1: 1}, {1: 1, 2: 1}], [(2,)]) is None
     assert _certify(monomials, [{0: 1}, {0: p, 1: 1}], [(2,)]) == [{2: 1}]
+
+
+def test_rank_1_binomials_of_2_4_span_an_ideal_vector():
+    """A pinned fact for ROADMAP item 4, not a claim the package makes.
+
+    At (2, 4) in degree 1 the six rank-1 P_Q are the edges of two paths,
+    on x1, y2, x3, y4 and on y1, x2, y3, x4, so they span the vectors whose
+    coefficients add up to 0 on each path.  The sum of x's less the sum of
+    y's is such a vector and lies in I_1, spanned by the sum of the x's
+    and the sum of the y's: with the two ideal rows the P_Q reach rank 7
+    of 8, not 8, so in this degree they are no basis of R_1 / I_1 under
+    the package's conventions.
+    """
+    rank_1 = [q for q in build_poset(2, 4).elements if q.rank == 1]
+    polys = [poly_for_dissection(q) for q in rank_1]
+    assert [p.text() for p in polys] == [
+        "(x4-y3)", "(y4-x3)", "(x3-y2)", "(y3-x2)", "(x2-y1)", "(y2-x1)"
+    ]
+    monomials, ideal = dense_rows(2, 4, 1)
+    assert len(monomials) == 8 and len(ideal) == 2
+    pq = [[expand(p).terms.get(e, 0) for e in monomials] for p in polys]
+    assert integer_matrix_rank(pq) == 6
+    assert integer_matrix_rank(pq + ideal) == 7

@@ -30,12 +30,14 @@ from polyflip import (
     binomial_for_diagonal,
     build_poset,
     enumerate_dissections,
+    enumerate_dyck,
     fuss_catalan,
     is_final,
     leading_monomial,
     phi,
     poly_for_dissection,
     rank_polynomial,
+    reflect,
     run_suite,
     series_F,
     series_G,
@@ -46,6 +48,7 @@ from polyflip.cli import main
 from polyflip.polynomials import variable_at_position
 from polyflip.qsym import _densify, _ideal_rows, integer_matrix_rank
 
+import oracles
 from oracles import interval_decompose, width_and_blocks
 
 EXPECTED_SUITES = ["poset", "bijection", "divisibility", "qsym", "intervals", "series"]
@@ -359,20 +362,15 @@ def test_cli_structure_failure_carries_counterexample(capsys, monkeypatch):
 
 
 def test_decomposition_failure_carries_counterexample(monkeypatch):
-    # a wrong chord translation: the glue frame's cycle turned by one vertex
+    # a wrong chord translation: the oracles' glue frame turned by one vertex
     fan = build_poset(2, 2).minimum
-    real = poset_module._glue_frame
+    real = oracles._glue_frame
 
     def rotated(m, parts):
         chords, cycle = real(m, parts)
         return chords, cycle[1:] + cycle[:1]
 
-    monkeypatch.setattr(poset_module, "_glue_frame", rotated)
-    # the suite checks each bottom's frame and names the first, the fan
-    (report,) = run_suite("intervals", 2, 2)
-    assert not report.passed
-    assert report.detail == f"the glue frame's vertex map of {fan} does not send 0 to 0"
-    assert report.counterexample == fan.to_json()
+    monkeypatch.setattr(oracles, "_glue_frame", rotated)
     # a core read through that frame is the decomposition's failure
     top = build_poset(2, 2).elements[1]
     with pytest.raises(DecompositionFailure, match="does not translate") as info:
@@ -481,6 +479,181 @@ def test_bijection_reports_the_first_unreached_vector(monkeypatch):
     assert not report.passed
     assert report.detail == "leading exponent vectors do not match the admissible set"
     assert report.counterexample == list(phi(dropped))
+
+
+def test_poset_suite_reports_a_second_minimal_element(monkeypatch):
+    # without the covers from the fan to x, the rank-1 x has no lower cover
+    good = build_poset(2, 3)
+    fan = good.minimum
+    x = good.ranks.index(1)
+    covers = (tuple(j for j in good.covers_up[0] if j != x),) + good.covers_up[1:]
+    broken = FlipPoset(2, 3, good.elements, covers)
+    monkeypatch.setattr(verify_module, "_order", lambda m, n: broken)
+    (report,) = run_suite("poset", 2, 3)
+    bottoms = [fan, good.elements[x]]
+    assert not report.passed
+    assert report.detail == f"minimum not unique: {bottoms}"
+    assert report.counterexample == [q.to_json() for q in bottoms]
+
+
+def test_bijection_reports_a_missing_admissible_vector(monkeypatch):
+    real = verify_module.enumerate_dyck
+    monkeypatch.setattr(
+        verify_module, "enumerate_dyck", lambda m, n, max_mn: real(m, n, max_mn)[:-1]
+    )
+    (report,) = run_suite("bijection", 2, 3)
+    assert not report.passed
+    assert report.detail == "11 admissible vectors, expected Fuss-Catalan"
+    assert report.counterexample is None
+
+
+def test_bijection_reports_a_vector_psi_does_not_round_trip(monkeypatch):
+    v0, v1 = enumerate_dyck(2, 3)[:2]
+    q0 = verify_module.psi(2, v0)
+    real = verify_module.phi
+    monkeypatch.setattr(verify_module, "phi", lambda q: v1 if q == q0 else real(q))
+    (report,) = run_suite("bijection", 2, 3)
+    assert not report.passed
+    assert report.detail == f"phi(psi({v0})) = {v1}"
+    assert report.counterexample == list(v0)
+
+
+def test_bijection_reports_a_non_admissible_leading_vector(monkeypatch):
+    q0 = enumerate_dissections(2, 3)[0]
+    v0 = phi(q0)
+    real = verify_module.is_dyck
+    monkeypatch.setattr(verify_module, "is_dyck", lambda m, v: v != v0 and real(m, v))
+    (report,) = run_suite("bijection", 2, 3)
+    assert not report.passed
+    assert report.detail == f"phi({q0}) = {v0} is not admissible"
+    assert report.counterexample == q0.to_json()
+
+
+def test_bijection_reports_a_dissection_psi_does_not_give_back(monkeypatch):
+    # psi is right on the vector loop, then hands out the second
+    # dissection for every vector
+    q0, q1 = enumerate_dissections(2, 3)[:2]
+    size = len(enumerate_dyck(2, 3))
+    calls = []
+    real = verify_module.psi
+
+    def late(m, v):
+        calls.append(v)
+        return real(m, v) if len(calls) <= size else q1
+
+    monkeypatch.setattr(verify_module, "psi", late)
+    (report,) = run_suite("bijection", 2, 3)
+    assert not report.passed
+    assert report.detail == f"psi(phi({q0})) differs"
+    assert report.counterexample == q0.to_json()
+
+
+def test_divisibility_reports_a_division_that_disagrees(monkeypatch):
+    # the quotient's existence negated: the first spot-checked pair fails
+    real = verify_module.exact_quotient
+    monkeypatch.setattr(
+        verify_module, "exact_quotient", lambda a, b: None if real(a, b) is not None else a
+    )
+    (report,) = run_suite("divisibility", 2, 3)
+    elements = build_poset(2, 3).elements
+    rng = random.Random(10007 * 2 + 3)
+    i, j = verify_module._spot_check_pairs(rng, len(elements), verify_module.DIVISION_SAMPLES)[0]
+    assert not report.passed
+    assert report.detail == "long division disagrees with factor containment"
+    assert report.counterexample == [elements[i].to_json(), elements[j].to_json()]
+
+
+def _involution_fault(monkeypatch, q, image):
+    """Run the (2, 3) divisibility suite with q's involution image replaced
+    by `image`, its sign kept; returns the report."""
+    target = poly_for_dissection(q)
+    real = verify_module.involution_image
+
+    def faulty(p):
+        got, sign = real(p)
+        return (image if p == target else got), sign
+
+    monkeypatch.setattr(verify_module, "involution_image", faulty)
+    (report,) = run_suite("divisibility", 2, 3)
+    assert not report.passed
+    return report
+
+
+def test_divisibility_reports_an_involution_image_off_the_family(monkeypatch):
+    # a factor squared: no P_Q repeats a factor
+    q = next(q for q in build_poset(2, 3).elements if q.rank == 1)
+    (f,) = poly_for_dissection(q).factors
+    report = _involution_fault(monkeypatch, q, FactoredPoly.new(2, 3, [f, f]))
+    assert report.detail == f"involution image of {q} escapes the family"
+    assert report.counterexample == q.to_json()
+
+
+def test_divisibility_reports_an_involution_image_not_the_mirror(monkeypatch):
+    # another element's polynomial, of the same rank: in the family, with
+    # the right sign, but not the mirror's
+    rank_1 = [q for q in build_poset(2, 3).elements if q.rank == 1]
+    q = rank_1[0]
+    other = next(x for x in rank_1 if x != reflect(q))
+    report = _involution_fault(monkeypatch, q, poly_for_dissection(other))
+    assert report.detail == f"involution image of {q} is not its mirror"
+    assert report.counterexample == q.to_json()
+
+
+def test_qsym_suite_checks_the_admissible_total(monkeypatch):
+    real = verify_module.verify_basis_graded
+
+    def one_more(m, n):
+        report = real(m, n)
+        first, *rest = report["degrees"]
+        return {**report, "degrees": [{**first, "admissible": first["admissible"] + 1}, *rest]}
+
+    monkeypatch.setattr(verify_module, "verify_basis_graded", one_more)
+    (report,) = run_suite("qsym", 2, 3)
+    assert not report.passed
+    assert report.detail == "admissible total 13 != Fuss-Catalan"
+    assert report.counterexample is None
+
+
+def test_intervals_suite_checks_the_filter_sizes_against_the_interval_series(monkeypatch):
+    # one filter too many, the fan's, through the count both suites share
+    real = verify_module._containing_count
+    monkeypatch.setattr(
+        verify_module, "_containing_count", lambda m, n, chords: real(m, n, chords) + (not chords)
+    )
+    (report,) = run_suite("intervals", 2, 3)
+    assert not report.passed
+    assert report.detail == "32 intervals, series says 31"
+    assert report.counterexample is None
+
+
+def test_intervals_suite_walks_one_initial_interval_per_irreducible_final(monkeypatch):
+    # [fan_k, t] for each final t of width at most 1 in each order k <= 4,
+    # and nothing else: no cut piece, no glue frame, no interval enumeration
+    def refuse(*args, **kwargs):
+        raise AssertionError("the intervals suite cuts, glues or enumerates intervals")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("polyflip") and hasattr(module, "cut_L"):
+            monkeypatch.setattr(module, "cut_L", refuse)
+    monkeypatch.setattr(oracles, "_glue_frame", refuse)
+    monkeypatch.setattr(FlipPoset, "all_intervals", refuse)
+    walked = []
+    real = FlipPoset.interval
+    monkeypatch.setattr(
+        FlipPoset,
+        "interval",
+        lambda self, b, t: walked.append((self.n, b, t)) or real(self, b, t),
+    )
+    (report,) = run_suite("intervals", 2, 4)
+    assert report.passed and report.detail == "211 intervals certified"
+    want = [
+        (k, order.minimum, t)
+        for k in (4, 3, 2, 1)
+        for order in [build_poset(2, k)]
+        for t in order.elements
+        if is_final(t) and width_and_blocks(t)[0] <= 1
+    ]
+    assert walked == want and len(want) == 24 + 6 + 2 + 1  # 2 * FC(2, k - 1) for k > 1
 
 
 def test_divisibility_divides_only_the_spot_checks(monkeypatch):
@@ -725,8 +898,9 @@ def test_intervals_suite_fails_on_a_wrong_cover_inside_a_non_initial_interval(
     broken = FlipPoset(2, 4, good.elements, tuple(covers))
     fan = broken.index[broken.minimum]
     assert len(poset_module._reached(broken.covers_up, fan)) == len(good.elements)
-    for iv in broken.intervals_above(fan):
-        assert poset_module.interval_structure(iv)[0]
+    for iv in broken.all_intervals():
+        if iv.bottom == fan:
+            assert poset_module.interval_structure(iv)[0]
     monkeypatch.setattr(verify_module, "_order", lambda m, n: broken)
     (report,) = run_suite("intervals", 2, 4)
     assert not report.passed
