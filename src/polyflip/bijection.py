@@ -7,7 +7,7 @@ starting vertices are the last c visible vertices carrying the predecessor
 letter; finish by drawing every apex diagonal that still fits.
 """
 
-from .dissections import Dissection
+from .dissections import Dissection, validate
 from .dyck import _first_violation, check_m_vector
 from .errors import ConstructionStuck, NotDyck
 from .polynomials import Monomial, leading_monomial, poly_for_dissection
@@ -69,8 +69,9 @@ def psi(m: int, v) -> Dissection:
         assert visible[pos - m * prefix - 1] == starts[0], (pos, visible, starts)
         chords.extend((s, end) for s in starts)
         del visible[cands[-c] + 1 :]
-    # an apex diagonal (0, u) crosses a drawn chord exactly when u lies
-    # strictly inside it
-    seen = set(visible)
-    chords.extend((0, m * k + 1) for k in range(1, n) if m * k + 1 in seen)
-    return Dissection.new(m, n, chords)
+    # an apex diagonal (0, u), u = m*k + 1 for 0 < k < n, crosses a drawn
+    # chord exactly when u lies strictly inside it; visible runs ascending
+    fan = [(0, u) for u in visible if u > 1 and u % m == 1 % m]
+    q = Dissection(m, n, tuple(fan + sorted(chords)))
+    validate(q)
+    return q

@@ -12,11 +12,11 @@ Labelled vertices: vertex i >= 1 carries the letter ((i-2) mod m) + 1, so the
 letters 1..m repeat counter-clockwise and both neighbours of the apex carry
 the last letter.
 
-Validation policy: `Dissection.new` is the one validating constructor.  It
-runs `validate`, one linear pass over the chords; `regions` is the same
-check followed by the region walk.  It takes chord data from outside
-(`from_json`) and the constructions whose validity is itself a claim of
-the paper (`make_q0` and `bijection.psi`).  Everything derived here from
+Validation policy: `validate`, one linear pass over the chords, is the one
+validator; `regions` is the same check followed by the region walk.
+`Dissection.new` sorts and validates chord data from outside (`from_json`)
+and the fan (`make_q0`); `bijection.psi`, whose validity is itself a claim
+of the paper, validates its own sorted chords.  Everything derived here from
 dissections already held (`flip_up` results, `cut_L` pieces, `reflect`)
 is built unchecked, and enumeration is correct by construction.
 `build_poset` checks its flip results by identity instead: it looks each
@@ -28,16 +28,16 @@ tests check the three constructions, and the gluings and blocks of their
 own oracles, against an independent face computation, and `validate`
 against the pairwise crossing scan and region walk it replaced.
 
-Memory: enumeration builds every chord through one intern table
-(`_chord`), so all enumerated elements share one tuple per chord: the
-104 742 chord slots of the (1,10) order point at 54 tuples.  The fillings of
-sub-gaps are memoized, but those of the top gap m*n+1 come from the
-uncached body and are freed once the elements exist.
+Memory: enumeration builds each chord set as one int (`_numbering`) and
+decodes each element's mask once through one table of chords, so all
+elements share one tuple per chord: the 151 164 chord slots of the (1,10)
+order point at 54 tuples.  Sub-gap fillings are memoized for one
+enumeration only, as masks in its order's numbering.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import combinations, combinations_with_replacement
 from operator import itemgetter
 
 from .errors import (
@@ -259,47 +259,34 @@ def apex_region(q: Dissection) -> tuple[int, ...]:
     return _walk_region(_chord_ends(q.diagonals), 0, q.m * q.n + 1)
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _numbering(m: int, n: int) -> tuple[int, int]:
+    """(K, W): chord (a, b) of the (m*n+2)-gon holds bit K - (a*W + b), with
+    W = m*n and K = W*W + 1.  As a+2 <= b <= W+1, a*W + b grows with (a, b)
+    up to bit 0 at (W-1, W+1); the apex chords hold the bits from W*(W-1) up;
+    moving chords x vertices on shifts them x*(W+1) bits down.  Equal-sized
+    chord sets sort by descending mask as by ascending chord tuple: the least
+    chord c of their symmetric difference holds the XOR's top bit, and the
+    tuples agree before c's place, where one has c and the other a larger one."""
+    return (m * n) ** 2 + 1, m * n
 
 
-@lru_cache(maxsize=None)
-def _chord(a: int, b: int) -> Chord:
-    # The one shared tuple for the chord (a, b).
-    return (a, b)
-
-
-@lru_cache(maxsize=None)
-def _arc_fillings(m: int, gap: int) -> tuple[tuple[Chord, ...], ...]:
-    # All chord sets dissecting the sub-polygon 0..gap (closed by the chord or
-    # side (0, gap)) into (m+2)-gons.  gap == 1 (mod m) always.  Every chord
-    # is built through `_chord`, so equal chords are one object.
-    if gap == 1:
-        return ((),)
-    free = (gap - 1) // m - 1  # regions left after the one hugging (0, gap)
+def _arc_fillings(m: int, n: int, gap: int, memo: dict) -> list[int]:
+    # The chord sets dissecting the sub-polygon 0..gap into (m+2)-gons, as
+    # masks in the (m, n) numbering.  The region hugging (0, gap) has vertices
+    # 0, i + m*t_i (t_1 <= ... <= t_m) and gap; under each side go its gap's
+    # fillings with their closing chord, from `memo` (seeded: an edge's [0]).
+    K, W = _numbering(m, n)
     out = []
-    for comp in _compositions(free, m + 1):
-        cuts = [0]
-        for a in comp:
-            cuts.append(cuts[-1] + m * a + 1)
-        side_chords = tuple(
-            _chord(x, y) for x, y in zip(cuts, cuts[1:]) if y - x >= 2
-        )
-        gap_choices = [
-            tuple(
-                tuple(_chord(a + x, b + x) for a, b in filling)
-                for filling in _arc_fillings(m, y - x)
-            )
-            for x, y in zip(cuts, cuts[1:])
-        ]
-        for pieces in product(*gap_choices):
-            out.append(side_chords + tuple(chain.from_iterable(pieces)))
-    return tuple(out)
+    for ts in combinations_with_replacement(range((gap - 1) // m), m):
+        cuts = [0, *(i + m * t for i, t in enumerate(ts, 1)), gap]
+        acc = [0]
+        for x, y in zip(cuts, cuts[1:]):
+            g, shift = y - x, x * (W + 1)
+            if g not in memo:
+                memo[g] = [f + (1 << K - g) for f in _arc_fillings(m, n, g, memo)]
+            acc = [p + (f >> shift) for p in acc for f in memo[g]]
+        out += acc
+    return out
 
 
 def check_size_guard(m: int, n: int, max_mn: int) -> None:
@@ -312,20 +299,33 @@ def check_size_guard(m: int, n: int, max_mn: int) -> None:
         )
 
 
+def _enumerated(m: int, n: int, max_mn: int) -> tuple[list[int], list[Dissection]]:
+    """Every M-angulation's chord mask, descending (the canonical order), and
+    the M-angulations they hold, one tuple per chord.  Size-guarded."""
+    if m < 1 or n < 1:
+        raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
+    check_size_guard(m, n, max_mn)
+    masks = sorted(_arc_fillings(m, n, m * n + 1, {1: [0]}), reverse=True)
+    K, W = _numbering(m, n)
+    chord = {K - a * W - b: (a, b) for a in range(W) for b in range(a + m + 1, W + 2, m)}
+    elements = []
+    for mask in masks:
+        chords = []
+        while mask:  # highest bit first: ascending chords
+            k = mask.bit_length() - 1
+            chords.append(chord[k])
+            mask ^= 1 << k
+        elements.append(Dissection(m, n, tuple(chords)))
+    return masks, elements
+
+
 def enumerate_dissections(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> list[Dissection]:
     """All M-angulations of the (m*n+2)-gon, in canonical order.
 
     There are C((m+1)n, n)/(mn+1) of them (Fuss-Catalan).  Guarded: raises
     SizeGuardExceeded when m*n > max_mn.
     """
-    if m < 1 or n < 1:
-        raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
-    check_size_guard(m, n, max_mn)
-    # The top gap's fillings come from the uncached body: only the sub-gaps
-    # stay memoized, and the top-level list is freed once the elements exist.
-    quads = [_unchecked(m, n, ch) for ch in _arc_fillings.__wrapped__(m, m * n + 1)]
-    quads.sort(key=lambda q: q.diagonals)  # m and n are fixed here
-    return quads
+    return _enumerated(m, n, max_mn)[1]
 
 
 def flip_up(q: Dissection, d: Chord) -> list[Dissection]:

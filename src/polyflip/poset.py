@@ -16,7 +16,6 @@ width blocks, are theorems of the certified inclusion order, proved in
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
 from math import factorial
 from types import MappingProxyType
 
@@ -24,9 +23,10 @@ from .dissections import (
     DEFAULT_MAX_MN,
     Chord,
     Dissection,
+    _enumerated,
+    _numbering,
     _region_sizes,
     _unchecked,
-    enumerate_dissections,
     make_q0,
 )
 from .errors import MalformedDissection, StructureViolation, VerificationFailure
@@ -115,23 +115,18 @@ class FlipPoset:
 
     @cached_property
     def diagonal_bits(self) -> MappingProxyType:
-        """Each non-apex chord of the order -> its bit in `diagonal_masks`,
-        numbered in order of first appearance."""
-        chords = dict.fromkeys(chain.from_iterable(q.diagonals for q in self.elements))
-        return MappingProxyType({d: k for k, d in enumerate(d for d in chords if d[0])})
+        """Each non-apex chord (a, b) of the order -> its bit in
+        `diagonal_masks`, K - (a*W + b) as `dissections._numbering` has it."""
+        K, W = _numbering(self.m, self.n)
+        return MappingProxyType(
+            {(a, b): K - a * W - b for q in self.elements for a, b in q.diagonals if a}
+        )
 
     @cached_property
     def diagonal_masks(self) -> tuple[int, ...]:
         """Element i's non-apex diagonals as a bitmask over `diagonal_bits`."""
         one = {d: 1 << k for d, k in self.diagonal_bits.items()}
-        masks = []
-        for q in self.elements:
-            acc = 0
-            for d in q.diagonals:
-                if d[0]:
-                    acc |= one[d]
-            masks.append(acc)
-        return tuple(masks)
+        return tuple(sum({one[d] for d in q.diagonals if d[0]}) for q in self.elements)
 
     def leq(self, a: Dissection, b: Dissection) -> bool:
         D = self.diagonal_masks
@@ -281,28 +276,32 @@ def _up_flips(q: Dissection) -> list[tuple[Chord, Chord]]:
 
 @lru_cache(maxsize=None)
 def build_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> FlipPoset:
-    """The order on the enumerated elements.  Each flip result is looked up
-    by its chord bitmask, one bit per distinct chord; a result that is
-    none of them raises MalformedDissection, with the result as its
-    counterexample."""
-    elements = tuple(enumerate_dissections(m, n, max_mn))
+    """The order on the enumerated elements, keyed by their chord masks
+    (`dissections._numbering`): a flip trading d for c is key ^ bit(d) | bit(c),
+    and a miss raises MalformedDissection with the result as counterexample.
+    The keys less their apex bits are `diagonal_masks`; their popcounts `ranks`."""
+    keys, elements = _enumerated(m, n, max_mn)
+    elements = tuple(elements)
+    K, W = _numbering(m, n)
     ids = list(range(len(elements)))  # one int each for the covers and index
-    chords = dict.fromkeys(chain.from_iterable(q.diagonals for q in elements))
-    bit = {d: 1 << k for k, d in enumerate(chords)}
-    keys = [sum(map(bit.__getitem__, q.diagonals)) for q in elements]
     at = dict(zip(keys, ids))
     covers = []
     for q, key in zip(elements, keys):
         ups = set()
         for d, c in _up_flips(q):
-            j = at.get(key ^ bit[d] | bit[c]) if c in bit else None
+            j = at.get(key ^ 1 << K - d[0] * W - d[1] | 1 << K - c[0] * W - c[1])
             if j is None:
                 kept = [x for x in q.diagonals if x != d]
                 raise _derived_miss(_unchecked(m, n, kept + [c]))
             ups.add(j)
         covers.append(tuple(sorted(ups)))
-    del keys, at  # freed before the index is built: the two never coexist
+    del at  # freed before the index is built: the two never coexist
+    below_apex = (1 << W * (W - 1)) - 1  # every chord's bit but the apex chords'
+    for i, key in enumerate(keys):  # each key freed as its mask is made
+        keys[i] = key & below_apex
+    D = tuple(keys)
     poset = FlipPoset(m, n, elements, tuple(covers))
+    poset.__dict__.update(diagonal_masks=D, ranks=tuple(d.bit_count() for d in D))
     poset.__dict__["index"] = MappingProxyType(dict(zip(elements, ids)))
     return poset
 

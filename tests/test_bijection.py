@@ -116,3 +116,15 @@ def test_a_round_trip_checks_the_vector_once(monkeypatch):
         calls.clear()
         assert psi(2, phi(q)) == q
         assert calls == [phi(q)]
+
+
+def test_psi_validates_the_dissection_it_builds_once(monkeypatch):
+    # psi's result being an M-angulation is a claim of the paper, so psi
+    # hands `validate` the dissection it builds from its sorted chords
+    calls = []
+    real = bijection_module.validate
+    monkeypatch.setattr(bijection_module, "validate", lambda q: calls.append(q) or real(q))
+    for q in enumerate_dissections(2, 4):
+        calls.clear()
+        got = psi(2, phi(q))
+        assert got == q and len(calls) == 1 and calls[0] is got

@@ -281,13 +281,14 @@ def test_malformed_dissection_carries_its_chords():
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 6), (2, 4), (3, 3)])
 def test_enumeration_memoizes_only_the_sub_gaps(m, n):
-    fillings = dissections_module._arc_fillings
-    fillings.cache_clear()
-    enumerate_dissections(m, n)
-    misses = fillings.cache_info().misses
-    fillings(m, m * n + 1)  # sub-gaps hit, so only a top gap not kept misses
-    assert fillings.cache_info().misses == misses + 1
-    fillings.cache_clear()
+    # one enumeration's memo, seeded with the edge, ends holding every
+    # smaller gap m*a + 1 with its FC(m, a) fillings, and never the top gap
+    memo = {1: [0]}
+    top = dissections_module._arc_fillings(m, n, m * n + 1, memo)
+    assert len(top) == fuss_catalan(m, n)
+    assert {gap: len(fills) for gap, fills in memo.items()} == {
+        m * a + 1: fuss_catalan(m, a) for a in range(n)
+    }
 
 
 def _outcome(check, q):

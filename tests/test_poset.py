@@ -1,5 +1,6 @@
 import gc
 import re
+import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError
 from itertools import product
@@ -1199,9 +1200,20 @@ def test_elements_share_one_tuple_per_chord(m, n):
     assert len({id(d) for d in chords}) == len(set(chords))
 
 
+@pytest.mark.parametrize("m,n", PAIRS)
+def test_prefilled_masks_and_ranks_are_the_cached_properties(m, n):
+    # the build fills the masks and ranks from its enumeration's chord
+    # masks; a hand-built copy computes them from its own elements
+    built = build_poset(m, n)
+    assert {"index", "diagonal_masks", "ranks"} <= built.__dict__.keys()
+    copy = FlipPoset(m, n, built.elements, built.covers_up)
+    assert built.diagonal_bits == copy.diagonal_bits
+    assert built.diagonal_masks == copy.diagonal_masks
+    assert built.ranks == copy.ranks == tuple(q.rank for q in built.elements)
+
+
 def _held_by_build(m, n):
-    # tracemalloc bytes the fresh build of the (m, n) order holds
-    dissections_module._arc_fillings.cache_clear()
+    # tracemalloc bytes the fresh build of the (m, n) order holds, with the order
     gc.collect()
     tracemalloc.start()
     try:
@@ -1210,20 +1222,18 @@ def _held_by_build(m, n):
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        dissections_module._arc_fillings.cache_clear()
     assert len(poset.elements) == fuss_catalan(m, n)
-    return held
+    return held, poset
 
 
-def test_built_order_holds_under_half_its_former_memory(monkeypatch):
-    # The former build, rebuilt in this process: a fresh tuple per chord slot
-    # and the top gap's fillings memoized.  On Python 3.11.7 it holds
-    # 1 132 356 bytes traced (the code before the change: 1 132 364), and the
-    # shared-chord build 467 100.
-    dissections_module._chord.cache_clear()
-    held = _held_by_build(1, 8)
-    fillings = dissections_module._arc_fillings
-    monkeypatch.setattr(dissections_module, "_chord", dissections_module._chord.__wrapped__)
-    monkeypatch.setattr(fillings, "__wrapped__", fillings)
-    former = _held_by_build(1, 8)
-    assert held <= former / 2
+def test_built_order_holds_under_half_its_former_memory():
+    # On Python 3.11.7 the (1, 8) order held 1 132 356 bytes traced when each
+    # chord slot had a tuple of its own, and 467 100 when built from the
+    # chord-tuple enumeration, before a first query computed its diagonal
+    # masks and ranks.  The mask build pre-fills both, and besides them
+    # holds no more than the chord-tuple build did.
+    held, poset = _held_by_build(1, 8)
+    masks, ranks = poset.__dict__["diagonal_masks"], poset.__dict__["ranks"]
+    prefilled = sys.getsizeof(masks) + sum(map(sys.getsizeof, masks)) + sys.getsizeof(ranks)
+    assert held <= 1_132_356 / 2
+    assert held - prefilled <= 467_100
