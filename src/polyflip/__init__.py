@@ -9,7 +9,6 @@ from .dissections import (
     Dissection,
     apex_region,
     chords_cross,
-    cut_L,
     enumerate_dissections,
     flip_up,
     is_final,
@@ -32,12 +31,9 @@ from .dyck import (
     weight,
 )
 from .errors import (
-    ArityMismatch,
     ConstructionStuck,
-    DecompositionFailure,
     EmptyCrossing,
     MalformedDissection,
-    NoWitness,
     NotAQ0Diagonal,
     NotDyck,
     NotFinal,

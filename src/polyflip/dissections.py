@@ -1,12 +1,11 @@
 """Dissections of a convex polygon into (m+2)-gons: validation, enumeration,
-flips and cutting.
+flips and reflection.
 
 An M-angulation of size n is a set of n-1 pairwise non-crossing diagonals
 cutting the (m*n+2)-gon into n regions with m+2 sides each.  Vertices are
 numbered 0..m*n+1 counter-clockwise; vertex 0 is the apex.  The fan (all
 diagonals through the apex) is the base point of every construction here:
-flips of shared fan diagonals generate the order studied in `poset`, and
-cutting along shared fan diagonals reduces a dissection to final pieces.
+flips of shared fan diagonals generate the order studied in `poset`.
 
 Labelled vertices: vertex i >= 1 carries the letter ((i-2) mod m) + 1, so the
 letters 1..m repeat counter-clockwise and both neighbours of the apex carry
@@ -17,15 +16,15 @@ validator; `regions` is the same check followed by the region walk.
 `Dissection.new` sorts and validates chord data from outside (`from_json`)
 and the fan (`make_q0`); `bijection.psi`, whose validity is itself a claim
 of the paper, validates its own sorted chords.  Everything derived here from
-dissections already held (`flip_up` results, `cut_L` pieces, `reflect`)
-is built unchecked, and enumeration is correct by construction.
+dissections already held (`flip_up` results, `reflect`) is built
+unchecked, and enumeration is correct by construction.
 `build_poset` checks its flip results by identity instead: it looks each
 one up among the enumerated elements by chord bitmask and raises
 MalformedDissection on a miss.  No suite builds a cut piece, an interval
 core or a width block: the intervals suite reads only each final's block
 gaps.  The poset suite runs `validate` once on every element, and the
-tests check the three constructions, and the gluings and blocks of their
-own oracles, against an independent face computation, and `validate`
+tests check both constructions, and the cut pieces, gluings and blocks of
+their own oracles, against an independent face computation, and `validate`
 against the pairwise crossing scan and region walk it replaced.
 
 Memory: enumeration builds each chord set as one int (`_numbering`) and
@@ -356,25 +355,6 @@ def flip_up(q: Dissection, d: Chord) -> list[Dissection]:
     return out
 
 
-def cut_L(q: Dissection) -> list[Dissection]:
-    """Cut along the shared fan diagonals; pieces in counter-clockwise order.
-
-    Each piece keeps the apex as its own vertex 0 and re-indexes its arc from
-    1; every piece is final.  A final q yields [q] itself.
-    """
-    m = q.m
-    bounds = [1] + [b for a, b in q.diagonals if a == 0] + [q.num_vertices - 1]
-    pieces = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        chords = [
-            (a - lo + 1, b - lo + 1)
-            for a, b in q.diagonals
-            if lo <= a and b <= hi
-        ]
-        pieces.append(_unchecked(m, (hi - lo) // m, chords))
-    return pieces
-
-
 def _block_gaps(q: Dissection) -> list[tuple[int, int]]:
     """The gaps (u, w) between consecutive apex-region vertices of a final
     q that hold a width block, one per block, so their number is q's
@@ -383,11 +363,13 @@ def _block_gaps(q: Dissection) -> list[tuple[int, int]]:
     return [(u, w) for u, w in zip(r0[1:], r0[2:]) if w - u >= 2]
 
 
+def _mirror(size: int, d: Chord) -> Chord:
+    # One chord's image under `reflect`, for a polygon of `size` vertices.
+    x, y = (size - d[0]) % size, (size - d[1]) % size
+    return (min(x, y), max(x, y))
+
+
 def reflect(q: Dissection) -> Dissection:
     """Mirror image fixing the apex: vertex i -> (m*n+2-i) mod (m*n+2)."""
     size = q.num_vertices
-    chords = []
-    for a, b in q.diagonals:
-        x, y = (size - a) % size, (size - b) % size
-        chords.append((min(x, y), max(x, y)))
-    return _unchecked(q.m, q.n, chords)
+    return _unchecked(q.m, q.n, [_mirror(size, d) for d in q.diagonals])

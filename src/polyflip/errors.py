@@ -28,20 +28,8 @@ class NotAQ0Diagonal(PolyflipError):
     """Flip requested on a diagonal that is not a shared fan diagonal."""
 
 
-class ArityMismatch(PolyflipError):
-    """Gluing data with inconsistent shapes."""
-
-
 class NotFinal(PolyflipError):
     """Operation defined only for final dissections."""
-
-
-class NoWitness(PolyflipError):
-    """No fan diagonal crosses exactly one diagonal; falsifies the descent lemma."""
-
-
-class DecompositionFailure(PolyflipError):
-    """Interval does not split as glue(b0; parts); falsifies interval reduction."""
 
 
 class StructureViolation(PolyflipError):

@@ -25,12 +25,10 @@ from .dissections import (
     Dissection,
     _enumerated,
     _numbering,
-    _region_sizes,
     _unchecked,
     make_q0,
 )
 from .errors import MalformedDissection, StructureViolation, VerificationFailure
-from .series import fuss_catalan
 
 
 def _bits(mask: int):
@@ -329,30 +327,6 @@ def cover_count_check(poset: FlipPoset) -> bool:
                 f"{q} has {got} covers, expected {want}", q.to_json()
             )
     return True
-
-
-@lru_cache(maxsize=None)
-def _fillings(m: int, most: int) -> tuple[int, ...]:
-    """Entry v <= most: the M-angulations of a polygon with v vertices,
-    FC(m, k) for v = m*k+2, else none."""
-    return tuple(
-        0 if v < 2 or (v - 2) % m else fuss_catalan(m, (v - 2) // m)
-        for v in range(most + 1)
-    )
-
-
-def _containing_count(m: int, n: int, chords) -> int:
-    """How many M-angulations of the (m*n+2)-gon contain `chords`, pairwise
-    non-crossing diagonals off the apex: the product of FC(m, k) over the
-    regions they cut, a region of m*k+2 vertices having FC(m, k) of its own.
-
-    The chords come sorted, as an element holds them, and their regions'
-    sizes from one pass of `_region_sizes`.
-    """
-    fills, total = _fillings(m, m * n + 2), 1
-    for vertices in _region_sizes(m * n + 1, chords):
-        total *= fills[vertices]
-    return total
 
 
 def inclusion_check(poset: FlipPoset) -> bool:

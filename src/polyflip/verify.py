@@ -8,23 +8,26 @@ JSON; timing stays out of the JSON so output is byte-stable.
 
 import random
 import time
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
 from .bijection import phi, psi
 from .dissections import (
     DEFAULT_MAX_MN,
     _block_gaps,
+    _mirror,
     check_size_guard,
     enumerate_dissections,
     is_final,
     make_q0,
-    reflect,
     validate,
 )
 from .dyck import enumerate_dyck, is_dyck
 from .errors import PolyflipError, SizeGuardExceeded, VerificationFailure
 from .polynomials import (
+    BinomialFactor,
+    FactoredPoly,
+    binomial_for_diagonal,
     divides,
     exact_quotient,
     expand,
@@ -32,7 +35,6 @@ from .polynomials import (
     poly_for_dissection,
 )
 from .poset import (
-    _containing_count,
     _order,
     _order_of_size,
     _reached,
@@ -119,13 +121,14 @@ def _guard(suite: str, m: int, n: int, max_mn: int) -> None:
 
 
 def _interval_total(poset) -> int:
-    """The number of intervals of an inclusion order holding every
-    M-angulation: each element's up-set is the M-angulations holding its
-    non-apex diagonals (`inclusion_check`), `_containing_count` many."""
-    m, n = poset.m, poset.n
-    return sum(
-        _containing_count(m, n, [d for d in q.diagonals if d[0]]) for q in poset.elements
-    )
+    """The intervals of an inclusion order holding every M-angulation, from
+    its rank census.  Q's up-set is the M-angulations holding D(Q)
+    (`inclusion_check`); those rank(Q) chords each close one (m+2)-gon
+    cell of Q and leave the region around the apex, Q's other n - rank(Q)
+    cells merged, with m*(n - rank(Q)) + 2 vertices: FC(m, n - rank(Q))
+    M-angulations hold D(Q)."""
+    census = Counter(poset.ranks)
+    return sum(k * fuss_catalan(poset.m, poset.n - r) for r, k in census.items())
 
 
 def suite_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationReport:
@@ -139,9 +142,9 @@ def suite_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationRep
     each element's lower covers remove exactly its maximal non-apex
     diagonals.  The elements being every M-angulation (validated, distinct
     and Fuss-Catalan many), the descent lemma follows (a corollary in
-    `inclusion_check`), and each up-set is the closed-form count of
-    M-angulations holding the element's non-apex diagonals; those counts
-    must add up to the interval count of the I series.
+    `inclusion_check`), and each up-set holds FC(m, n - rank) elements, so
+    the rank census gives the interval count (`_interval_total`), which
+    must be the I series'.
     Whether the whole order is a lattice is observed, not asserted; the
     covers settle it for every order with two maximal elements, so the
     suite builds no reachability table.
@@ -225,72 +228,83 @@ def _spot_check_pairs(rng: random.Random, size: int, samples: int) -> list[tuple
     return pairs
 
 
-def _holder_ids(keys_per_element, ids: dict) -> dict:
-    """Each key's holder set, the indices of the elements whose keys hold
-    it, as its id in `ids`, which interns equal holder sets to one id."""
-    holders = defaultdict(list)
-    for i, keys in enumerate(keys_per_element):
-        for key in keys:
-            holders[key].append(i)
-    return {key: ids.setdefault(tuple(h), len(ids)) for key, h in holders.items()}
+def _chord_factors(poset) -> dict:
+    """Each non-apex chord of the order -> its factor, after the chord
+    checks (i) to (iii) of `suite_divisibility`; a failure names a chord."""
+    m, n = poset.m, poset.n
+    chords = sorted(poset.diagonal_bits)
+    factor, owner = {}, {}
+    for d in chords:
+        f = factor[d] = binomial_for_diagonal(m, n, d)
+        c = owner.setdefault(f, d)
+        if c != d:
+            _fail(f"chords {c} and {d} have the same factor", list(d))
+        c = owner.get(BinomialFactor(high=f.low, low=f.high))
+        if c is not None:  # a factor whose two sides agree is its own associate
+            _fail(f"the factors of chords {c} and {d} are associates", list(d))
+    size = m * n + 2
+    for d in chords:
+        e = _mirror(size, d)
+        if e not in factor:
+            _fail(f"the mirror {e} of chord {d} is not a chord of the order", list(d))
+        image, sign = involution_image(FactoredPoly(m, n, (factor[d],)))
+        if sign != -1:
+            _fail(f"involution sign on the factor of chord {d} is {sign}", list(d))
+        if image != FactoredPoly(m, n, (factor[e],)):
+            _fail(f"involution image of the factor of chord {d} is not its mirror's", list(d))
+    return factor
 
 
 def suite_divisibility(
     m: int, n: int, max_mn: int = DEFAULT_MAX_MN
 ) -> VerificationReport:
-    """P_Q divides P_Q' exactly when Q <= Q', on all N^2 pairs, with no
-    N x N table.  Premise, as in `inclusion_check`: the enumerated elements
-    are M-angulations.
+    """P_Q divides P_Q' exactly when Q <= Q', on all N^2 pairs, certified
+    per chord with no N x N table and no polynomial per element.  Premise,
+    as in `inclusion_check`: the elements are the M-angulations.
 
-    (1) Each P_Q has rank(Q) factors, none repeated, so `divides` is set
-    inclusion.  (2) Each element's factors and non-apex diagonals have the
-    same holder sets, the elements whose polynomial has the factor or that
-    hold the diagonal.  So if Q's diagonals lie in Q', each factor of P_Q
-    has a diagonal's holders, Q' among them, and divides P_Q'; and back.
-    (3) `inclusion_check`: diagonal inclusion is the closure of the covers,
-    certified from each element's own covers and maximal spans.
-    Each failure names one element.  `DIVISION_SAMPLES` pairs then check
-    `divides` against sparse long division, and every poly against the
-    mirror involution.
+    P_Q is the product of f(d), f = `binomial_for_diagonal`, over Q's
+    non-apex diagonals D(Q).  `_chord_factors` checks on the order's
+    non-apex chords (at most W^2, W = m*n) that (i) f is injective, (ii)
+    no two factors are associates (the same two variables on swapped
+    sides) and (iii) each chord d has its mirror d* among them, with
+    `involution_image` taking f(d) to -f(d*).  The factors, linear and so
+    prime, are then pairwise non-associate, and in the factorial ring
+    Z[x] such a product divides another exactly when its factor set lies
+    in the other's: by (i) when D(Q) lies in D(Q'), which `inclusion_check`
+    certifies is Q <= Q'.  Each sampled P_Q is checked to be its chords'
+    product, and `DIVISION_SAMPLES` pairs check `divides` against long
+    division.
+
+    The per-element facts this implies are checked only by the tests'
+    oracles: P_Q has rank(Q) distinct factors, and an element's P_Q has
+    f(d) exactly when it holds d, by (i); the mirror substitution, a ring
+    map, takes P_Q to (-1)^rank(Q) P_{reflect Q}, by (iii), as `reflect`
+    fixes the apex, so maps D(Q) onto D(reflect Q), and reflect Q is an
+    element.  (iii) is a fact of the package's binomials, not of every
+    convention for them: another choice of factor may break it.
     """
 
     def check():
         _guard("divisibility", m, n, max_mn)
         poset = _order(m, n)
-        polys = [poly_for_dissection(q) for q in poset.elements]
-        for q, p in zip(poset.elements, polys):
-            k, distinct = len(p.factors), len(set(p.factors))
-            if k != q.rank or distinct != q.rank:
-                _fail(f"{q}: {k} factors, {distinct} distinct, rank {q.rank}", q.to_json())
-        ids = {}
-        by_factor = _holder_ids((p.factors for p in polys), ids)
-        by_diagonal = _holder_ids(
-            ([d for d in q.diagonals if d[0]] for q in poset.elements), ids
-        )
-        for q, p in zip(poset.elements, polys):
-            held = {by_diagonal[d] for d in q.diagonals if d[0]}
-            if {by_factor[f] for f in p.factors} != held:
-                _fail(f"holders of the factors and diagonals of {q} differ", q.to_json())
+        factor = _chord_factors(poset)
         inclusion_check(poset)
         size = len(poset.elements)
         rng = random.Random(10007 * m + n)
         pairs = _spot_check_pairs(rng, size, DIVISION_SAMPLES)
+        polys = {}
+        for i in sorted({i for pair in pairs for i in pair}):
+            q = poset.elements[i]
+            p = polys[i] = poly_for_dissection(q)
+            if sorted(p.factors) != sorted(factor[d] for d in q.diagonals if d[0]):
+                _fail(f"the factors of {q} are not its chords'", q.to_json())
         for i, j in pairs:
-            quotient = exact_quotient(expand(polys[j]), expand(polys[i]))
-            if (quotient is not None) != divides(polys[i], polys[j]):
+            p, p2 = polys[i], polys[j]
+            if (exact_quotient(expand(p2), expand(p)) is not None) != divides(p, p2):
                 _fail(
                     "long division disagrees with factor containment",
                     [poset.elements[i].to_json(), poset.elements[j].to_json()],
                 )
-        canonical = {p.factors for p in polys}
-        for q, p in zip(poset.elements, polys):
-            image, sign = involution_image(p)
-            if image.factors not in canonical:
-                _fail(f"involution image of {q} escapes the family", q.to_json())
-            if sign != (-1) ** q.rank:
-                _fail(f"involution sign on {q} is {sign}", q.to_json())
-            if image != poly_for_dissection(reflect(q)):
-                _fail(f"involution image of {q} is not its mirror", q.to_json())
         return f"checked {size * size} pairs, {len(pairs)} divisions"
 
     return _run("divisibility", m, n, check)
@@ -322,15 +336,16 @@ def suite_intervals(
 
     Filter.  By `inclusion_check`, the filter above b is every M-angulation
     holding D(b), b's non-apex diagonals.  Those chords leave (m+2)-gons
-    and one region around the apex with m*k + 2 vertices, k = |cut(b)|:
-    the apex regions of b's cut pieces merged along the cuts.  Numbering
-    that region's vertices in increasing order keeps the apex and the
-    cyclic order, so it takes (m+2)-gon cells to cells and non-apex chords
-    to non-apex chords, both ways, and takes the dissections of the region
-    onto the M-angulations of the (m*k+2)-gon, which the k-piece order
-    holds.  It preserves and reflects inclusion, so the filter is the
-    k-piece order with b at the fan, each [b, t] is an initial interval
-    [fan_k, core(t)], and the filter has `_containing_count(b)` elements.
+    and one region around the apex with m*k + 2 vertices, k = n - rank(b)
+    = |cut(b)|: the apex regions of b's cut pieces merged along the cuts.
+    Numbering that region's vertices in increasing order keeps the apex
+    and the cyclic order, so it takes (m+2)-gon cells to cells and
+    non-apex chords to non-apex chords, both ways, and takes the
+    dissections of the region onto the M-angulations of the (m*k+2)-gon,
+    which the k-piece order holds.  It preserves and reflects inclusion,
+    so the filter is the k-piece order with b at the fan, each [b, t] is
+    an initial interval [fan_k, core(t)], and the filter has FC(m, k)
+    elements.
 
     Products.  Cut along its apex diagonals, a non-final t gives pieces on
     the vertices lo..hi between them, each numbered v - lo + 1; a final t
@@ -351,8 +366,9 @@ def suite_intervals(
     `interval_structure` and `mobius`.  Forest-ideal lattices multiply as
     the ideal lattices of disjoint unions and Mobius values as numbers
     (Rota 1964), so by strong induction on k every initial interval, and
-    so every interval, has both properties.  The filter sizes add up to
-    the interval count, checked against the I series.
+    so every interval, has both properties.  The filter sizes, read from
+    the rank census (`_interval_total`), add up to the interval count,
+    checked against the I series.
     """
 
     def check():

@@ -11,40 +11,66 @@ ideal's graded rows densely, one zero row per generator filled in place,
 and sparsely with tuple-keyed columns.
 
 The rest are the paper's constructions that no suite runs, kept here to
-test the certificates and theorems against: the glue frame of cut
-pieces, gluing pieces around a core, the decomposition of an interval
-into its core and pieces, chord translation between orders, the descent
-witness and its chain to the fan, width blocks, one-block finals and the
-apex chords of a final dissection.  They build on the package's orders.
-Two scans restate corollaries of `poset.inclusion_check` on their own:
-`descent_check` (each non-fan element covers its descent swap) and
-`width_cover_check` (each final has width-many lower covers).
+test the certificates and theorems against: cutting along the apex
+diagonals, the glue frame of cut pieces, gluing pieces around a core, the
+decomposition of an interval into its core and pieces, chord translation
+between orders, the descent witness and its chain to the fan, width
+blocks, one-block finals, the apex chords of a final dissection, and the
+count of M-angulations holding a set of chords.  They build on the
+package's orders, and raise the three errors defined here.
+Four scans restate on their own what the suites derive: `descent_check`
+(each non-fan element covers its descent swap) and `width_cover_check`
+(each final has width-many lower covers), corollaries of
+`poset.inclusion_check`; `holder_check` (each P_Q has rank-many distinct
+factors, with the holders of its non-apex diagonals) and `mirror_check`
+(the mirror involution takes each P_Q to +-P_{reflect Q}), implied by the
+chord checks of `verify.suite_divisibility`.
 """
 
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from operator import add
 
 from polyflip import (
-    ArityMismatch,
-    DecompositionFailure,
     Dissection,
     MalformedDissection,
     NotFinal,
-    NoWitness,
+    PolyflipError,
     SparsePoly,
     VerificationFailure,
     apex_region,
-    cut_L,
     enumerate_compositions,
     flip_up,
     fundamental_qsym,
+    fuss_catalan,
+    involution_image,
     is_final,
     make_q0,
+    poly_for_dissection,
+    reflect,
 )
-from polyflip.dissections import _block_gaps, _chord_ends, _unchecked, _walk_region
+from polyflip.dissections import (
+    _block_gaps,
+    _chord_ends,
+    _region_sizes,
+    _unchecked,
+    _walk_region,
+)
 from polyflip.poset import _bits, _derived_miss, _order_of_size
 from polyflip.qsym import _fundamental_terms, monomials_of_degree
+
+
+class ArityMismatch(PolyflipError):
+    """Gluing data with inconsistent shapes."""
+
+
+class NoWitness(PolyflipError):
+    """No fan diagonal crosses exactly one diagonal; falsifies the descent lemma."""
+
+
+class DecompositionFailure(PolyflipError):
+    """Interval does not split as glue(b0; parts); falsifies interval reduction."""
 
 
 def crossing(c1, c2) -> bool:
@@ -352,6 +378,49 @@ def tuple_keyed_ideal_rows(m, n, d):
     return monomials, rows
 
 
+def cut_L(q):
+    """Cut along the shared fan diagonals; pieces in counter-clockwise order.
+
+    Each piece keeps the apex as its own vertex 0 and re-indexes its arc from
+    1; every piece is final.  A final q yields [q] itself.
+    """
+    m = q.m
+    bounds = [1] + [b for a, b in q.diagonals if a == 0] + [q.num_vertices - 1]
+    pieces = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        chords = [
+            (a - lo + 1, b - lo + 1)
+            for a, b in q.diagonals
+            if lo <= a and b <= hi
+        ]
+        pieces.append(_unchecked(m, (hi - lo) // m, chords))
+    return pieces
+
+
+@lru_cache(maxsize=None)
+def _fillings(m, most):
+    """Entry v <= most: the M-angulations of a polygon with v vertices,
+    FC(m, k) for v = m*k+2, else none."""
+    return tuple(
+        0 if v < 2 or (v - 2) % m else fuss_catalan(m, (v - 2) // m)
+        for v in range(most + 1)
+    )
+
+
+def _containing_count(m, n, chords):
+    """How many M-angulations of the (m*n+2)-gon contain `chords`, pairwise
+    non-crossing diagonals off the apex: the product of FC(m, k) over the
+    regions they cut, a region of m*k+2 vertices having FC(m, k) of its own.
+
+    The chords come sorted, as an element holds them, and their regions'
+    sizes from one pass of `dissections._region_sizes`.
+    """
+    fills, total = _fillings(m, m * n + 2), 1
+    for vertices in _region_sizes(m * n + 1, chords):
+        total *= fills[vertices]
+    return total
+
+
 def _glue_frame(m, parts):
     """Embed the pieces side by side (piece i's arc re-indexed after piece
     i-1's, consecutive pieces sharing the cut vertex) WITHOUT drawing the
@@ -548,3 +617,51 @@ def apex_diagonal_set_D(q):
     assert not (out & set(q.diagonals))
     assert not any(crossing(c, d) for c in out for d in q.diagonals)
     return out
+
+
+def holder_check(poset):
+    """Each element's P_Q has rank-many factors, none repeated, and the
+    holder sets of its factors (the elements whose P_Q has the factor) are
+    those of its non-apex diagonals (the elements holding the diagonal).
+    Raises VerificationFailure with the first element that differs."""
+    polys = [poly_for_dissection(q) for q in poset.elements]
+    by_factor, by_diagonal = {}, {}
+    for i, (q, p) in enumerate(zip(poset.elements, polys)):
+        for f in p.factors:
+            by_factor.setdefault(f, set()).add(i)
+        for d in q.diagonals:
+            if d[0]:
+                by_diagonal.setdefault(d, set()).add(i)
+    for q, p in zip(poset.elements, polys):
+        k, distinct = len(p.factors), len(set(p.factors))
+        if k != q.rank or distinct != q.rank:
+            raise VerificationFailure(
+                f"{q}: {k} factors, {distinct} distinct, rank {q.rank}", q.to_json()
+            )
+        held = {frozenset(by_diagonal[d]) for d in q.diagonals if d[0]}
+        if {frozenset(by_factor[f]) for f in p.factors} != held:
+            raise VerificationFailure(
+                f"holders of the factors and diagonals of {q} differ", q.to_json()
+            )
+    return True
+
+
+def mirror_check(poset):
+    """The mirror involution takes each element's P_Q to its mirror's,
+    P_{reflect Q}, with sign (-1)^rank, inside the family of the P_Q.
+    Raises VerificationFailure with the first element where it does not."""
+    polys = [poly_for_dissection(q) for q in poset.elements]
+    family = set(polys)
+    for q, p in zip(poset.elements, polys):
+        image, sign = involution_image(p)
+        if image not in family:
+            raise VerificationFailure(
+                f"involution image of {q} escapes the family", q.to_json()
+            )
+        if sign != (-1) ** q.rank:
+            raise VerificationFailure(f"involution sign on {q} is {sign}", q.to_json())
+        if image != poly_for_dissection(reflect(q)):
+            raise VerificationFailure(
+                f"involution image of {q} is not its mirror", q.to_json()
+            )
+    return True

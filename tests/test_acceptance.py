@@ -14,7 +14,6 @@ from polyflip import (
     Dissection,
     build_poset,
     chords_cross,
-    cut_L,
     divides,
     enumerate_dissections,
     enumerate_dyck,
@@ -42,7 +41,7 @@ from polyflip import (
 )
 from polyflip.series import residual_F, residual_I, residual_T
 
-from oracles import _descent_swap, glue_G, interval_decompose, width_cover_check
+from oracles import _descent_swap, cut_L, glue_G, interval_decompose, width_cover_check
 
 UNIVERSE = [(m, n) for m in (1, 2, 3) for n in range(1, 6)]
 

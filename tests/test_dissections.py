@@ -13,7 +13,6 @@ from polyflip import (
     SizeGuardExceeded,
     apex_region,
     chords_cross,
-    cut_L,
     enumerate_dissections,
     flip_up,
     fuss_catalan,
@@ -29,6 +28,7 @@ from oracles import (
     apex_diagonal_set_D,
     brute_dissections,
     candidate_chords,
+    cut_L,
     faces_by_splitting,
     glue_G,
     is_m_angulation,

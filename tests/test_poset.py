@@ -12,19 +12,16 @@ import polyflip.dissections as dissections_module
 import polyflip.poset as poset_module
 import polyflip.verify as verify_module
 from polyflip import (
-    DecompositionFailure,
     Dissection,
     FlipPoset,
     ForestPoset,
     Interval,
     MalformedDissection,
-    NoWitness,
     StructureViolation,
     VerificationFailure,
     apex_region,
     build_poset,
     chords_cross,
-    cut_L,
     expected_maximal_chain_count,
     flip_up,
     fuss_catalan,
@@ -34,6 +31,7 @@ from polyflip import (
     maximal_chain_count,
     mobius,
     rank_polynomial,
+    reflect,
     run_suite,
     series_I,
     to_dot,
@@ -43,6 +41,9 @@ from polyflip.poset import cover_count_check, inclusion_check, is_lattice
 
 import oracles
 from oracles import (
+    DecompositionFailure,
+    NoWitness,
+    _containing_count,
     _descent_swap,
     _one_block_final,
     apex_diagonal_set_D,
@@ -50,11 +51,14 @@ from oracles import (
     closure_from_covers,
     cover_degree_poly,
     crossing,
+    cut_L,
     descend_to_fan,
     descent_check,
+    holder_check,
     initial_interval_poly,
     interval_decompose,
     is_distributive_lattice,
+    mirror_check,
     poly_mul,
     width_and_blocks,
     width_cover_check,
@@ -73,7 +77,7 @@ def interval_count(poset):
 def containing(poset, q):
     """How many M-angulations of poset's polygon hold q's non-apex
     diagonals: the size of the filter above q."""
-    return poset_module._containing_count(poset.m, poset.n, [d for d in q.diagonals if d[0]])
+    return _containing_count(poset.m, poset.n, [d for d in q.diagonals if d[0]])
 
 
 def containing_total(poset):
@@ -1021,7 +1025,7 @@ def test_containing_count_matches_brute_force(m, n):
     for q in build_poset(m, n).elements:
         chords = {d for d in q.diagonals if d[0]}
         want = sum(1 for other in full if chords <= set(other))
-        assert poset_module._containing_count(m, n, sorted(chords)) == want
+        assert _containing_count(m, n, sorted(chords)) == want
 
 
 @pytest.mark.parametrize("m,n", [(1, 7), (2, 5), (3, 3), (2, 2), (1, 1)])
@@ -1135,12 +1139,36 @@ def test_twin_elements_fail_the_injectivity_of_the_masks(monkeypatch):
 def test_up_set_sizes_are_the_containing_counts(m, n):
     # The up-set walk `inclusion_check` no longer makes, as an oracle: each
     # element's up-set, by DFS over the covers, holds as many elements as
-    # there are M-angulations holding its non-apex diagonals.
+    # there are M-angulations holding its non-apex diagonals, which is
+    # FC(m, n - rank), the count the suites read off the rank census.
     poset = build_poset(m, n)
     above = closure_from_covers(len(poset.elements), poset.covers_up)
     for i, q in enumerate(poset.elements):
         chords = [d for d in q.diagonals if d[0]]
-        assert len(above[i]) == poset_module._containing_count(m, n, chords)
+        want = fuss_catalan(m, n - q.rank)
+        assert len(above[i]) == _containing_count(m, n, chords) == want
+
+
+@pytest.mark.parametrize("m,n", PAIRS + [(1, 7), (2, 5), (3, 3)])
+def test_every_element_has_its_chords_holders_and_its_mirrors_poly(m, n):
+    # The per-element scans the divisibility suite's chord checks imply, as
+    # oracles: rank-many distinct factors with their diagonals' holders, and
+    # the involution taking each P_Q to +-P_{reflect Q} inside the family.
+    poset = build_poset(m, n)
+    assert holder_check(poset) and mirror_check(poset)
+
+
+def test_the_per_element_oracles_can_fail(monkeypatch):
+    poset = build_poset(2, 3)
+    a, b = [q for q in poset.elements if q.rank == 1][:2]
+    real = oracles.poly_for_dissection
+    monkeypatch.setattr(oracles, "poly_for_dissection", lambda q: real(b if q == a else q))
+    with pytest.raises(VerificationFailure) as info:
+        holder_check(poset)
+    assert info.value.counterexample == a.to_json()
+    with pytest.raises(VerificationFailure) as info:
+        mirror_check(poset)
+    assert info.value.counterexample in (a.to_json(), reflect(a).to_json())
 
 
 @pytest.mark.parametrize("m,n", PAIRS)
@@ -1161,14 +1189,19 @@ def test_lower_covers_remove_the_apex_region_sides(m, n):
 
 
 def test_poset_suite_checks_the_up_sets_against_the_interval_series(monkeypatch):
-    # one up-set too many: the fan's, the one element with no non-apex chord
-    real = verify_module._containing_count
-    monkeypatch.setattr(
-        verify_module, "_containing_count", lambda m, n, chords: real(m, n, chords) + (not chords)
-    )
+    # the census off by one: TOP, a rank-2 final, read as rank 1, so its
+    # up-set counts FC(2, 2) = 3 instead of FC(2, 1) = 1; its masks and
+    # covers are kept, so the inclusion certificate passes
+    good = build_poset(2, 3)
+    broken = FlipPoset(2, 3, good.elements, good.covers_up)
+    ranks = list(good.ranks)
+    ranks[good.index[TOP]] -= 1
+    broken.__dict__["ranks"] = tuple(ranks)
+    monkeypatch.setattr(verify_module, "_order", lambda m, n: broken)
     (report,) = run_suite("poset", 2, 3)
     assert not report.passed
-    assert report.detail == "up-sets hold 32 intervals, series says 31"
+    assert report.detail == "up-sets hold 33 intervals, series says 31"
+    assert report.counterexample is None
 
 
 def test_a_shortcut_cover_fails_the_inclusion_check():

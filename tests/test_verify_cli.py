@@ -18,7 +18,6 @@ import polyflip.qsym as qsym
 import polyflip.verify as verify_module
 from polyflip import (
     SUITES,
-    DecompositionFailure,
     Dissection,
     FactoredPoly,
     FlipPoset,
@@ -37,7 +36,6 @@ from polyflip import (
     phi,
     poly_for_dissection,
     rank_polynomial,
-    reflect,
     run_suite,
     series_F,
     series_G,
@@ -49,7 +47,7 @@ from polyflip.polynomials import variable_at_position
 from polyflip.qsym import _densify, _ideal_rows, integer_matrix_rank
 
 import oracles
-from oracles import interval_decompose, width_and_blocks
+from oracles import DecompositionFailure, interval_decompose, width_and_blocks
 
 EXPECTED_SUITES = ["poset", "bijection", "divisibility", "qsym", "intervals", "series"]
 
@@ -385,20 +383,22 @@ def test_run_all_builds_each_order_once():
     assert build_poset.cache_info().misses == 5  # sizes 1..5, each once
 
 
-def _first_holder_mismatch(poset, polys):
-    # The independent scan the holder-set check must agree with: the first
-    # element whose factors and non-apex diagonals have different holders.
-    def holders(has):
-        return frozenset(i for i, x in enumerate(poset.elements) if has(x))
+def _divisibility_fault(monkeypatch, name, fake):
+    """Run the (2, 3) divisibility suite with verify's `name` replaced by
+    `fake`; returns its failed report."""
+    monkeypatch.setattr(verify_module, name, fake)
+    (report,) = run_suite("divisibility", 2, 3)
+    assert not report.passed
+    return report
 
-    for q, p in zip(poset.elements, polys):
-        by_factor = {holders(lambda x, f=f: f in polys[poset.index[x]].factors)
-                     for f in p.factors}
-        by_diagonal = {holders(lambda x, d=d: d in x.diagonals)
-                       for d in q.diagonals if d[0]}
-        if by_factor != by_diagonal:
-            return q.to_json()
-    return None
+
+def _factor_map_with(changes):
+    """binomial_for_diagonal with the factors of some chords replaced."""
+    return lambda m, n, d: changes.get(d) or binomial_for_diagonal(m, n, d)
+
+
+def _chord_factor(d):
+    return binomial_for_diagonal(2, 3, d)
 
 
 def test_divisibility_reports_the_first_pair_of_a_wrong_closure(monkeypatch):
@@ -417,54 +417,117 @@ def test_divisibility_reports_the_first_pair_of_a_wrong_closure(monkeypatch):
 
 
 def test_divisibility_reports_the_first_pair_of_a_wrong_poly(monkeypatch):
+    # a sampled P_Q with another element's factor, of the same rank: the
+    # chords' factors are whole, but P_Q is not their product
     poset = build_poset(2, 3)
     a, b = [q for q in poset.elements if q.rank == 1][:2]
+    pairs = verify_module._spot_check_pairs(random.Random(10007 * 2 + 3), 12, 120)
+    assert poset.index[a] in {i for pair in pairs for i in pair}
     real = verify_module.poly_for_dissection
-
-    def fake(q):
-        return real(b) if q == a else real(q)  # same rank, wrong factor
-
-    monkeypatch.setattr(verify_module, "poly_for_dissection", fake)
-    (report,) = run_suite("divisibility", 2, 3)
-    assert not report.passed
-    assert report.detail == f"holders of the factors and diagonals of {a} differ"
-    want = _first_holder_mismatch(poset, [fake(q) for q in poset.elements])
-    assert want == a.to_json() and report.counterexample == want
+    report = _divisibility_fault(
+        monkeypatch, "poly_for_dissection", lambda q: real(b) if q == a else real(q)
+    )
+    assert report.detail == f"the factors of {a} are not its chords'"
+    assert report.counterexample == a.to_json()
 
 
 def test_divisibility_reports_a_repeated_factor(monkeypatch):
-    poset = build_poset(2, 3)
-    q2 = next(q for q in poset.elements if q.rank == 2)
-    real = verify_module.poly_for_dissection
+    # TOP's two chords given one factor, so P_TOP would be f^2: a collision
+    # of the factor map
+    fake = _factor_map_with({(4, 7): _chord_factor((1, 4))})
+    report = _divisibility_fault(monkeypatch, "binomial_for_diagonal", fake)
+    assert report.detail == "chords (1, 4) and (4, 7) have the same factor"
+    assert report.counterexample == [4, 7]
 
-    def fake(q):
-        p = real(q)
-        if q != q2:
-            return p
-        return FactoredPoly.new(2, 3, [p.factors[0]] * 2)  # same rank, f^2
 
-    monkeypatch.setattr(verify_module, "poly_for_dissection", fake)
-    (report,) = run_suite("divisibility", 2, 3)
-    assert not report.passed
-    assert report.detail == f"{q2}: 2 factors, 1 distinct, rank 2"
-    assert report.counterexample == q2.to_json()
+def test_divisibility_reports_a_factor_collision_of_crossing_chords(monkeypatch):
+    # two chords that cross, so share no element: no P_Q repeats a factor,
+    # yet an element holding one would divide by the other's
+    fake = _factor_map_with({(2, 5): _chord_factor((1, 4))})
+    report = _divisibility_fault(monkeypatch, "binomial_for_diagonal", fake)
+    assert report.detail == "chords (1, 4) and (2, 5) have the same factor"
+    assert report.counterexample == [2, 5]
+
+
+def test_divisibility_reports_associate_factors(monkeypatch):
+    # (3, 6)'s factor made (1, 4)'s with its sides swapped: a unit apart
+    f = _chord_factor((1, 4))
+    fake = _factor_map_with({(3, 6): type(f)(high=f.low, low=f.high)})
+    report = _divisibility_fault(monkeypatch, "binomial_for_diagonal", fake)
+    assert report.detail == "the factors of chords (1, 4) and (3, 6) are associates"
+    assert report.counterexample == [3, 6]
+
+
+def _involution_fault(monkeypatch, d, image=None, sign=None):
+    """The (2, 3) divisibility suite with the involution image or sign of
+    chord d's factor replaced; returns its failed report."""
+    target = FactoredPoly(2, 3, (_chord_factor(d),))
+    real = verify_module.involution_image
+
+    def faulty(p):
+        got, s = real(p)
+        if p != target:
+            return got, s
+        return (got if image is None else image), (s if sign is None else sign)
+
+    return _divisibility_fault(monkeypatch, "involution_image", faulty)
 
 
 def test_divisibility_reports_a_wrong_involution_sign(monkeypatch):
-    poset = build_poset(2, 3)
-    q = next(q for q in poset.elements if q.rank == 1)
-    target = poly_for_dissection(q)
-    real = verify_module.involution_image
+    report = _involution_fault(monkeypatch, (1, 4), sign=1)
+    assert report.detail == "involution sign on the factor of chord (1, 4) is 1"
+    assert report.counterexample == [1, 4]
 
-    def flipped(p):
-        image, sign = real(p)
-        return image, (-sign if p == target else sign)
 
-    monkeypatch.setattr(verify_module, "involution_image", flipped)
-    (report,) = run_suite("divisibility", 2, 3)
-    assert not report.passed
-    assert report.detail == f"involution sign on {q} is 1"
-    assert report.counterexample == q.to_json()
+def test_divisibility_reports_an_involution_image_off_the_family(monkeypatch):
+    # a chord whose mirror is no chord of the order: an apex chord
+    real = verify_module._mirror
+    report = _divisibility_fault(
+        monkeypatch, "_mirror", lambda size, d: (0, 3) if d == (2, 5) else real(size, d)
+    )
+    assert report.detail == "the mirror (0, 3) of chord (2, 5) is not a chord of the order"
+    assert report.counterexample == [2, 5]
+
+
+def test_divisibility_reports_an_involution_image_not_the_mirror(monkeypatch):
+    # another chord's factor, with the right sign, but not the mirror's
+    image = FactoredPoly(2, 3, (_chord_factor((2, 5)),))
+    report = _involution_fault(monkeypatch, (1, 4), image=image)
+    assert report.detail == "involution image of the factor of chord (1, 4) is not its mirror's"
+    assert report.counterexample == [1, 4]
+
+
+def test_divisibility_reports_a_wrong_mirror_of_one_chord(monkeypatch):
+    # (1, 4)'s mirror read as (2, 5), a chord of the order, not (4, 7)
+    real = verify_module._mirror
+    report = _divisibility_fault(
+        monkeypatch, "_mirror", lambda size, d: (2, 5) if d == (1, 4) else real(size, d)
+    )
+    assert report.detail == "involution image of the factor of chord (1, 4) is not its mirror's"
+    assert report.counterexample == [1, 4]
+
+
+@pytest.mark.parametrize("m,n", [(1, 7), (2, 4), (3, 3)])
+def test_divisibility_builds_polynomials_only_for_the_samples(monkeypatch, m, n):
+    # one polynomial per sampled element, one involution per non-apex chord
+    polys, images = [], []
+    real_poly, real_image = verify_module.poly_for_dissection, verify_module.involution_image
+    monkeypatch.setattr(
+        verify_module, "poly_for_dissection", lambda q: polys.append(q) or real_poly(q)
+    )
+    monkeypatch.setattr(
+        verify_module, "involution_image", lambda p: images.append(p) or real_image(p)
+    )
+    (report,) = run_suite("divisibility", m, n)
+    assert report.passed
+    poset = build_poset(m, n)
+    pairs = verify_module._spot_check_pairs(
+        random.Random(10007 * m + n), len(poset.elements), verify_module.DIVISION_SAMPLES
+    )
+    sampled = {i for pair in pairs for i in pair}
+    assert sorted(poset.index[q] for q in polys) == sorted(sampled)
+    assert len(polys) <= 2 * verify_module.DIVISION_SAMPLES
+    assert len(images) == len(poset.diagonal_bits)
 
 
 def test_bijection_reports_the_first_unreached_vector(monkeypatch):
@@ -563,42 +626,6 @@ def test_divisibility_reports_a_division_that_disagrees(monkeypatch):
     assert report.counterexample == [elements[i].to_json(), elements[j].to_json()]
 
 
-def _involution_fault(monkeypatch, q, image):
-    """Run the (2, 3) divisibility suite with q's involution image replaced
-    by `image`, its sign kept; returns the report."""
-    target = poly_for_dissection(q)
-    real = verify_module.involution_image
-
-    def faulty(p):
-        got, sign = real(p)
-        return (image if p == target else got), sign
-
-    monkeypatch.setattr(verify_module, "involution_image", faulty)
-    (report,) = run_suite("divisibility", 2, 3)
-    assert not report.passed
-    return report
-
-
-def test_divisibility_reports_an_involution_image_off_the_family(monkeypatch):
-    # a factor squared: no P_Q repeats a factor
-    q = next(q for q in build_poset(2, 3).elements if q.rank == 1)
-    (f,) = poly_for_dissection(q).factors
-    report = _involution_fault(monkeypatch, q, FactoredPoly.new(2, 3, [f, f]))
-    assert report.detail == f"involution image of {q} escapes the family"
-    assert report.counterexample == q.to_json()
-
-
-def test_divisibility_reports_an_involution_image_not_the_mirror(monkeypatch):
-    # another element's polynomial, of the same rank: in the family, with
-    # the right sign, but not the mirror's
-    rank_1 = [q for q in build_poset(2, 3).elements if q.rank == 1]
-    q = rank_1[0]
-    other = next(x for x in rank_1 if x != reflect(q))
-    report = _involution_fault(monkeypatch, q, poly_for_dissection(other))
-    assert report.detail == f"involution image of {q} is not its mirror"
-    assert report.counterexample == q.to_json()
-
-
 def test_qsym_suite_checks_the_admissible_total(monkeypatch):
     real = verify_module.verify_basis_graded
 
@@ -615,14 +642,19 @@ def test_qsym_suite_checks_the_admissible_total(monkeypatch):
 
 
 def test_intervals_suite_checks_the_filter_sizes_against_the_interval_series(monkeypatch):
-    # one filter too many, the fan's, through the count both suites share
-    real = verify_module._containing_count
+    # the census off by one: a rank-2 final of width 2, so no walked top,
+    # read as rank 1; its filter counts FC(2, 2) = 3 instead of FC(2, 1) = 1
+    good = build_poset(2, 3)
+    broken = FlipPoset(2, 3, good.elements, good.covers_up)
+    ranks = list(good.ranks)
+    ranks[good.index[Dissection.new(2, 3, ((1, 4), (4, 7)))]] -= 1
+    broken.__dict__["ranks"] = tuple(ranks)
     monkeypatch.setattr(
-        verify_module, "_containing_count", lambda m, n, chords: real(m, n, chords) + (not chords)
+        verify_module, "_order", lambda m, n: broken if n == 3 else build_poset(m, n)
     )
     (report,) = run_suite("intervals", 2, 3)
     assert not report.passed
-    assert report.detail == "32 intervals, series says 31"
+    assert report.detail == "33 intervals, series says 31"
     assert report.counterexample is None
 
 
@@ -632,9 +664,7 @@ def test_intervals_suite_walks_one_initial_interval_per_irreducible_final(monkey
     def refuse(*args, **kwargs):
         raise AssertionError("the intervals suite cuts, glues or enumerates intervals")
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("polyflip") and hasattr(module, "cut_L"):
-            monkeypatch.setattr(module, "cut_L", refuse)
+    monkeypatch.setattr(oracles, "cut_L", refuse)
     monkeypatch.setattr(oracles, "_glue_frame", refuse)
     monkeypatch.setattr(FlipPoset, "all_intervals", refuse)
     walked = []
