@@ -56,19 +56,22 @@ def psi(m: int, v) -> Dissection:
             continue
         end = pos + 1
         # the predecessor letter of end's is pos's, so by the invariant the
-        # earlier visible vertices carrying it sit at indices k = pos-1 mod m
-        cands = range((pos - 1) % m, len(visible) - 1, m)
-        if len(cands) < c:
+        # earlier visible vertices carrying it sit at indices last - m,
+        # last - 2m, ..., down to last mod m: last // m of them, and the
+        # last c of them start at cut
+        last = len(visible) - 1
+        cut = last - m * c
+        if cut < 0:
             raise ConstructionStuck(
-                f"entry {c} at position {pos} exceeds the {len(cands)} "
+                f"entry {c} at position {pos} exceeds the {last // m} "
                 f"visible predecessor-letter vertices"
             )
-        starts = [visible[k] for k in cands[-c:]]
+        starts = visible[cut:last:m]
         # the first chosen start sits at visible index pos - m*prefix
         assert len(visible) == pos - m * (prefix - c), (pos, visible)
         assert visible[pos - m * prefix - 1] == starts[0], (pos, visible, starts)
-        chords.extend((s, end) for s in starts)
-        del visible[cands[-c] + 1 :]
+        chords += [(s, end) for s in starts]
+        del visible[cut + 1 :]
     # an apex diagonal (0, u), u = m*k + 1 for 0 < k < n, crosses a drawn
     # chord exactly when u lies strictly inside it; visible runs ascending
     fan = [(0, u) for u in visible if u > 1 and u % m == 1 % m]

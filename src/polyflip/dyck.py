@@ -19,6 +19,8 @@ def check_m_vector(m: int, v) -> tuple[int, ...]:
         raise ValueError(f"m must be positive, got {m}")
     if len(v) % m:
         raise ValueError(f"vector length {len(v)} is not a multiple of m={m}")
+    if set(map(type, v)) <= {int} and min(v, default=0) >= 0:
+        return v  # exact ints, bools excluded: the common case, checked in C
     if any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in v):
         raise ValueError(f"entries must be nonnegative integers: {v!r}")
     return v

@@ -38,14 +38,13 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _reached(covers, start: int, keep=None) -> set[int]:
-    """Indices reachable from start over `covers` (start included), by DFS;
-    with `keep`, only through the indices it accepts."""
+def _reached(covers, start: int) -> set[int]:
+    """Indices reachable from start over `covers` (start included), by DFS."""
     seen = {start}
     todo = [start]
     while todo:
         for y in covers[todo.pop()]:
-            if y not in seen and (keep is None or keep(y)):
+            if y not in seen:
                 seen.add(y)
                 todo.append(y)
     return seen
@@ -114,7 +113,9 @@ class FlipPoset:
     @cached_property
     def diagonal_bits(self) -> MappingProxyType:
         """Each non-apex chord (a, b) of the order -> its bit in
-        `diagonal_masks`, K - (a*W + b) as `dissections._numbering` has it."""
+        `diagonal_masks`, K - (a*W + b) as `dissections._numbering` has it.
+        `build_poset` fills it in closed form; this scan defines it for an
+        order built by hand."""
         K, W = _numbering(self.m, self.n)
         return MappingProxyType(
             {(a, b): K - a * W - b for q in self.elements for a, b in q.diagonals if a}
@@ -139,14 +140,30 @@ class FlipPoset:
 
     def interval(self, bottom: Dissection, top: Dissection) -> "Interval":
         """[bottom, top]: the elements reached from bottom over the covers
-        through elements whose diagonal set lies inside top's."""
+        through elements whose diagonal set lies inside top's.
+
+        The walk's members are handed to the Interval, sorted, as
+        `Interval.members`, and its mask is built from them: no query on
+        it scans an N-bit mask, so its cost follows the interval's size."""
         bi, ti = self.index[bottom], self.index[top]
-        D = self.diagonal_masks
-        dt = D[ti]
-        if D[bi] & ~dt:
+        D, covers = self.diagonal_masks, self.covers_up
+        outside = ~D[ti]
+        if D[bi] & outside:
             raise ValueError(f"{bottom} is not below {top}")
-        inside = _reached(self.covers_up, bi, lambda j: not D[j] & ~dt)
-        return Interval(self, bi, ti, sum(1 << j for j in inside))
+        seen = {bi}
+        todo = [bi]
+        while todo:
+            for y in covers[todo.pop()]:
+                if y not in seen and not D[y] & outside:
+                    seen.add(y)
+                    todo.append(y)
+        members = sorted(seen)
+        mask = 0
+        for j in members:
+            mask |= 1 << j
+        interval = Interval(self, bi, ti, mask)
+        interval.__dict__["members"] = tuple(members)
+        return interval
 
     def all_intervals(self):
         """Every interval, by bottom and then ascending top.
@@ -171,17 +188,26 @@ class FlipPoset:
 
 @dataclass(frozen=True, eq=False)
 class Interval:
+    """[bottom, top] of an order: `mask` marks its elements' indices.
+    `FlipPoset.interval` also hands over `members`, the same indices
+    sorted, so its intervals are read without scanning the mask; an
+    Interval built by hand computes them from the mask once."""
+
     poset: FlipPoset
     bottom: int
     top: int
     mask: int
 
+    @cached_property
+    def members(self) -> tuple[int, ...]:
+        return tuple(_bits(self.mask))
+
     @property
     def size(self) -> int:
-        return self.mask.bit_count()
+        return len(self.members)
 
     def indices(self) -> list[int]:
-        return list(_bits(self.mask))
+        return list(self.members)
 
     def elements(self) -> list[Dissection]:
         return [self.poset.elements[i] for i in self.indices()]
@@ -200,19 +226,18 @@ class Interval:
 
     @cached_property
     def closure(self) -> "LocalClosure":
-        """The order on the mask's elements from the covers among them
-        alone, shared by `mobius` and `interval_structure`."""
-        idx = tuple(self.indices())
+        """The order on the members from the covers among them alone,
+        shared by `mobius` and `interval_structure`."""
+        idx = self.members
         pos = {z: k for k, z in enumerate(idx)}
-        ups = tuple(
-            tuple(pos[w] for w in self.poset.covers_up[z] if w in pos) for z in idx
-        )
+        covers, ranks = self.poset.covers_up, self.poset.ranks
+        ups = tuple([tuple([pos[w] for w in covers[z] if w in pos]) for z in idx])
         downs = [[] for _ in idx]
         for k, ws in enumerate(ups):
             for w in ws:
                 downs[w].append(k)
-        ranks = self.poset.ranks
-        order = tuple(sorted(range(len(idx)), key=lambda k: ranks[idx[k]]))
+        key = [ranks[z] for z in idx]
+        order = tuple(sorted(range(len(idx)), key=key.__getitem__))
         below, above = _fold(order, downs), _fold(reversed(order), ups)
         return LocalClosure(idx, ups, tuple(map(tuple, downs)), order, below, above)
 
@@ -277,7 +302,9 @@ def build_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> FlipPoset:
     """The order on the enumerated elements, keyed by their chord masks
     (`dissections._numbering`): a flip trading d for c is key ^ bit(d) | bit(c),
     and a miss raises MalformedDissection with the result as counterexample.
-    The keys less their apex bits are `diagonal_masks`; their popcounts `ranks`."""
+    The keys less their apex bits are `diagonal_masks`; their popcounts `ranks`.
+    `diagonal_bits` holds every non-apex chord spanning 1 mod m, a + 2 <= b:
+    each lies in some M-angulation, as the order holds every one."""
     keys, elements = _enumerated(m, n, max_mn)
     elements = tuple(elements)
     K, W = _numbering(m, n)
@@ -299,7 +326,12 @@ def build_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> FlipPoset:
         keys[i] = key & below_apex
     D = tuple(keys)
     poset = FlipPoset(m, n, elements, tuple(covers))
-    poset.__dict__.update(diagonal_masks=D, ranks=tuple(d.bit_count() for d in D))
+    bits = {(a, b): K - a * W - b for a in range(1, W) for b in range(a + m + 1, W + 2, m)}
+    poset.__dict__.update(
+        diagonal_bits=MappingProxyType(bits),
+        diagonal_masks=D,
+        ranks=tuple(d.bit_count() for d in D),
+    )
     poset.__dict__["index"] = MappingProxyType(dict(zip(elements, ids)))
     return poset
 
@@ -522,8 +554,12 @@ def interval_structure(interval: Interval) -> tuple[bool, ForestPoset]:
     def name(k: int) -> Dissection:
         return poset.elements[local.idx[k]]
 
-    irr = [k for k, ws in enumerate(local.downs) if len(ws) == 1]
-    irr_mask = sum(1 << k for k in irr)
+    size = len(local.idx)
+    irr, irr_mask = [], 0
+    for k, ws in enumerate(local.downs):
+        if len(ws) == 1:
+            irr.append(k)
+            irr_mask |= 1 << k
     parents = []
     for z in irr:
         uppers = (up[z] & irr_mask) ^ (1 << z)
@@ -533,20 +569,21 @@ def interval_structure(interval: Interval) -> tuple[bool, ForestPoset]:
                 f"irreducible {name(z)} covered by {len(minimal)} irreducibles"
             )
         parents.append(irr.index(minimal[0]) if minimal else -1)
-    forest = ForestPoset(tuple(local.idx[k] for k in irr), tuple(parents))
-    if forest.ideal_count() != interval.size:
-        raise violation(
-            f"{forest.ideal_count()} forest ideals for an interval of size "
-            f"{interval.size}"
-        )
+    forest = ForestPoset(tuple([local.idx[k] for k in irr]), tuple(parents))
+    ideals = forest.ideal_count()
+    if ideals != size:
+        raise violation(f"{ideals} forest ideals for an interval of size {size}")
     ideal = [d & irr_mask for d in down]
-    if len(set(ideal)) != interval.size:
+    if len(set(ideal)) != size:
         raise violation("two elements have the same irreducibles below them")
     for x, jx in enumerate(ideal):
         for y in covers[x]:
             if jx & ~ideal[y] or (ideal[y] ^ jx).bit_count() != 1:
                 raise violation(f"a cover above {name(x)} does not add one irreducible")
-        grows = sum(ideal[e] & ~jx == 1 << e for e in irr)
+        grows = 0
+        for e in irr:
+            if ideal[e] & ~jx == 1 << e:
+                grows += 1
         if grows != len(covers[x]):
             raise violation(
                 f"{name(x)} has {len(covers[x])} up-covers but its ideal "

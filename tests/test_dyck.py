@@ -31,6 +31,22 @@ def test_vector_validation():
         is_dyck(0, ())
 
 
+class Count(int):
+    pass
+
+
+@pytest.mark.parametrize("v", [(0, True), (0, -1), (0, 1.0), (0, "1"), (False,)])
+def test_entries_that_are_no_counts_are_named(v):
+    with pytest.raises(ValueError) as info:
+        weight(1, v)
+    assert str(info.value) == f"entries must be nonnegative integers: {v!r}"
+
+
+def test_int_subclasses_other_than_bool_are_counts():
+    assert weight(1, [Count(2), 0, 3]) == (5,)
+    assert weight(2, iter((0, 1, 2, 3))) == (2, 4)
+
+
 def test_first_violation():
     assert first_violation(2, (1, 0)) == 1
     assert first_violation(2, (0, 0, 2, 0)) == 3

@@ -749,6 +749,14 @@ HAND_MADE = {
     "shortcut": [[1, 2, 3], [3], [3], []],
 }
 
+# the first check each hand-made order fails, less the interval's name
+HAND_MADE_DETAIL = {
+    "M3": "8 forest ideals for an interval of size 5",  # 3 unrelated irreducibles
+    "N5": "6 forest ideals for an interval of size 5",  # a chain of 2 beside 1
+    "bowtie-8": "two elements have the same irreducibles below them",
+    "shortcut": "a cover above {bottom} does not add one irreducible",
+}
+
 
 @pytest.mark.parametrize("name", HAND_MADE)
 def test_hand_made_non_distributive_intervals_fail(name):
@@ -759,6 +767,8 @@ def test_hand_made_non_distributive_intervals_fail(name):
         assert not is_distributive_lattice(above, iv.indices())
     with pytest.raises(StructureViolation) as info:
         interval_structure(iv)
+    detail = HAND_MADE_DETAIL[name].format(bottom=iv.bottom_q)
+    assert str(info.value) == f"{detail} in [{iv.bottom_q}, {iv.top_q}]"
     assert info.value.counterexample == iv.to_json()
 
 
@@ -778,8 +788,12 @@ def test_twin_elements_fail_only_the_injectivity_check():
     iv = _hand_made(covers)
     above = closure_from_covers(len(covers), iv.poset.covers_up)
     assert not is_distributive_lattice(above, iv.indices())
-    with pytest.raises(StructureViolation, match="same irreducibles below them") as info:
+    with pytest.raises(StructureViolation) as info:
         interval_structure(iv)
+    assert str(info.value) == (
+        f"two elements have the same irreducibles below them in "
+        f"[{iv.bottom_q}, {iv.top_q}]"
+    )
     assert info.value.counterexample == iv.to_json()
 
 
@@ -826,7 +840,10 @@ def test_an_element_off_the_interval_fails_the_extension_count():
     iv = _hand_made(covers)
     with pytest.raises(StructureViolation) as info:
         interval_structure(iv)
-    assert "one-element extensions" in str(info.value)
+    assert str(info.value) == (
+        f"{iv.poset.elements[6]} has 0 up-covers but its ideal 1 one-element "
+        f"extensions in [{iv.bottom_q}, {iv.top_q}]"
+    )
     assert info.value.counterexample == iv.to_json()
 
 
@@ -1017,6 +1034,36 @@ def test_interval_closure_is_built_once_and_shared():
     assert iv.closure is local
     assert list(local.idx) == iv.indices()
     assert all(isinstance(x, tuple) for x in (local.ups, local.downs, local.below))
+
+
+@pytest.mark.parametrize("m,n", PAIRS)
+def test_an_interval_holds_the_members_a_hand_built_one_scans(m, n):
+    # `interval` hands its Interval the members of its walk; an Interval
+    # built from the same mask computes them by scanning it
+    poset = build_poset(m, n)
+    elements = poset.elements
+    for ref in poset.all_intervals():
+        iv = poset.interval(elements[ref.bottom], elements[ref.top])
+        scanned = Interval(poset, ref.bottom, ref.top, ref.mask)
+        assert "members" in iv.__dict__ and "members" not in scanned.__dict__
+        assert iv.mask == scanned.mask and iv.indices() == scanned.indices()
+        assert iv.closure == scanned.closure
+        assert mobius(iv) == mobius(scanned)
+        assert interval_structure(iv) == interval_structure(scanned)
+
+
+def test_an_interval_and_its_closure_scan_no_mask(monkeypatch):
+    # the (1, 8) order's interval masks run to 1 430 bits; an interval and
+    # its closure read the members its walk found instead
+    poset = build_poset(1, 8)
+    top = poset.maximal_elements()[-1]
+    scans = []
+    real = poset_module._bits
+    monkeypatch.setattr(poset_module, "_bits", lambda mask: scans.append(mask) or real(mask))
+    for bottom in (poset.minimum, top):
+        iv = poset.interval(bottom, top)
+        assert iv.closure.idx == iv.members
+    assert scans == []
 
 
 @pytest.mark.parametrize("m,n", [(1, 4), (1, 5), (2, 3), (3, 2)])
@@ -1233,12 +1280,13 @@ def test_elements_share_one_tuple_per_chord(m, n):
     assert len({id(d) for d in chords}) == len(set(chords))
 
 
-@pytest.mark.parametrize("m,n", PAIRS)
+@pytest.mark.parametrize("m,n", PAIRS + [(1, 1), (1, 2), (2, 5), (4, 3), (5, 2)])
 def test_prefilled_masks_and_ranks_are_the_cached_properties(m, n):
     # the build fills the masks and ranks from its enumeration's chord
-    # masks; a hand-built copy computes them from its own elements
-    built = build_poset(m, n)
-    assert {"index", "diagonal_masks", "ranks"} <= built.__dict__.keys()
+    # masks, and the chords' bits in closed form; a hand-built copy computes
+    # them from its own elements
+    built = build_poset.__wrapped__(m, n)
+    assert {"index", "diagonal_bits", "diagonal_masks", "ranks"} <= built.__dict__.keys()
     copy = FlipPoset(m, n, built.elements, built.covers_up)
     assert built.diagonal_bits == copy.diagonal_bits
     assert built.diagonal_masks == copy.diagonal_masks
