@@ -342,12 +342,6 @@ def _order(m: int, n: int) -> FlipPoset:
     return build_poset(m, n) if m * n <= DEFAULT_MAX_MN else build_poset(m, n, m * n)
 
 
-def _order_of_size(poset: FlipPoset, n: int) -> FlipPoset:
-    """The size-n order for poset's m: poset itself at its own size, else
-    `_order(m, n)`, the caller having checked its cap."""
-    return poset if n == poset.n else _order(poset.m, n)
-
-
 def cover_count_check(poset: FlipPoset) -> bool:
     """Every rank-r element has exactly m*(n-1-r) upward covers."""
     m, n = poset.m, poset.n
@@ -381,7 +375,7 @@ def inclusion_check(poset: FlipPoset) -> bool:
     that span, so D(Q) lies in D(R), and induction on |D(Q') - D(Q)| ends
     at an element with Q's mask, which is Q by (b).  So Q <= Q'.
 
-    Two corollaries need no check of their own, once the elements are every
+    Three corollaries need no check of their own, once the elements are every
     M-angulation (validated, distinct by (b) and Fuss-Catalan many):
     - Descent lemma, by (b) and (c).  A non-fan Q has a maximal span
       d = (a, b), and the region under d (away from the apex) has vertices
@@ -400,10 +394,16 @@ def inclusion_check(poset: FlipPoset) -> bool:
       of its apex region that are not sides (`_block_gaps`), as they hold
       every other chord.  By (c) its lower covers remove them, by (a) one
       each and by (b) each a different one: Q has width-many lower covers.
+    - Unique minimum, by (b) and (c).  The fan, the one M-angulation with
+      no non-apex diagonal, has mask 0, so by (c) no lower cover.  Every
+      other element has a nonzero mask, by (b), so a maximal span, and by
+      (c) a lower cover removing it.  The fan is the one minimal element,
+      so the minimum of the finite order.
 
     Raises VerificationFailure with an element's JSON.
     """
-    D, elements = poset.diagonal_masks, poset.elements
+    # the lower covers are built before (b)'s set, not over the table it frees
+    D, elements, down = poset.diagonal_masks, poset.elements, poset.covers_down
     for i, q in enumerate(elements):
         for j in poset.covers_up[i]:
             if D[i] & ~D[j] or (D[i] ^ D[j]).bit_count() != 1:
@@ -430,7 +430,7 @@ def inclusion_check(poset: FlipPoset) -> bool:
         for d in q.diagonals:
             if d[0]:
                 nested |= inside[d]
-        for j in poset.covers_down[i]:
+        for j in down[i]:
             removed |= D[i] ^ D[j]
         if removed != D[i] & ~nested:
             raise VerificationFailure(

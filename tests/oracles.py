@@ -57,7 +57,7 @@ from polyflip.dissections import (
     _unchecked,
     _walk_region,
 )
-from polyflip.poset import _bits, _derived_miss, _order_of_size
+from polyflip.poset import _bits, _derived_miss, _order
 from polyflip.qsym import _fundamental_terms, monomials_of_degree
 
 
@@ -504,7 +504,8 @@ def interval_decompose(interval):
     poset, bi, ti = interval.poset, interval.bottom, interval.top
     bottom, top = poset.elements[bi], poset.elements[ti]
     parts = cut_L(bottom)
-    small = _order_of_size(poset, len(parts))
+    k = len(parts)
+    small = poset if k == poset.n else _order(poset.m, k)
     _, cycle = _glue_frame(bottom.m, tuple(parts))
     image = _translation(poset.diagonal_bits, small, {v: i for i, v in enumerate(cycle)})
     D = poset.diagonal_masks

@@ -31,6 +31,7 @@ from polyflip import (
     enumerate_dissections,
     enumerate_dyck,
     fuss_catalan,
+    is_dyck,
     is_final,
     leading_monomial,
     phi,
@@ -545,18 +546,20 @@ def test_bijection_reports_the_first_unreached_vector(monkeypatch):
 
 
 def test_poset_suite_reports_a_second_minimal_element(monkeypatch):
-    # without the covers from the fan to x, the rank-1 x has no lower cover
+    # without the covers from the fan to x, the rank-1 x has no lower cover:
+    # a second minimal element, which the inclusion certificate's (c) names
     good = build_poset(2, 3)
-    fan = good.minimum
     x = good.ranks.index(1)
     covers = (tuple(j for j in good.covers_up[0] if j != x),) + good.covers_up[1:]
     broken = FlipPoset(2, 3, good.elements, covers)
     monkeypatch.setattr(verify_module, "_order", lambda m, n: broken)
     (report,) = run_suite("poset", 2, 3)
-    bottoms = [fan, good.elements[x]]
+    q = good.elements[x]
     assert not report.passed
-    assert report.detail == f"minimum not unique: {bottoms}"
-    assert report.counterexample == [q.to_json() for q in bottoms]
+    assert report.detail == (
+        f"the lower covers of {q} do not remove exactly its maximal spans"
+    )
+    assert report.counterexample == q.to_json()
 
 
 def test_bijection_reports_a_missing_admissible_vector(monkeypatch):
@@ -571,44 +574,78 @@ def test_bijection_reports_a_missing_admissible_vector(monkeypatch):
 
 
 def test_bijection_reports_a_vector_psi_does_not_round_trip(monkeypatch):
+    # phi sends psi(v0) to v1, which psi takes to another dissection
     v0, v1 = enumerate_dyck(2, 3)[:2]
     q0 = verify_module.psi(2, v0)
     real = verify_module.phi
     monkeypatch.setattr(verify_module, "phi", lambda q: v1 if q == q0 else real(q))
     (report,) = run_suite("bijection", 2, 3)
     assert not report.passed
-    assert report.detail == f"phi(psi({v0})) = {v1}"
-    assert report.counterexample == list(v0)
-
-
-def test_bijection_reports_a_non_admissible_leading_vector(monkeypatch):
-    q0 = enumerate_dissections(2, 3)[0]
-    v0 = phi(q0)
-    real = verify_module.is_dyck
-    monkeypatch.setattr(verify_module, "is_dyck", lambda m, v: v != v0 and real(m, v))
-    (report,) = run_suite("bijection", 2, 3)
-    assert not report.passed
-    assert report.detail == f"phi({q0}) = {v0} is not admissible"
+    assert report.detail == f"psi(phi({q0})) differs"
     assert report.counterexample == q0.to_json()
 
 
+def test_bijection_reports_a_non_admissible_leading_vector(monkeypatch):
+    # a vector breaking the prefix bound at position 1 leaves psi stuck
+    q0 = enumerate_dissections(2, 3)[0]
+    bad = (1, 0, 0, 0, 0, 0)
+    assert not is_dyck(2, bad)
+    real = verify_module.phi
+    monkeypatch.setattr(verify_module, "phi", lambda q: bad if q == q0 else real(q))
+    (report,) = run_suite("bijection", 2, 3)
+    assert not report.passed
+    assert report.detail == (
+        "ConstructionStuck: entry 1 at position 1 exceeds the 0 visible "
+        "predecessor-letter vertices"
+    )
+    assert report.counterexample is None
+
+
+def test_bijection_reports_a_leading_vector_phi_flags(monkeypatch):
+    # phi's own prefix-bound scan, flagging q0's vector, stops the suite
+    q0 = enumerate_dissections(2, 3)[0]
+    v0 = phi(q0)
+    real = bijection_module._first_violation
+    monkeypatch.setattr(
+        bijection_module, "_first_violation", lambda m, v: 1 if v == v0 else real(m, v)
+    )
+    (report,) = run_suite("bijection", 2, 3)
+    assert not report.passed
+    assert report.detail == f"NotDyck: leading exponents {v0} violate the prefix bound"
+    assert report.counterexample is None
+
+
 def test_bijection_reports_a_dissection_psi_does_not_give_back(monkeypatch):
-    # psi is right on the vector loop, then hands out the second
-    # dissection for every vector
+    # psi hands out the second dissection for q0's vector from its first call
     q0, q1 = enumerate_dissections(2, 3)[:2]
-    size = len(enumerate_dyck(2, 3))
-    calls = []
+    v0 = phi(q0)
     real = verify_module.psi
-
-    def late(m, v):
-        calls.append(v)
-        return real(m, v) if len(calls) <= size else q1
-
-    monkeypatch.setattr(verify_module, "psi", late)
+    monkeypatch.setattr(verify_module, "psi", lambda m, v: q1 if v == v0 else real(m, v))
     (report,) = run_suite("bijection", 2, 3)
     assert not report.passed
     assert report.detail == f"psi(phi({q0})) differs"
     assert report.counterexample == q0.to_json()
+
+
+@pytest.mark.parametrize(("m", "n"), [(1, 7), (2, 4), (3, 3)])
+def test_bijection_suite_runs_phi_and_psi_once_per_dissection(monkeypatch, m, n):
+    calls = {"phi": 0, "psi": 0}
+    real_phi, real_psi = verify_module.phi, verify_module.psi
+
+    def counting_phi(q):
+        calls["phi"] += 1
+        return real_phi(q)
+
+    def counting_psi(m, v):
+        calls["psi"] += 1
+        return real_psi(m, v)
+
+    monkeypatch.setattr(verify_module, "phi", counting_phi)
+    monkeypatch.setattr(verify_module, "psi", counting_psi)
+    (report,) = run_suite("bijection", m, n)
+    assert report.passed
+    size = len(enumerate_dissections(m, n))
+    assert calls == {"phi": size, "psi": size}
 
 
 def test_divisibility_reports_a_division_that_disagrees(monkeypatch):
@@ -960,9 +997,9 @@ def test_intervals_suite_fails_on_a_missing_top(monkeypatch):
     x = max(i for i, ups in enumerate(small.covers_up) if not ups)
     broken = _without(small, x)
     assert poset_module.inclusion_check(broken)
-    real = verify_module._order_of_size
+    real = verify_module._order
     monkeypatch.setattr(
-        verify_module, "_order_of_size", lambda p, k: broken if k == 3 else real(p, k)
+        verify_module, "_order", lambda m, k: broken if k == 3 else real(m, k)
     )
     (report,) = run_suite("intervals", 2, 4)
     assert not report.passed
