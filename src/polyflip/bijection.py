@@ -10,21 +10,22 @@ letter; finish by drawing every apex diagonal that still fits.
 from .dissections import Dissection, validate
 from .dyck import _first_violation, check_m_vector
 from .errors import ConstructionStuck, NotDyck
-from .polynomials import Monomial, leading_monomial, poly_for_dissection
+from .polynomials import _factor_rows, _lead_vector
 
 
 def phi(q: Dissection) -> tuple[int, ...]:
-    """Exponent vector of the leading monomial of q's polynomial."""
-    return admissible_exponents(leading_monomial(poly_for_dissection(q)))
+    """Exponent vector of the leading monomial of q's polynomial, counted
+    off its factors' leading positions in the order's factor table: no
+    polynomial or monomial is built."""
+    return admissible_exponents(q.m, _lead_vector(q.m, q.n, _factor_rows(q)))
 
 
-def admissible_exponents(lead: Monomial) -> tuple[int, ...]:
-    """The exponent vector of a leading monomial the caller already has;
-    raises NotDyck, as phi does, when it violates the prefix bound.  A
-    Monomial's exponents are m*n nonnegative ints by construction, so the
-    bound is scanned without `check_m_vector`."""
-    v = lead.exponents
-    if _first_violation(lead.m, v) is not None:
+def admissible_exponents(m: int, v: tuple[int, ...]) -> tuple[int, ...]:
+    """A leading exponent vector the caller already has; raises NotDyck,
+    as phi does, when it violates the prefix bound.  Counted off factors,
+    its entries are m*n nonnegative ints by construction, so the bound is
+    scanned without `check_m_vector`."""
+    if _first_violation(m, v) is not None:
         raise NotDyck(f"leading exponents {v} violate the prefix bound")
     return v
 

@@ -26,7 +26,7 @@ from itertools import islice
 from .bijection import admissible_exponents
 from .dissections import DEFAULT_MAX_MN, enumerate_dissections, is_final
 from .errors import PolyflipError, SizeGuardExceeded
-from .polynomials import leading_monomial, poly_for_dissection
+from .polynomials import _factor_rows, _lead_vector, _monomial_text, _product_text
 from .poset import _dot_lines, _json_fields, build_poset
 from .series import series_F, series_G, series_I, series_T
 from .verify import run_suite
@@ -92,18 +92,18 @@ def _emit_json(obj) -> None:
 
 
 def _enumerate_row(q) -> dict:
-    # One polynomial per row: rank (one factor per non-apex diagonal),
-    # vector (phi(q)), poly and leading are all read off p and its leading
-    # monomial.  The tuples q and the monomial hold go to the encoder as
-    # they are; `json` writes a tuple as a list.
-    p = poly_for_dissection(q)
-    lead = leading_monomial(p)
+    # One lookup per chord in the order's factor table, and no polynomial
+    # or monomial built: rank (one factor per non-apex diagonal), vector
+    # (phi(q)), poly and leading are all read off q's factor rows.  The
+    # tuples go to the encoder as they are; `json` writes a tuple as a list.
+    rows = _factor_rows(q)
+    vector = admissible_exponents(q.m, _lead_vector(q.m, q.n, rows))
     return {
         "diagonals": q.diagonals,
-        "rank": len(p.factors),
-        "vector": admissible_exponents(lead),
-        "poly": p.text(),
-        "leading": lead.text(),
+        "rank": len(rows),
+        "vector": vector,
+        "poly": _product_text(rows),
+        "leading": _monomial_text(q.m, vector),
     }
 
 

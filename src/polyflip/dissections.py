@@ -13,6 +13,9 @@ the last letter.
 
 Validation policy: `validate`, one linear pass over the chords, is the one
 validator; `regions` is the same check followed by the region walk.
+`validate` reads non-crossing off the order's chord table, one crossing
+mask per chord tested against the chords before it, and the regions'
+shapes off the spans: its docstring gives the region argument.
 `Dissection.new` sorts and validates chord data from outside (`from_json`)
 and the fan (`make_q0`); `bijection.psi`, whose validity is itself a claim
 of the paper, validates its own sorted chords.  Everything derived here from
@@ -25,19 +28,21 @@ core or a width block: the intervals suite reads only each final's block
 gaps.  The poset suite runs `validate` once on every element, and the
 tests check both constructions, and the cut pieces, gluings and blocks of
 their own oracles, against an independent face computation, and `validate`
-against the pairwise crossing scan and region walk it replaced.
+against the pairwise crossing scan, the region walk and the region sweep
+it replaced.
 
 Memory: enumeration builds each chord set as one int (`_numbering`) and
-decodes each element's mask once through one table of chords, so all
-elements share one tuple per chord: the 151 164 chord slots of the (1,10)
-order point at 54 tuples.  Sub-gap fillings are memoized for one
-enumeration only, as masks in its order's numbering.
+decodes each element's mask once through the order's chord table
+(`_chord_table`), so all elements share one tuple per chord: the 151 164
+chord slots of the (1,10) order point at 54 tuples.  Sub-gap fillings are
+memoized for one enumeration only, as masks in its order's numbering.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from operator import itemgetter
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import (
     MalformedDissection,
@@ -163,27 +168,40 @@ def _walk_regions(q: Dissection) -> list[tuple[int, ...]]:
     return regs
 
 
-def _region_sizes(top: int, chords) -> list[int] | None:
-    """The vertex count of each region that `chords`, sorted, cut from the
-    polygon 0..top, or None at the first chord that crosses an open span.
+class _ChordBit(NamedTuple):
+    """One chord of an order's chord table, under its `_numbering` bit."""
 
-    One pass over the spans, the side (0, top) and the chords by (a, -b),
-    with a stack of the open spans: each span closes the region of its own
-    vertices minus those strictly inside its maximal sub-spans.
-    """
-    ends, sizes, closed = [top], [top + 1], []  # the side stays open: a < top
-    # stable by a on the descending chords: the (a, -b) order
-    for a, b in sorted(reversed(chords), key=itemgetter(0)):
-        while ends[-1] <= a:
-            ends.pop()
-            closed.append(sizes.pop())
-        if b > ends[-1]:
-            return None
-        sizes[-1] -= b - a - 1
-        ends.append(b)
-        sizes.append(b - a + 1)
-    closed += sizes
-    return closed
+    chord: Chord
+    crosses: int  # the bits of the table's chords that cross it
+
+
+@lru_cache(maxsize=None)
+def _chord_table(m: int, n: int) -> MappingProxyType:
+    """Each chord (a, b) of the (m*n+2)-gon spanning 1 mod m, a + 2 <= b,
+    the side (0, m*n+1) excepted, under its `_numbering` bit: the chord
+    and its crossing mask.  One read-only table per order, holding
+    immutable values: `validate` tests crossings by it, enumeration decodes
+    masks by it and `build_poset` reads `diagonal_bits` off it.  It holds
+    O((mn)^2) chords, each mask assembled from O(mn) slices of per-vertex
+    masks."""
+    K, W = _numbering(m, n)
+    chords = [(a, b) for a in range(W) for b in range(a + m + 1, W + 2, m)]
+    chords.remove((0, W + 1))
+    ups = [0] * W  # each vertex's chords to the vertices above it
+    for a, b in chords:
+        ups[a] |= 1 << (K - a * W - b)
+    table = {}
+    for a, b in chords:
+        # (c, d) crosses (a, b) iff c < a < d < b or a < c < b < d; the
+        # chords (c, d) hold the bits K - c*W - d, descending in d
+        crosses = 0
+        for c in range(a):
+            top = K - c * W
+            crosses |= ups[c] & ((1 << (top - a)) - (1 << (top - b + 1)))
+        for c in range(a + 1, min(b, W)):
+            crosses |= ups[c] & ((1 << (K - c * W - b)) - 1)
+        table[K - a * W - b] = _ChordBit((a, b), crosses)
+    return MappingProxyType(table)
 
 
 def validate(q: Dissection) -> None:
@@ -191,8 +209,18 @@ def validate(q: Dissection) -> None:
     unless q is a valid M-angulation: this is the validator.
 
     The diagonals are checked one by one (count, range, span mod m, strict
-    sort), then the regions' sizes are read in one pass (`_region_sizes`).
-    Only a crossing pays the pairwise scan, to name its first pair.
+    sort, by their `_numbering` bits), and each chord's crossing mask
+    (`_chord_table`) is tested against the bits of the chords before it.
+    Only a crossing pays the pairwise scan, after every chord has passed
+    its own checks, to name its first pair.
+
+    No region is walked: n - 1 distinct non-crossing diagonals cut the
+    polygon into n regions.  A region u_0 < ... < u_k is closed by the chord
+    or side (u_0, u_k), which spans 1 mod m (the side spans m*n + 1), as
+    does each of its other k sides, so k = 1 (mod m): its vertex count less
+    2 is a positive multiple of m.  Those n multiples add up to m*n (m*n + 2
+    sides and each chord twice, less 2 per region), so each is m, and every
+    region is an (m+2)-gon.
     """
     m, n = q.m, q.n
 
@@ -205,8 +233,11 @@ def validate(q: Dissection) -> None:
     diagonals = q.diagonals
     if len(diagonals) != n - 1:
         raise bad(f"{len(diagonals)} diagonals, a size-{n} dissection needs {n - 1}")
+    table = _chord_table(m, n)
+    K, W = _numbering(m, n)
     one = 1 % m
-    prev = None
+    last = K + 1  # above every chord's bit
+    seen = crossed = 0
     for d in diagonals:
         a, b = d
         # b - a < 2 also rejects b <= a
@@ -214,19 +245,16 @@ def validate(q: Dissection) -> None:
             raise bad(f"{d} is not a diagonal of the {top + 1}-gon")
         if (b - a) % m != one:
             raise bad(f"{d} spans {b - a} != 1 (mod {m}) boundary steps")
-        if prev is not None and d <= prev:
+        k = K - a * W - b
+        if k >= last:  # ascending chords hold descending bits
             raise bad("diagonals not strictly sorted")
-        prev = d
-    closed = _region_sizes(top, diagonals)
-    if closed is None:
+        last = k
+        crossed |= table[k].crosses & seen
+        seen |= 1 << k
+    if crossed:
         for c1, c2 in combinations(diagonals, 2):
             if chords_cross(c1, c2):
                 raise bad(f"{c1} crosses {c2}")
-    # Cannot fail after the checks above: the sweep stops only at a chord
-    # crossing an open span, which the scan names; each of the n regions'
-    # sizes less 2 is a positive multiple of m (every span is 1 mod m), and
-    # they add up to m*n (m*n+2 sides and each chord twice, less 2 per region).
-    assert closed and len(closed) == n and closed.count(m + 2) == n, (q, closed)
 
 
 def regions(q: Dissection) -> list[tuple[int, ...]]:
@@ -305,14 +333,13 @@ def _enumerated(m: int, n: int, max_mn: int) -> tuple[list[int], list[Dissection
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
     check_size_guard(m, n, max_mn)
     masks = sorted(_arc_fillings(m, n, m * n + 1, {1: [0]}), reverse=True)
-    K, W = _numbering(m, n)
-    chord = {K - a * W - b: (a, b) for a in range(W) for b in range(a + m + 1, W + 2, m)}
+    table = _chord_table(m, n)
     elements = []
     for mask in masks:
         chords = []
         while mask:  # highest bit first: ascending chords
             k = mask.bit_length() - 1
-            chords.append(chord[k])
+            chords.append(table[k].chord)
             mask ^= 1 << k
         elements.append(Dissection(m, n, tuple(chords)))
     return masks, elements

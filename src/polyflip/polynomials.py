@@ -11,16 +11,22 @@ high variables as leading term, with coefficient +1.
 Divisibility is factor-multiset inclusion (`divides`), one pair at a time;
 `verify.suite_divisibility` proves it is the flip order without all pairs.
 
-The factor of each diagonal (with its sort key), each variable power's
-text and each factor's text are memoized in private tables (`lru_cache`,
-unbounded: there are O((mn)^2) distinct diagonals), never per element.
-Every cached value is an immutable tuple, NamedTuple or str, so the tables
-hand out nothing a caller can mutate.
+One factor table per order (`_factor_table`, an `lru_cache` on (m, n)):
+each non-apex chord spanning 1 mod m maps to its sort key, its factor, the
+factor's text and its leading position, filled once for all the order's
+O((mn)^2) chords, not memoized per diagonal.  `poly_for_dissection`,
+`bijection.phi` and the CLI's export rows read a dissection's factors off
+it, one lookup per chord; a chord it lacks gets its row computed, uncached.
+Each variable power's text and each factor's text are memoized too
+(`lru_cache`, unbounded).  Every cached value is an immutable tuple,
+NamedTuple or str, and the table is a read-only mapping, so nothing cached
+can be mutated by a caller.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .dissections import Dissection, vertex_label
@@ -87,9 +93,13 @@ class Monomial:
         return tuple(reversed(self.exponents))
 
     def text(self) -> str:
-        m = self.m
-        powers = [_power_at(m, pos, e) for pos, e in enumerate(self.exponents, 1) if e]
-        return " ".join(powers) or "1"
+        return _monomial_text(self.m, self.exponents)
+
+
+def _monomial_text(m: int, exponents) -> str:
+    # `Monomial.text` of an exponent vector.
+    powers = [_power_at(m, pos, e) for pos, e in enumerate(exponents, 1) if e]
+    return " ".join(powers) or "1"
 
 
 @dataclass(frozen=True)
@@ -143,24 +153,69 @@ def binomial_for_diagonal(m: int, n: int, d) -> BinomialFactor | None:
     )
 
 
-@lru_cache(maxsize=None)
-def _keyed_factor(m: int, n: int, d) -> tuple[int, BinomialFactor] | None:
-    # The factor of one diagonal with its place in the order of
-    # `FactoredPoly.new`, (high position, -low position) folded into one
-    # int; None for fan diagonals.  Private, so a tracer that wraps the
-    # public functions does not wrap a per-diagonal call.
+class _FactorRow(NamedTuple):
+    """One chord's row of a factor table."""
+
+    key: int  # (high position, -low position) folded: `FactoredPoly.new`'s order
+    factor: BinomialFactor
+    text: str  # the factor's text
+    lead: int  # the high variable's position less 1, b - 2 for chord (a, b)
+
+
+def _factor_row(m: int, n: int, d) -> _FactorRow:
+    # Raises EmptyCrossing when the non-apex chord d has no factor.
     f = binomial_for_diagonal(m, n, d)
-    if f is None:
-        return None
-    return f.high.position(m) * (m * n + 1) - f.low.position(m), f
+    high = f.high.position(m)
+    return _FactorRow(high * (m * n + 1) - f.low.position(m), f, _factor_text(f), high - 1)
+
+
+@lru_cache(maxsize=None)
+def _factor_table(m: int, n: int) -> MappingProxyType:
+    """Each non-apex chord (a, b) spanning 1 mod m, a + 2 <= b <= m*n + 1,
+    of the (m*n+2)-gon -> its `_FactorRow`.  Private, so a tracer that
+    wraps the public functions does not wrap a per-chord lookup."""
+    W = m * n
+    return MappingProxyType(
+        {
+            (a, b): _factor_row(m, n, (a, b))
+            for a in range(1, W)
+            for b in range(a + m + 1, W + 2, m)
+        }
+    )
+
+
+def _factor_rows(q: Dissection) -> list[_FactorRow]:
+    """The rows of q's non-apex chords, one per factor of P_Q, in q's
+    order; sorted, they are in `FactoredPoly.new`'s (equal keys are equal
+    factors).  A chord the table lacks gets its row computed, and raises
+    EmptyCrossing as `binomial_for_diagonal` does."""
+    m, n = q.m, q.n
+    table = _factor_table(m, n)
+    try:
+        return [table[d] for d in q.diagonals if d[0]]  # fan: the unit
+    except KeyError:
+        return [table.get(d) or _factor_row(m, n, d) for d in q.diagonals if d[0]]
+
+
+def _product_text(rows) -> str:
+    # `FactoredPoly.text` of the product of the rows' factors.
+    return "".join([r.text for r in sorted(rows)]) or "1"
+
+
+def _lead_vector(m: int, n: int, rows) -> tuple[int, ...]:
+    """The exponents of the leading monomial of the rows' product, as
+    `leading_monomial` has them: one per factor at its high variable."""
+    exps = [0] * (m * n)
+    for r in rows:
+        exps[r.lead] += 1
+    return tuple(exps)
 
 
 def poly_for_dissection(q: Dissection) -> FactoredPoly:
     """Product of the binomial factors over all diagonals of q."""
-    m, n = q.m, q.n
-    keyed = [_keyed_factor(m, n, d) for d in q.diagonals if d[0]]  # fan: the unit
-    keyed.sort()  # equal keys are equal factors
-    return FactoredPoly(m, n, tuple([f for _, f in keyed]))
+    rows = _factor_rows(q)
+    rows.sort()
+    return FactoredPoly(q.m, q.n, tuple([r.factor for r in rows]))
 
 
 def leading_monomial(p: FactoredPoly) -> Monomial:

@@ -23,6 +23,7 @@ from .dissections import (
     DEFAULT_MAX_MN,
     Chord,
     Dissection,
+    _chord_table,
     _enumerated,
     _numbering,
     _unchecked,
@@ -303,8 +304,9 @@ def build_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> FlipPoset:
     (`dissections._numbering`): a flip trading d for c is key ^ bit(d) | bit(c),
     and a miss raises MalformedDissection with the result as counterexample.
     The keys less their apex bits are `diagonal_masks`; their popcounts `ranks`.
-    `diagonal_bits` holds every non-apex chord spanning 1 mod m, a + 2 <= b:
-    each lies in some M-angulation, as the order holds every one."""
+    `diagonal_bits` holds every non-apex chord of the order's chord table
+    (`dissections._chord_table`): each lies in some M-angulation, as the
+    order holds every one."""
     keys, elements = _enumerated(m, n, max_mn)
     elements = tuple(elements)
     K, W = _numbering(m, n)
@@ -326,9 +328,9 @@ def build_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> FlipPoset:
         keys[i] = key & below_apex
     D = tuple(keys)
     poset = FlipPoset(m, n, elements, tuple(covers))
-    bits = {(a, b): K - a * W - b for a in range(1, W) for b in range(a + m + 1, W + 2, m)}
+    table = _chord_table(m, n).items()
     poset.__dict__.update(
-        diagonal_bits=MappingProxyType(bits),
+        diagonal_bits=MappingProxyType({c.chord: k for k, c in table if c.chord[0]}),
         diagonal_masks=D,
         ranks=tuple(d.bit_count() for d in D),
     )
@@ -529,6 +531,13 @@ def is_lattice(poset: FlipPoset):
     return True, None
 
 
+def _violation(interval: Interval, message: str) -> StructureViolation:
+    # `interval_structure`'s failure, naming the interval and carrying it.
+    return StructureViolation(
+        f"{message} in [{interval.bottom_q}, {interval.top_q}]", interval.to_json()
+    )
+
+
 def interval_structure(interval: Interval) -> tuple[bool, ForestPoset]:
     """Certify one interval: a distributive lattice of forest order ideals.
 
@@ -542,19 +551,10 @@ def interval_structure(interval: Interval) -> tuple[bool, ForestPoset]:
     onto covers, so the interval is the forest's ideal lattice, which is
     distributive (Birkhoff 1937).  Raises StructureViolation otherwise.
     """
-    poset = interval.poset
     local = interval.closure
     up, down, covers = local.above, local.below, local.ups
-
-    def violation(message: str) -> StructureViolation:
-        return StructureViolation(
-            f"{message} in [{interval.bottom_q}, {interval.top_q}]", interval.to_json()
-        )
-
-    def name(k: int) -> Dissection:
-        return poset.elements[local.idx[k]]
-
-    size = len(local.idx)
+    elements, idx = interval.poset.elements, local.idx  # elements[idx[k]]: local k
+    size = len(idx)
     irr, irr_mask = [], 0
     for k, ws in enumerate(local.downs):
         if len(ws) == 1:
@@ -565,29 +565,33 @@ def interval_structure(interval: Interval) -> tuple[bool, ForestPoset]:
         uppers = (up[z] & irr_mask) ^ (1 << z)
         minimal = [w for w in _bits(uppers) if down[w] & uppers == 1 << w]
         if len(minimal) > 1:
-            raise violation(
-                f"irreducible {name(z)} covered by {len(minimal)} irreducibles"
+            raise _violation(
+                interval,
+                f"irreducible {elements[idx[z]]} covered by {len(minimal)} irreducibles",
             )
         parents.append(irr.index(minimal[0]) if minimal else -1)
-    forest = ForestPoset(tuple([local.idx[k] for k in irr]), tuple(parents))
+    forest = ForestPoset(tuple([idx[k] for k in irr]), tuple(parents))
     ideals = forest.ideal_count()
     if ideals != size:
-        raise violation(f"{ideals} forest ideals for an interval of size {size}")
+        raise _violation(interval, f"{ideals} forest ideals for an interval of size {size}")
     ideal = [d & irr_mask for d in down]
     if len(set(ideal)) != size:
-        raise violation("two elements have the same irreducibles below them")
+        raise _violation(interval, "two elements have the same irreducibles below them")
     for x, jx in enumerate(ideal):
         for y in covers[x]:
             if jx & ~ideal[y] or (ideal[y] ^ jx).bit_count() != 1:
-                raise violation(f"a cover above {name(x)} does not add one irreducible")
+                raise _violation(
+                    interval, f"a cover above {elements[idx[x]]} does not add one irreducible"
+                )
         grows = 0
         for e in irr:
             if ideal[e] & ~jx == 1 << e:
                 grows += 1
         if grows != len(covers[x]):
-            raise violation(
-                f"{name(x)} has {len(covers[x])} up-covers but its ideal "
-                f"{grows} one-element extensions"
+            raise _violation(
+                interval,
+                f"{elements[idx[x]]} has {len(covers[x])} up-covers but its ideal "
+                f"{grows} one-element extensions",
             )
     return True, forest
 
@@ -600,11 +604,11 @@ def _dot_lines(poset: FlipPoset, label: str = "poly"):
     # `to_dot`'s lines, each with its newline, one at a time: the CLI
     # streams them.
     from .bijection import phi
-    from .polynomials import poly_for_dissection
+    from .polynomials import _factor_rows, _product_text
 
     def text(q: Dissection) -> str:
         if label == "poly":
-            return poly_for_dissection(q).text()
+            return _product_text(_factor_rows(q))
         if label == "diagonals":
             return " ".join(map("(%d,%d)".__mod__, q.diagonals)) or "fan"
         if label == "dyck":

@@ -3,12 +3,13 @@
 Most of this recomputes objects from first principles with different
 algorithms than the package: dissections by filtering chord subsets with a
 split-based face computation, validation by a scan of every chord pair and
-a walk of every region, psi by scanning for letters, admissible vectors by
-filtering full product spaces with a lattice-path walk, order relations by
-plain set DFS, interval factorizations by cover-degree polynomials,
-expanded polynomials by products of tuple-keyed binomials, and the
-ideal's graded rows densely, one zero row per generator filled in place,
-and sparsely with tuple-keyed columns.
+a walk of every region or by a sweep of the regions' sizes, psi by
+scanning for letters, admissible vectors by filtering full product spaces
+with a lattice-path walk, order relations by plain set DFS, interval
+factorizations by cover-degree polynomials, expanded polynomials by
+products of tuple-keyed binomials, and the ideal's graded rows densely,
+one zero row per generator filled in place, and sparsely with tuple-keyed
+columns.
 
 The rest are the paper's constructions that no suite runs, kept here to
 test the certificates and theorems against: cutting along the apex
@@ -30,7 +31,7 @@ chord checks of `verify.suite_divisibility`.
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
-from operator import add
+from operator import add, itemgetter
 
 from polyflip import (
     Dissection,
@@ -50,13 +51,7 @@ from polyflip import (
     poly_for_dissection,
     reflect,
 )
-from polyflip.dissections import (
-    _block_gaps,
-    _chord_ends,
-    _region_sizes,
-    _unchecked,
-    _walk_region,
-)
+from polyflip.dissections import _block_gaps, _chord_ends, _unchecked, _walk_region
 from polyflip.poset import _bits, _derived_miss, _order
 from polyflip.qsym import _fundamental_terms, monomials_of_degree
 
@@ -153,6 +148,64 @@ def regions_by_scan(q):
             f"regions have sizes {sorted(len(r) for r in regs)}, want {n} of size {m + 2}"
         )
     return regs
+
+
+def _region_sizes(top, chords):
+    """The vertex count of each region that `chords`, sorted, cut from the
+    polygon 0..top, or None at the first chord that crosses an open span.
+
+    One pass over the spans, the side (0, top) and the chords by (a, -b),
+    with a stack of the open spans: each span closes the region of its own
+    vertices minus those strictly inside its maximal sub-spans.
+    """
+    ends, sizes, closed = [top], [top + 1], []  # the side stays open: a < top
+    # stable by a on the descending chords: the (a, -b) order
+    for a, b in sorted(reversed(chords), key=itemgetter(0)):
+        while ends[-1] <= a:
+            ends.pop()
+            closed.append(sizes.pop())
+        if b > ends[-1]:
+            return None
+        sizes[-1] -= b - a - 1
+        ends.append(b)
+        sizes.append(b - a + 1)
+    closed += sizes
+    return closed
+
+
+def validate_by_sweep(q):
+    """The region-sweep validator the package's crossing masks replaced:
+    per-diagonal checks (count, range, span mod m, strict sort), then the
+    regions' sizes in one pass (`_region_sizes`), and the pairwise scan
+    only to name a crossing.  Raises MalformedDissection as `validate`
+    should, with the same message and counterexample."""
+    m, n = q.m, q.n
+
+    def bad(message):
+        return MalformedDissection(message, q.to_json())
+
+    if m < 1 or n < 1:
+        raise bad(f"need m, n >= 1, got m={m}, n={n}")
+    top = m * n + 1
+    diagonals = q.diagonals
+    if len(diagonals) != n - 1:
+        raise bad(f"{len(diagonals)} diagonals, a size-{n} dissection needs {n - 1}")
+    prev = None
+    for d in diagonals:
+        a, b = d
+        if a < 0 or b > top or b - a < 2 or (a == 0 and b == top):
+            raise bad(f"{d} is not a diagonal of the {top + 1}-gon")
+        if (b - a) % m != 1 % m:
+            raise bad(f"{d} spans {b - a} != 1 (mod {m}) boundary steps")
+        if prev is not None and d <= prev:
+            raise bad("diagonals not strictly sorted")
+        prev = d
+    closed = _region_sizes(top, diagonals)
+    if closed is None:
+        for c1, c2 in combinations(diagonals, 2):
+            if crossing(c1, c2):
+                raise bad(f"{c1} crosses {c2}")
+    assert closed and len(closed) == n and closed.count(m + 2) == n, (q, closed)
 
 
 def psi_by_label_scan(m, v):

@@ -7,13 +7,16 @@ import polyflip.dyck as dyck_module
 from polyflip import (
     ConstructionStuck,
     Dissection,
-    Monomial,
+    FactoredPoly,
     NotDyck,
+    binomial_for_diagonal,
     enumerate_dissections,
     enumerate_dyck,
+    expand,
     first_violation,
     is_dyck,
     phi,
+    poly_for_dissection,
     psi,
 )
 from polyflip.bijection import admissible_exponents
@@ -90,19 +93,32 @@ def test_psi_input_validation():
 
 
 def test_non_admissible_leading_vector_raises_not_dyck(monkeypatch):
-    bad = Monomial(1, (1, 0))  # m * v_1 = 1 >= position 1
+    bad = (1, 0)  # m * v_1 = 1 >= position 1
     message = r"leading exponents \(1, 0\) violate the prefix bound"
     with pytest.raises(NotDyck, match=message):
-        admissible_exponents(bad)
-    monkeypatch.setattr(bijection_module, "leading_monomial", lambda p: bad)
+        admissible_exponents(1, bad)
+    # phi's vector, as counted off the factor rows, is scanned for the bound
+    monkeypatch.setattr(bijection_module, "_lead_vector", lambda m, n, rows: bad)
     with pytest.raises(NotDyck, match=message):
         phi(Dissection.new(1, 2, ((0, 2),)))
 
 
+@pytest.mark.parametrize("m,n", [(1, 6), (2, 4), (3, 3)])
+def test_phi_is_the_leading_exponent_of_the_expanded_polynomial(m, n):
+    # an oracle that reads no factor table: P_Q from the definition of each
+    # chord's factor, multiplied out, and its lex-largest exponent vector
+    # (last position first)
+    for q in enumerate_dissections(m, n):
+        factors = [binomial_for_diagonal(m, n, d) for d in q.diagonals if d[0]]
+        p = FactoredPoly.new(m, n, factors)
+        assert p == poly_for_dissection(q)
+        assert phi(q) == expand(p).leading_exponent()
+
+
 def test_a_round_trip_checks_the_vector_once(monkeypatch):
-    # phi's admissibility scan reads a Monomial's exponents, which are
-    # nonnegative ints by construction; only psi's vector from outside is
-    # checked entry by entry.
+    # phi's admissibility scan reads the exponents it counted off the factor
+    # rows, nonnegative ints by construction; only psi's vector from outside
+    # is checked entry by entry.
     calls = []
     real = dyck_module.check_m_vector
 

@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from types import MappingProxyType
 
 import pytest
 
@@ -28,11 +29,13 @@ from oracles import (
     apex_diagonal_set_D,
     brute_dissections,
     candidate_chords,
+    crossing,
     cut_L,
     faces_by_splitting,
     glue_G,
     is_m_angulation,
     regions_by_scan,
+    validate_by_sweep,
     width_and_blocks,
 )
 
@@ -348,6 +351,7 @@ def test_validator_matches_the_pairwise_scan_on_invalid_chord_data():
             want = _outcome(regions_by_scan, q)
             assert _outcome(regions, q) == want, q
             assert _outcome(validate, q) == (("ok", None) if want[0] == "ok" else want)
+            assert _outcome(validate_by_sweep, q) == _outcome(validate, q)
             seen.update(k for k in kinds if want[0] != "ok" and k in want[1])
     # every rejection made before the region count, many times over
     assert all(seen[k] >= 10 for k in kinds), seen
@@ -377,3 +381,54 @@ def test_chord_sets_with_wrong_region_sizes_fail_before_the_region_count():
             assert _outcome(validate, q) == want
             seen += 1
     assert seen > 100
+
+
+# Malformed chord data each validator must reject alike: (m, n, chords).
+MALFORMED = [
+    # a crossing, then a chord out of range: the range error, as every
+    # chord's own checks come before the crossing is named
+    (2, 4, ((1, 4), (3, 6), (7, 12))),
+    (1, 6, ((1, 3), (2, 5), (0, 9), (6, 8), (3, 5))),  # a crossing, then unsorted
+    (2, 3, ((4, 7), (1, 4))),  # unsorted
+    (2, 3, ((1, 4), (1, 4))),  # repeated
+    (2, 3, ((1, 4),)),  # a chord too few
+    (2, 3, ((0, 3), (1, 4), (4, 7))),  # a chord too many
+    (2, 3, ((1, 3), (4, 7))),  # a span off 1 (mod m)
+    (2, 3, ((0, 7), (1, 4))),  # the side (0, m*n+1)
+    (1, 3, ((-1, 2), (0, 2))),  # below vertex 0
+    (1, 3, ((2, 2), (0, 2))),  # b <= a
+    (0, 3, ((0, 2), (0, 3))),  # m out of range
+    (2, 3, ([1, 4], [3, 6])),  # lists, crossing
+    (2, 3, ([1, 4], [4, 6])),  # lists, a span off 1 (mod m)
+    (2, 3, ([4, 7], [1, 4])),  # lists, unsorted
+]
+
+
+@pytest.mark.parametrize("m,n,chords", MALFORMED)
+def test_validator_rejects_malformed_data_as_the_region_sweep_did(m, n, chords):
+    q = Dissection(m, n, chords)
+    want = _outcome(validate_by_sweep, q)
+    assert want[0] is MalformedDissection
+    assert _outcome(validate, q) == want
+
+
+def test_validator_accepts_chords_given_as_lists():
+    for q in enumerate_dissections(2, 3):
+        lists = Dissection(2, 3, tuple(list(d) for d in q.diagonals))
+        assert validate(lists) is None and validate_by_sweep(lists) is None
+
+
+@pytest.mark.parametrize("m,n", SMALL + [(4, 3), (1, 10), (2, 6)])
+def test_chord_table_holds_each_chord_with_its_bit_and_crossing_mask(m, n):
+    table = dissections_module._chord_table(m, n)
+    assert type(table) is MappingProxyType
+    assert dissections_module._chord_table(m, n) is table  # shared across calls
+    assert all(type(c) is dissections_module._ChordBit for c in table.values())
+    assert all(type(x) is int for c in table.values() for x in (*c.chord, c.crosses))
+    chords = candidate_chords(m, n)
+    assert [c.chord for c in table.values()] == chords
+    K, W = dissections_module._numbering(m, n)
+    bit = {d: K - d[0] * W - d[1] for d in chords}
+    for k, (d, crosses) in table.items():
+        assert k == bit[d]
+        assert crosses == sum(1 << bit[e] for e in chords if crossing(d, e))

@@ -1,3 +1,5 @@
+from types import MappingProxyType
+
 import pytest
 
 from polyflip import (
@@ -21,14 +23,15 @@ from polyflip import (
     reflect,
 )
 from polyflip.polynomials import (
+    _factor_rows,
+    _factor_table,
     _factor_text,
-    _keyed_factor,
     _power_at,
     letter_name,
     variable_at_position,
 )
 
-from oracles import closure_from_covers, expand_by_tuples
+from oracles import candidate_chords, closure_from_covers, expand_by_tuples
 
 EXAMPLE_Q = Dissection.new(2, 7, ((0, 11), (2, 11), (4, 11), (6, 11), (7, 10), (12, 15)))
 
@@ -201,26 +204,44 @@ def test_monomial_lex_key_orders_by_last_position():
     assert a.lex_key() < b.lex_key()  # later positions dominate
 
 
+def _immutable(value) -> bool:
+    # an int or str, or a tuple (NamedTuples included) of immutable values
+    if isinstance(value, tuple):
+        return all(map(_immutable, value))
+    return type(value) in (int, str)
+
+
 @pytest.mark.parametrize(
     "m,n", [(m, n) for m in (1, 2, 3) for n in range(1, 10) if m * n <= 9]
 )
 def test_memoized_factor_is_the_definition(m, n):
+    # the order's factor table holds each non-apex chord spanning 1 mod m,
+    # and its row is the definition's factor; any other chord's row is
+    # computed as the definition has it, or raises as it does
+    table = _factor_table(m, n)
+    assert type(table) is MappingProxyType and _factor_table(m, n) is table
+    assert all(_immutable(row) for row in table.values())
+    assert set(table) == {d for d in candidate_chords(m, n) if d[0]}
     for a in range(m * n + 1):
         for b in range(a + 2, m * n + 2):
+            lone = Dissection(m, n, ((a, b),))
             try:
                 want = binomial_for_diagonal(m, n, (a, b))
             except EmptyCrossing:
+                assert (a, b) not in table
                 with pytest.raises(EmptyCrossing):
-                    _keyed_factor(m, n, (a, b))
+                    _factor_rows(lone)
                 continue
-            got = _keyed_factor(m, n, (a, b))
-            assert _keyed_factor(m, n, (a, b)) is got  # served from the table
             if want is None:
-                assert got is None
+                assert (a, b) not in table and _factor_rows(lone) == []
                 continue
-            key, factor = got
+            (row,) = _factor_rows(lone)
+            if (a, b) in table:
+                assert table[(a, b)] is row  # served from the table
+            key, factor, text, lead = row
             assert factor == want and type(factor) is BinomialFactor
-            assert _factor_text(factor) == f"({factor.high.name}-{factor.low.name})"
+            assert text == _factor_text(factor) == f"({factor.high.name}-{factor.low.name})"
+            assert lead == b - 2 == want.high.position(m) - 1
             # the key orders factors as FactoredPoly.new does
             assert divmod(key + m * n, m * n + 1) == (
                 want.high.position(m),
@@ -232,8 +253,11 @@ def test_memoized_factor_is_the_definition(m, n):
 
 
 def test_empty_crossing_raises_on_every_call():
-    before = _keyed_factor.cache_info().currsize
+    table = dict(_factor_table(1, 3))
+    before = _factor_table.cache_info().currsize
+    q = Dissection(1, 3, ((1, 2), (1, 3)))
     for _ in range(3):
         with pytest.raises(EmptyCrossing, match=r"\(1, 2\) crosses no fan diagonal"):
-            _keyed_factor(1, 3, (1, 2))
-    assert _keyed_factor.cache_info().currsize == before  # nothing was stored
+            poly_for_dissection(q)
+    assert _factor_table.cache_info().currsize == before  # nothing was stored
+    assert _factor_table(1, 3) == table and (1, 2) not in table

@@ -13,6 +13,7 @@ import pytest
 
 import polyflip.bijection as bijection_module
 import polyflip.cli as cli_module
+import polyflip.polynomials as polynomials_module
 import polyflip.poset as poset_module
 import polyflip.qsym as qsym
 import polyflip.verify as verify_module
@@ -831,17 +832,25 @@ def test_enumerate_row_fields_are_the_public_functions(capsys, m, n, final):
 
 
 def test_enumerate_builds_one_polynomial_per_element(capsys, monkeypatch):
+    # a row reads its element's factor rows from the table once, and builds
+    # no FactoredPoly or Monomial: the rows stand for the one polynomial
     calls = []
+    real = polynomials_module._factor_rows
 
     def counting(q):
         calls.append(q)
-        return poly_for_dissection(q)
+        return real(q)
 
-    # phi builds its own polynomial through the bijection module's name
-    monkeypatch.setattr(cli_module, "poly_for_dissection", counting)
-    monkeypatch.setattr(bijection_module, "poly_for_dissection", counting)
-    code, _, _ = run_cli(capsys, "enumerate", "--m", "2", "--n", "3")
-    assert code == 0
+    def never(*args):
+        raise AssertionError("a row built a polynomial or a monomial")
+
+    # phi reads its own rows through the bijection module's name
+    monkeypatch.setattr(cli_module, "_factor_rows", counting)
+    monkeypatch.setattr(bijection_module, "_factor_rows", counting)
+    monkeypatch.setattr(polynomials_module, "FactoredPoly", never)
+    monkeypatch.setattr(polynomials_module, "Monomial", never)
+    code, out, _ = run_cli(capsys, "enumerate", "--m", "2", "--n", "3")
+    assert code == 0 and len(json.loads(out)["items"]) == fuss_catalan(2, 3)
     assert sorted(calls) == enumerate_dissections(2, 3)
 
 
@@ -1251,11 +1260,11 @@ def test_an_export_failing_partway_exits_1_with_partial_output(capsys, monkeypat
     # before it on stdout; only the exit code says the export is whole.
     calls = []
 
-    def fails_at_row_5(lead):
-        calls.append(lead)
+    def fails_at_row_5(m, v):
+        calls.append(v)
         if len(calls) == 5:
             raise NotDyck("row 5 fails")
-        return bijection_module.admissible_exponents(lead)
+        return bijection_module.admissible_exponents(m, v)
 
     monkeypatch.setattr(cli_module, "admissible_exponents", fails_at_row_5)
     code, out, err = run_cli(capsys, "enumerate", "--m", "1", "--n", "4", "--format", fmt)
