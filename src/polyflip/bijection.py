@@ -17,7 +17,8 @@ def phi(q: Dissection) -> tuple[int, ...]:
     """Exponent vector of the leading monomial of q's polynomial, counted
     off its factors' leading positions in the order's factor table: no
     polynomial or monomial is built."""
-    return admissible_exponents(q.m, _lead_vector(q.m, q.n, _factor_rows(q)))
+    leads = [r.lead for r in _factor_rows(q)]
+    return admissible_exponents(q.m, _lead_vector(q.m, q.n, leads))
 
 
 def admissible_exponents(m: int, v: tuple[int, ...]) -> tuple[int, ...]:

@@ -97,12 +97,12 @@ def _enumerate_row(q) -> dict:
     # (phi(q)), poly and leading are all read off q's factor rows.  The
     # tuples go to the encoder as they are; `json` writes a tuple as a list.
     rows = _factor_rows(q)
-    vector = admissible_exponents(q.m, _lead_vector(q.m, q.n, rows))
+    vector = admissible_exponents(q.m, _lead_vector(q.m, q.n, [r.lead for r in rows]))
     return {
         "diagonals": q.diagonals,
         "rank": len(rows),
         "vector": vector,
-        "poly": _product_text(rows),
+        "poly": _product_text([r.text for r in sorted(rows)]),
         "leading": _monomial_text(q.m, vector),
     }
 

@@ -11,11 +11,11 @@ Labelled vertices: vertex i >= 1 carries the letter ((i-2) mod m) + 1, so the
 letters 1..m repeat counter-clockwise and both neighbours of the apex carry
 the last letter.
 
-Validation policy: `validate`, one linear pass over the chords, is the one
+Validation policy: `validate`, one pass over the chords, is the one
 validator; `regions` is the same check followed by the region walk.
-`validate` reads non-crossing off the order's chord table, one crossing
-mask per chord tested against the chords before it, and the regions'
-shapes off the spans: its docstring gives the region argument.
+`validate` reads non-crossing off a stack of the open spans and the
+regions' shapes off the spans: its docstring gives the region argument.
+It builds no table: one pass over the chords, at any size.
 `Dissection.new` sorts and validates chord data from outside (`from_json`)
 and the fan (`make_q0`); `bijection.psi`, whose validity is itself a claim
 of the paper, validates its own sorted chords.  Everything derived here from
@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .errors import (
     MalformedDissection,
@@ -168,51 +167,36 @@ def _walk_regions(q: Dissection) -> list[tuple[int, ...]]:
     return regs
 
 
-class _ChordBit(NamedTuple):
-    """One chord of an order's chord table, under its `_numbering` bit."""
-
-    chord: Chord
-    crosses: int  # the bits of the table's chords that cross it
-
-
 @lru_cache(maxsize=None)
 def _chord_table(m: int, n: int) -> MappingProxyType:
     """Each chord (a, b) of the (m*n+2)-gon spanning 1 mod m, a + 2 <= b,
-    the side (0, m*n+1) excepted, under its `_numbering` bit: the chord
-    and its crossing mask.  One read-only table per order, holding
-    immutable values: `validate` tests crossings by it, enumeration decodes
-    masks by it and `build_poset` reads `diagonal_bits` off it.  It holds
-    O((mn)^2) chords, each mask assembled from O(mn) slices of per-vertex
-    masks."""
+    the side (0, m*n+1) excepted, under its `_numbering` bit.  One
+    read-only table per order, of chord tuples: enumeration decodes masks
+    by it, and `build_poset` and `polynomials._factor_table` read their
+    chords off it.  It holds O((mn)^2) chords, so only orders under the
+    enumeration guard build it; `validate` reads no table."""
     K, W = _numbering(m, n)
-    chords = [(a, b) for a in range(W) for b in range(a + m + 1, W + 2, m)]
-    chords.remove((0, W + 1))
-    ups = [0] * W  # each vertex's chords to the vertices above it
-    for a, b in chords:
-        ups[a] |= 1 << (K - a * W - b)
-    table = {}
-    for a, b in chords:
-        # (c, d) crosses (a, b) iff c < a < d < b or a < c < b < d; the
-        # chords (c, d) hold the bits K - c*W - d, descending in d
-        crosses = 0
-        for c in range(a):
-            top = K - c * W
-            crosses |= ups[c] & ((1 << (top - a)) - (1 << (top - b + 1)))
-        for c in range(a + 1, min(b, W)):
-            crosses |= ups[c] & ((1 << (K - c * W - b)) - 1)
-        table[K - a * W - b] = _ChordBit((a, b), crosses)
-    return MappingProxyType(table)
+    return MappingProxyType(
+        {
+            K - a * W - b: (a, b)
+            for a in range(W)
+            for b in range(a + m + 1, W + 2, m)
+            if (a, b) != (0, W + 1)
+        }
+    )
 
 
 def validate(q: Dissection) -> None:
     """Raise MalformedDissection, carrying q's JSON as its counterexample,
     unless q is a valid M-angulation: this is the validator.
 
-    The diagonals are checked one by one (count, range, span mod m, strict
-    sort, by their `_numbering` bits), and each chord's crossing mask
-    (`_chord_table`) is tested against the bits of the chords before it.
-    Only a crossing pays the pairwise scan, after every chord has passed
-    its own checks, to name its first pair.
+    One pass over the diagonals checks each one (count, range, span mod m,
+    strict sort) and keeps a stack of the open spans' ends, innermost last:
+    a chord (a, b) crosses an earlier one iff b overruns the innermost span
+    still open past a, the earlier chords from a itself aside (they nest
+    inside (a, b), so it goes under them).  Only a crossing pays the
+    pairwise scan, after every chord has passed its own checks, to name its
+    first pair.
 
     No region is walked: n - 1 distinct non-crossing diagonals cut the
     polygon into n regions.  A region u_0 < ... < u_k is closed by the chord
@@ -233,11 +217,9 @@ def validate(q: Dissection) -> None:
     diagonals = q.diagonals
     if len(diagonals) != n - 1:
         raise bad(f"{len(diagonals)} diagonals, a size-{n} dissection needs {n - 1}")
-    table = _chord_table(m, n)
-    K, W = _numbering(m, n)
     one = 1 % m
-    last = K + 1  # above every chord's bit
-    seen = crossed = 0
+    prev = None
+    ends, base, crossed = [top], 1, False  # the side stays open: a < top
     for d in diagonals:
         a, b = d
         # b - a < 2 also rejects b <= a
@@ -245,12 +227,16 @@ def validate(q: Dissection) -> None:
             raise bad(f"{d} is not a diagonal of the {top + 1}-gon")
         if (b - a) % m != one:
             raise bad(f"{d} spans {b - a} != 1 (mod {m}) boundary steps")
-        k = K - a * W - b
-        if k >= last:  # ascending chords hold descending bits
+        if prev is not None and d <= prev:
             raise bad("diagonals not strictly sorted")
-        last = k
-        crossed |= table[k].crosses & seen
-        seen |= 1 << k
+        if prev is None or a != prev[0]:  # a new start: close the spans ending by a
+            while ends[-1] <= a:
+                ends.pop()
+            base = len(ends)
+        prev = d
+        # the chords from a come inner first: each goes in under the last
+        crossed = crossed or b > ends[base - 1]
+        ends.insert(base, b)
     if crossed:
         for c1, c2 in combinations(diagonals, 2):
             if chords_cross(c1, c2):
@@ -339,7 +325,7 @@ def _enumerated(m: int, n: int, max_mn: int) -> tuple[list[int], list[Dissection
         chords = []
         while mask:  # highest bit first: ascending chords
             k = mask.bit_length() - 1
-            chords.append(table[k].chord)
+            chords.append(table[k])
             mask ^= 1 << k
         elements.append(Dissection(m, n, tuple(chords)))
     return masks, elements

@@ -12,11 +12,16 @@ Divisibility is factor-multiset inclusion (`divides`), one pair at a time;
 `verify.suite_divisibility` proves it is the flip order without all pairs.
 
 One factor table per order (`_factor_table`, an `lru_cache` on (m, n)):
-each non-apex chord spanning 1 mod m maps to its sort key, its factor, the
-factor's text and its leading position, filled once for all the order's
-O((mn)^2) chords, not memoized per diagonal.  `poly_for_dissection`,
-`bijection.phi` and the CLI's export rows read a dissection's factors off
-it, one lookup per chord; a chord it lacks gets its row computed, uncached.
+each non-apex chord of the order's chord table maps to its sort key, its
+factor, the factor's text and its leading position, filled once for all
+the order's O((mn)^2) chords, not memoized per diagonal.
+`poly_for_dissection`, `bijection.phi` and the CLI's export rows read a
+dissection's factors off it, one lookup per chord.  Only orders under the
+enumeration guard (`DEFAULT_MAX_MN`) get a table; past it, and for a chord
+the table lacks, a dissection's rows are computed, uncached, so one large
+dissection costs time linear in its chords.  `leading_monomial` and
+`FactoredPoly.text` share the rows' helpers (`_lead_vector`,
+`_product_text`), so each result has one definition.
 Each variable power's text and each factor's text are memoized too
 (`lru_cache`, unbounded).  Every cached value is an immutable tuple,
 NamedTuple or str, and the table is a read-only mapping, so nothing cached
@@ -29,7 +34,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .dissections import Dissection, vertex_label
+from .dissections import DEFAULT_MAX_MN, Dissection, _chord_table, vertex_label
 from .errors import EmptyCrossing
 
 LETTER_NAMES = "xyzwvuts"
@@ -119,9 +124,7 @@ class FactoredPoly:
         return cls(m, n, ordered)
 
     def text(self) -> str:
-        if not self.factors:
-            return "1"
-        return "".join(map(_factor_text, self.factors))
+        return _product_text(map(_factor_text, self.factors))
 
     def to_json(self) -> dict:
         return {
@@ -171,43 +174,38 @@ def _factor_row(m: int, n: int, d) -> _FactorRow:
 
 @lru_cache(maxsize=None)
 def _factor_table(m: int, n: int) -> MappingProxyType:
-    """Each non-apex chord (a, b) spanning 1 mod m, a + 2 <= b <= m*n + 1,
-    of the (m*n+2)-gon -> its `_FactorRow`.  Private, so a tracer that
-    wraps the public functions does not wrap a per-chord lookup."""
-    W = m * n
-    return MappingProxyType(
-        {
-            (a, b): _factor_row(m, n, (a, b))
-            for a in range(1, W)
-            for b in range(a + m + 1, W + 2, m)
-        }
-    )
+    """Each non-apex chord of the order's chord table
+    (`dissections._chord_table`) -> its `_FactorRow`.  Private, so a tracer
+    that wraps the public functions does not wrap a per-chord lookup."""
+    chords = _chord_table(m, n).values()
+    return MappingProxyType({d: _factor_row(m, n, d) for d in chords if d[0]})
 
 
 def _factor_rows(q: Dissection) -> list[_FactorRow]:
     """The rows of q's non-apex chords, one per factor of P_Q, in q's
     order; sorted, they are in `FactoredPoly.new`'s (equal keys are equal
-    factors).  A chord the table lacks gets its row computed, and raises
-    EmptyCrossing as `binomial_for_diagonal` does."""
+    factors).  Only an order under the enumeration guard reads a table;
+    past it, and for a chord the table lacks, each row is computed, and
+    raises EmptyCrossing as `binomial_for_diagonal` does."""
     m, n = q.m, q.n
-    table = _factor_table(m, n)
+    table = _factor_table(m, n) if m * n <= DEFAULT_MAX_MN else {}
     try:
         return [table[d] for d in q.diagonals if d[0]]  # fan: the unit
     except KeyError:
         return [table.get(d) or _factor_row(m, n, d) for d in q.diagonals if d[0]]
 
 
-def _product_text(rows) -> str:
-    # `FactoredPoly.text` of the product of the rows' factors.
-    return "".join([r.text for r in sorted(rows)]) or "1"
+def _product_text(texts) -> str:
+    # The text of a product, from its factors' texts in order.
+    return "".join(texts) or "1"
 
 
-def _lead_vector(m: int, n: int, rows) -> tuple[int, ...]:
-    """The exponents of the leading monomial of the rows' product, as
-    `leading_monomial` has them: one per factor at its high variable."""
+def _lead_vector(m: int, n: int, leads) -> tuple[int, ...]:
+    """The exponents of the leading monomial of a product of factors, from
+    their high variables' positions less 1: one count per factor."""
     exps = [0] * (m * n)
-    for r in rows:
-        exps[r.lead] += 1
+    for i in leads:
+        exps[i] += 1
     return tuple(exps)
 
 
@@ -222,10 +220,7 @@ def leading_monomial(p: FactoredPoly) -> Monomial:
     """Product of the high variables; equals the lex-largest expanded term
     because every factor's high side beats its low side positionwise."""
     m = p.m
-    exp = [0] * (m * p.n)
-    for (letter, index), _ in p.factors:
-        exp[m * (index - 1) + letter - 1] += 1  # the high side's position - 1
-    return Monomial(m, tuple(exp))
+    return Monomial(m, _lead_vector(m, p.n, [f.high.position(m) - 1 for f in p.factors]))
 
 
 def divides(p: FactoredPoly, q: FactoredPoly) -> bool:

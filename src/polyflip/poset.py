@@ -330,7 +330,7 @@ def build_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> FlipPoset:
     poset = FlipPoset(m, n, elements, tuple(covers))
     table = _chord_table(m, n).items()
     poset.__dict__.update(
-        diagonal_bits=MappingProxyType({c.chord: k for k, c in table if c.chord[0]}),
+        diagonal_bits=MappingProxyType({d: k for k, d in table if d[0]}),
         diagonal_masks=D,
         ranks=tuple(d.bit_count() for d in D),
     )
@@ -608,7 +608,7 @@ def _dot_lines(poset: FlipPoset, label: str = "poly"):
 
     def text(q: Dissection) -> str:
         if label == "poly":
-            return _product_text(_factor_rows(q))
+            return _product_text([r.text for r in sorted(_factor_rows(q))])
         if label == "diagonals":
             return " ".join(map("(%d,%d)".__mod__, q.diagonals)) or "fan"
         if label == "dyck":

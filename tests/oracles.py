@@ -174,7 +174,7 @@ def _region_sizes(top, chords):
 
 
 def validate_by_sweep(q):
-    """The region-sweep validator the package's crossing masks replaced:
+    """The region-sweep validator the package's one-pass stack replaced:
     per-diagonal checks (count, range, span mod m, strict sort), then the
     regions' sizes in one pass (`_region_sizes`), and the pairwise scan
     only to name a crossing.  Raises MalformedDissection as `validate`

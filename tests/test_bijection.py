@@ -98,7 +98,7 @@ def test_non_admissible_leading_vector_raises_not_dyck(monkeypatch):
     with pytest.raises(NotDyck, match=message):
         admissible_exponents(1, bad)
     # phi's vector, as counted off the factor rows, is scanned for the bound
-    monkeypatch.setattr(bijection_module, "_lead_vector", lambda m, n, rows: bad)
+    monkeypatch.setattr(bijection_module, "_lead_vector", lambda m, n, leads: bad)
     with pytest.raises(NotDyck, match=message):
         phi(Dissection.new(1, 2, ((0, 2),)))
 

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from collections import Counter
 from types import MappingProxyType
 
@@ -309,6 +310,27 @@ def test_validator_accepts_every_element_as_the_pairwise_scan_does(m, n):
         assert regions(q) == regions_by_scan(q)
 
 
+@pytest.mark.parametrize("m,n", [(1, 8), (2, 5), (3, 3), (4, 3)])
+def test_only_a_crossing_pays_the_pairwise_scan(monkeypatch, m, n):
+    # the stack flags no valid element (chords sharing an end, a start or
+    # a vertex the innermost open span closes at included), and flags
+    # every crossing, which the scan then names
+    calls = []
+
+    def counting(c1, c2):
+        calls.append((c1, c2))
+        return chords_cross(c1, c2)
+
+    monkeypatch.setattr(dissections_module, "chords_cross", counting)
+    for q in enumerate_dissections(m, n):
+        validate(q)
+    assert calls == []
+    crossed = Dissection(1, 4, ((1, 3), (2, 4), (2, 5)))
+    with pytest.raises(MalformedDissection, match=r"\(1, 3\) crosses \(2, 4\)"):
+        validate(crossed)
+    assert calls
+
+
 def _invalid_corpus(rng, m, n):
     """Seeded chord data around a size-n dissection: crossings, spans off
     1 (mod m), unsorted or repeated chords, wrong counts and chords outside
@@ -418,17 +440,42 @@ def test_validator_accepts_chords_given_as_lists():
         assert validate(lists) is None and validate_by_sweep(lists) is None
 
 
+def test_validator_accepts_chords_given_as_whole_number_floats():
+    # JSON numbers pass through `from_json` as they are; the validator
+    # compares coordinates and never shifts by them, as the sweep did
+    for chords in ([(1.0, 4.0), (4, 7)], [[0, 3.0], [4.0, 7]]):
+        q = Dissection.new(2, 3, chords)
+        assert validate_by_sweep(q) is None
+        assert Dissection.from_json(q.to_json()) == q
+    q = Dissection(2, 3, ((1.0, 4.0), (3.0, 6.0)))
+    assert _outcome(validate, q) == _outcome(validate_by_sweep, q)
+    assert _outcome(validate, q)[0] is MalformedDissection
+
+
+def test_validator_is_linear_in_the_chords_at_any_size():
+    # no order table is built: a (1, 2000) fan, its reflection and a fan at
+    # the last vertex each validate in one pass, well inside a second
+    n = 2000
+    fan = make_q0(1, n)
+    qs = [fan, reflect(fan), Dissection(1, n, tuple((k, n + 1) for k in range(1, n)))]
+    misses = dissections_module._chord_table.cache_info().misses
+    start = time.perf_counter()
+    for q in qs:
+        assert validate(q) is None
+    assert time.perf_counter() - start < 1.0
+    assert dissections_module._chord_table.cache_info().misses == misses
+    assert all(validate_by_sweep(q) is None for q in qs)
+    crossed = Dissection(1, n, ((1, 3), (2, 4), *((k, n + 1) for k in range(3, n))))
+    assert _outcome(validate, crossed) == _outcome(validate_by_sweep, crossed)
+    assert str(_outcome(validate, crossed)[1]).startswith("(1, 3) crosses (2, 4)")
+
+
 @pytest.mark.parametrize("m,n", SMALL + [(4, 3), (1, 10), (2, 6)])
-def test_chord_table_holds_each_chord_with_its_bit_and_crossing_mask(m, n):
+def test_chord_table_holds_each_chord_under_its_bit(m, n):
     table = dissections_module._chord_table(m, n)
     assert type(table) is MappingProxyType
     assert dissections_module._chord_table(m, n) is table  # shared across calls
-    assert all(type(c) is dissections_module._ChordBit for c in table.values())
-    assert all(type(x) is int for c in table.values() for x in (*c.chord, c.crosses))
-    chords = candidate_chords(m, n)
-    assert [c.chord for c in table.values()] == chords
+    assert all(type(d) is tuple and list(map(type, d)) == [int, int] for d in table.values())
+    assert list(table.values()) == candidate_chords(m, n)
     K, W = dissections_module._numbering(m, n)
-    bit = {d: K - d[0] * W - d[1] for d in chords}
-    for k, (d, crosses) in table.items():
-        assert k == bit[d]
-        assert crosses == sum(1 << bit[e] for e in chords if crossing(d, e))
+    assert all(k == K - a * W - b for k, (a, b) in table.items())

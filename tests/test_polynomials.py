@@ -19,6 +19,7 @@ from polyflip import (
     involution_image,
     leading_monomial,
     make_q0,
+    phi,
     poly_for_dissection,
     reflect,
 )
@@ -261,3 +262,15 @@ def test_empty_crossing_raises_on_every_call():
             poly_for_dissection(q)
     assert _factor_table.cache_info().currsize == before  # nothing was stored
     assert _factor_table(1, 3) == table and (1, 2) not in table
+
+
+def test_a_dissection_past_the_guard_reads_no_factor_table():
+    # one large dissection's rows are computed chord by chord, as the
+    # definition has them: its order gets no O((mn)^2) table
+    n = 2000
+    q = Dissection.new(1, n, [(k, n + 1) for k in range(1, n)])
+    misses = _factor_table.cache_info().misses
+    p = poly_for_dissection(q)
+    assert p == FactoredPoly.new(1, n, [binomial_for_diagonal(1, n, d) for d in q.diagonals])
+    assert phi(q) == leading_monomial(p).exponents
+    assert _factor_table.cache_info().misses == misses
