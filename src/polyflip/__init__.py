@@ -61,9 +61,7 @@ from .poset import (
     ForestPoset,
     Interval,
     build_poset,
-    expected_maximal_chain_count,
     interval_structure,
-    maximal_chain_count,
     mobius,
     to_dot,
     to_json_dict,

@@ -24,12 +24,12 @@ unchecked, and enumeration is correct by construction.
 `build_poset` checks its flip results by identity instead: it looks each
 one up among the enumerated elements by chord bitmask and raises
 MalformedDissection on a miss.  No suite builds a cut piece, an interval
-core or a width block: the intervals suite reads only each final's block
-gaps.  The poset suite runs `validate` once on every element, and the
-tests check both constructions, and the cut pieces, gluings and blocks of
-their own oracles, against an independent face computation, and `validate`
-against the pairwise crossing scan, the region walk and the region sweep
-it replaced.
+core or a width block, or walks a region: the intervals suite reads each
+final's width off its lower covers.  The poset suite runs `validate` once
+on every element, and the tests check both constructions, and the cut
+pieces, gluings and blocks of their own oracles, against an independent
+face computation, and `validate` against the pairwise crossing scan, the
+region walk and the region sweep it replaced.
 
 Memory: enumeration builds each chord set as one int (`_numbering`) and
 decodes each element's mask once through the order's chord table
@@ -115,7 +115,15 @@ class Dissection:
 
     @classmethod
     def from_json(cls, data: dict) -> "Dissection":
-        return cls.new(data["m"], data["n"], (tuple(d) for d in data["diagonals"]))
+        """The dissection `to_json` wrote, validated.  This is where outside
+        data comes in, so data of another shape (a key missing, a chord
+        that is no pair, a coordinate that is no number, which sorting or
+        validating cannot compare) raises MalformedDissection carrying the
+        data, not the bare error."""
+        try:
+            return cls.new(data["m"], data["n"], data["diagonals"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedDissection(f"not dissection data: {exc!r}", data) from None
 
 
 def _unchecked(m: int, n: int, chords) -> Dissection:
@@ -190,13 +198,14 @@ def validate(q: Dissection) -> None:
     """Raise MalformedDissection, carrying q's JSON as its counterexample,
     unless q is a valid M-angulation: this is the validator.
 
-    One pass over the diagonals checks each one (count, range, span mod m,
-    strict sort) and keeps a stack of the open spans' ends, innermost last:
-    a chord (a, b) crosses an earlier one iff b overruns the innermost span
-    still open past a, the earlier chords from a itself aside (they nest
-    inside (a, b), so it goes under them).  Only a crossing pays the
-    pairwise scan, after every chord has passed its own checks, to name its
-    first pair.
+    m and n must be exact ints: a float, a bool or a string is no size, and
+    would fail later, outside the validator.  One pass over the diagonals
+    checks each one (count, range, span mod m, strict sort) and keeps a
+    stack of the open spans' ends, innermost last: a chord (a, b) crosses
+    an earlier one iff b overruns the innermost span still open past a, the
+    earlier chords from a itself aside (they nest inside (a, b), so it goes
+    under them).  Only a crossing pays the pairwise scan, after every chord
+    has passed its own checks, to name its first pair.
 
     No region is walked: n - 1 distinct non-crossing diagonals cut the
     polygon into n regions.  A region u_0 < ... < u_k is closed by the chord
@@ -211,6 +220,8 @@ def validate(q: Dissection) -> None:
     def bad(message: str) -> MalformedDissection:
         return MalformedDissection(message, q.to_json())
 
+    if type(m) is not int or type(n) is not int:
+        raise bad(f"need integers m, n, got m={m!r}, n={n!r}")
     if m < 1 or n < 1:
         raise bad(f"need m, n >= 1, got m={m}, n={n}")
     top = m * n + 1
@@ -366,14 +377,6 @@ def flip_up(q: Dissection, d: Chord) -> list[Dissection]:
         if chord != d:
             out.append(_unchecked(q.m, q.n, rest | {chord}))
     return out
-
-
-def _block_gaps(q: Dissection) -> list[tuple[int, int]]:
-    """The gaps (u, w) between consecutive apex-region vertices of a final
-    q that hold a width block, one per block, so their number is q's
-    width (raises NotFinal)."""
-    r0 = apex_region(q)
-    return [(u, w) for u, w in zip(r0[1:], r0[2:]) if w - u >= 2]
 
 
 def _mirror(size: int, d: Chord) -> Chord:

@@ -6,17 +6,19 @@ transitive closure of up-flips is the order.  The fan is the unique
 minimum, final M-angulations are the maximal elements, and the rank of an
 element is its number of non-apex diagonals.
 
-The checks in this module certify the advertised structure exactly: cover
-degrees, maximal chain counts, the inclusion theorem, and interval
-lattices with their order-ideal forests.  The isomorphisms that carry
-these to every interval, onto filters and products over cut pieces and
-width blocks, are theorems of the certified inclusion order, proved in
-`verify.suite_intervals`; no function here re-checks their maps.
+The checks in this module certify the advertised structure exactly: the
+inclusion theorem, and interval lattices with their order-ideal forests.
+The cover degrees, the maximal chain count, the widths and the unique
+minimum are corollaries of the inclusion certificate, proved in
+`inclusion_check`'s docstring, and no function here counts them.  The
+isomorphisms that carry the interval certificate to every interval, onto
+filters and products over cut pieces and width blocks, are theorems of
+the certified inclusion order, proved in `verify.suite_intervals`; no
+function here re-checks their maps.
 """
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import factorial
 from types import MappingProxyType
 
 from .dissections import (
@@ -344,19 +346,6 @@ def _order(m: int, n: int) -> FlipPoset:
     return build_poset(m, n) if m * n <= DEFAULT_MAX_MN else build_poset(m, n, m * n)
 
 
-def cover_count_check(poset: FlipPoset) -> bool:
-    """Every rank-r element has exactly m*(n-1-r) upward covers."""
-    m, n = poset.m, poset.n
-    for i, q in enumerate(poset.elements):
-        want = m * (n - 1 - poset.ranks[i])
-        got = len(poset.covers_up[i])
-        if got != want:
-            raise VerificationFailure(
-                f"{q} has {got} covers, expected {want}", q.to_json()
-            )
-    return True
-
-
 def inclusion_check(poset: FlipPoset) -> bool:
     """Certify that the order is inclusion of non-apex diagonal sets, the
     theorem `leq` and `interval` read it by, from facts local to each
@@ -366,7 +355,8 @@ def inclusion_check(poset: FlipPoset) -> bool:
     diagonal masks, is injective: the masks are N distinct ints.  (c) Each
     element's lower covers remove exactly the bits of its maximal spans,
     the non-apex diagonals nested in no other: D[i] less the chords nested
-    inside its own, read off one nest mask per chord of the order.
+    inside its own, read off one nest mask per chord of the order; and
+    they are as many as those spans, so none is listed twice.
 
     Proof, for elements that are M-angulations.  By (a), Q <= Q' puts
     D(Q) inside D(Q').  Conversely let D(Q) be a proper subset of D(Q').
@@ -377,7 +367,7 @@ def inclusion_check(poset: FlipPoset) -> bool:
     that span, so D(Q) lies in D(R), and induction on |D(Q') - D(Q)| ends
     at an element with Q's mask, which is Q by (b).  So Q <= Q'.
 
-    Three corollaries need no check of their own, once the elements are every
+    Five corollaries need no check of their own, once the elements are every
     M-angulation (validated, distinct by (b) and Fuss-Catalan many):
     - Descent lemma, by (b) and (c).  A non-fan Q has a maximal span
       d = (a, b), and the region under d (away from the apex) has vertices
@@ -392,15 +382,34 @@ def inclusion_check(poset: FlipPoset) -> bool:
       M-angulation S with D(S) = D(Q) less that span.  By (c) a lower
       cover of Q removes the span, and by (b) it is S.  By (a) and (c),
       induction on rank gives every element a saturated chain to the fan.
-    - Width, by (a), (b) and (c).  A final Q's maximal spans are the edges
-      of its apex region that are not sides (`_block_gaps`), as they hold
-      every other chord.  By (c) its lower covers remove them, by (a) one
-      each and by (b) each a different one: Q has width-many lower covers.
+    - Width, by (c).  A final Q's maximal spans are the edges of its apex
+      region that are not sides, one per width block, as they hold every
+      other chord.  By (c) its lower covers remove them and are as many:
+      Q has width-many lower covers.  A final is an element of rank n - 1,
+      so the finals of width at most 1 are the elements of rank n - 1
+      with at most one lower cover, and no region is walked to find them.
     - Unique minimum, by (b) and (c).  The fan, the one M-angulation with
       no non-apex diagonal, has mask 0, so by (c) no lower cover.  Every
       other element has a nonzero mask, by (b), so a maximal span, and by
       (c) a lower cover removing it.  The fan is the one minimal element,
       so the minimum of the finite order.
+    - Cover degrees, by (a), (b) and (c).  Let Q have rank r, k = n - r.
+      By (a) every upper cover Q' of Q has D(Q') = D(Q) plus one non-apex
+      chord.  Conversely an M-angulation Q' with that property lies above
+      Q by the theorem, one rank up, so one cover reaches it, as each adds
+      one chord by (a): it is an upper cover.  By (b) these Q' are
+      distinct elements, and by (c) none is listed twice, as a repeat
+      among Q's upper covers is a repeat among Q''s lower covers.  Through
+      the filter isomorphism of `verify.suite_intervals`, they are the
+      M-angulations of the (m*k+2)-gon with exactly one non-apex chord
+      (a, b).  No other non-apex chord lies under it, so it closes one
+      (m+2)-gon: b = a + m + 1 for a = 1..m*(k-1), and the apex diagonals
+      complete each in one way, as the fan of the polygon left.  So Q has
+      m*(n-1-r) upper covers.
+    - Maximal chain count, by the cover degrees.  Every rank-r element has
+      m*(n-1-r) upper covers, all of rank r + 1, and a maximal chain from
+      the fan picks one at each rank 0..n-2: the fan starts
+      m^(n-1) * (n-1)! maximal chains.
 
     Raises VerificationFailure with an element's JSON.
     """
@@ -434,26 +443,12 @@ def inclusion_check(poset: FlipPoset) -> bool:
                 nested |= inside[d]
         for j in down[i]:
             removed |= D[i] ^ D[j]
-        if removed != D[i] & ~nested:
+        if removed != D[i] & ~nested or len(down[i]) != removed.bit_count():
             raise VerificationFailure(
                 f"the lower covers of {q} do not remove exactly its maximal spans",
                 q.to_json(),
             )
     return True
-
-
-def maximal_chain_count(poset: FlipPoset) -> int:
-    """Number of saturated chains from the fan to a maximal element."""
-    ranks = poset.ranks
-    counts = [0] * len(ranks)
-    for i in sorted(range(len(ranks)), key=ranks.__getitem__, reverse=True):
-        ups = poset.covers_up[i]
-        counts[i] = sum(counts[j] for j in ups) if ups else 1
-    return counts[poset.index[poset.minimum]]
-
-
-def expected_maximal_chain_count(m: int, n: int) -> int:
-    return m ** (n - 1) * factorial(n - 1)
 
 
 def mobius(interval: Interval) -> int:

@@ -19,9 +19,12 @@ between orders, the descent witness and its chain to the fan, width
 blocks, one-block finals, the apex chords of a final dissection, and the
 count of M-angulations holding a set of chords.  They build on the
 package's orders, and raise the three errors defined here.
-Four scans restate on their own what the suites derive: `descent_check`
-(each non-fan element covers its descent swap) and `width_cover_check`
-(each final has width-many lower covers), corollaries of
+Six scans restate on their own what the suites derive: `descent_check`
+(each non-fan element covers its descent swap), `width_cover_check`
+(each final has width-many lower covers, its apex region's block gaps
+`_block_gaps`), `cover_count_check` (each rank-r element has m*(n-1-r)
+upper covers) and `maximal_chain_count` (against
+`expected_maximal_chain_count`, m^(n-1) * (n-1)!), corollaries of
 `poset.inclusion_check`; `holder_check` (each P_Q has rank-many distinct
 factors, with the holders of its non-apex diagonals) and `mirror_check`
 (the mirror involution takes each P_Q to +-P_{reflect Q}), implied by the
@@ -31,6 +34,7 @@ chord checks of `verify.suite_divisibility`.
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
+from math import factorial
 from operator import add, itemgetter
 
 from polyflip import (
@@ -51,7 +55,7 @@ from polyflip import (
     poly_for_dissection,
     reflect,
 )
-from polyflip.dissections import _block_gaps, _chord_ends, _unchecked, _walk_region
+from polyflip.dissections import _chord_ends, _unchecked, _walk_region
 from polyflip.poset import _bits, _derived_miss, _order
 from polyflip.qsym import _fundamental_terms, monomials_of_degree
 
@@ -614,6 +618,14 @@ def descent_check(poset):
     return True
 
 
+def _block_gaps(q):
+    """The gaps (u, w) between consecutive apex-region vertices of a final
+    q that hold a width block, one per block, so their number is q's
+    width (raises NotFinal)."""
+    r0 = apex_region(q)
+    return [(u, w) for u, w in zip(r0[1:], r0[2:]) if w - u >= 2]
+
+
 def width_cover_check(poset):
     """Final elements have exactly width-many downward covers, a corollary
     of `inclusion_check` checked here by each final's apex region."""
@@ -627,6 +639,36 @@ def width_cover_check(poset):
                 f"{q} has {got} downward covers but width {width}", q.to_json()
             )
     return True
+
+
+def cover_count_check(poset):
+    """Every rank-r element has exactly m*(n-1-r) upward covers, a
+    corollary of `inclusion_check` checked here by counting them."""
+    m, n = poset.m, poset.n
+    for i, q in enumerate(poset.elements):
+        want = m * (n - 1 - poset.ranks[i])
+        got = len(poset.covers_up[i])
+        if got != want:
+            raise VerificationFailure(
+                f"{q} has {got} covers, expected {want}", q.to_json()
+            )
+    return True
+
+
+def maximal_chain_count(poset):
+    """Number of saturated chains from the fan to a maximal element,
+    counted over the covers from the top rank down."""
+    ranks = poset.ranks
+    counts = [0] * len(ranks)
+    for i in sorted(range(len(ranks)), key=ranks.__getitem__, reverse=True):
+        ups = poset.covers_up[i]
+        counts[i] = sum(counts[j] for j in ups) if ups else 1
+    return counts[poset.index[poset.minimum]]
+
+
+def expected_maximal_chain_count(m, n):
+    """The closed form m^(n-1) * (n-1)! that `inclusion_check` proves."""
+    return m ** (n - 1) * factorial(n - 1)
 
 
 def descend_to_fan(q):

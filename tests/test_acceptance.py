@@ -19,14 +19,12 @@ from polyflip import (
     enumerate_dyck,
     exact_quotient,
     expand,
-    expected_maximal_chain_count,
     fuss_catalan,
     interval_structure,
     involution_image,
     is_dyck,
     leading_monomial,
     make_q0,
-    maximal_chain_count,
     mobius,
     phi,
     poly_for_dissection,
@@ -41,7 +39,15 @@ from polyflip import (
 )
 from polyflip.series import residual_F, residual_I, residual_T
 
-from oracles import _descent_swap, cut_L, glue_G, interval_decompose, width_cover_check
+from oracles import (
+    _descent_swap,
+    cut_L,
+    expected_maximal_chain_count,
+    glue_G,
+    interval_decompose,
+    maximal_chain_count,
+    width_cover_check,
+)
 
 UNIVERSE = [(m, n) for m in (1, 2, 3) for n in range(1, 6)]
 

@@ -452,6 +452,31 @@ def test_validator_accepts_chords_given_as_whole_number_floats():
     assert _outcome(validate, q)[0] is MalformedDissection
 
 
+# Outside data of the wrong types or shape: {name: JSON data}.
+MALFORMED_DATA = {
+    "float m": {"m": 2.0, "n": 3, "diagonals": [[1, 4], [4, 7]]},
+    "float n": {"m": 2, "n": 3.0, "diagonals": [[1, 4], [4, 7]]},
+    "bool m": {"m": True, "n": 3, "diagonals": [[0, 2], [0, 3]]},
+    "string m": {"m": "2", "n": 3, "diagonals": [[1, 4], [4, 7]]},
+    "no diagonals": {"m": 2, "n": 3},
+    "no m": {"n": 3, "diagonals": [[1, 4], [4, 7]]},
+    "a chord [1]": {"m": 2, "n": 3, "diagonals": [[1], [4, 7]]},
+    "a string coordinate": {"m": 2, "n": 3, "diagonals": [["1", 4], [4, 7]]},
+    "a lone string coordinate": {"m": 2, "n": 2, "diagonals": [[1, "4"]]},
+    "no dict": [2, 3, [[1, 4], [4, 7]]],
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_DATA)
+def test_malformed_outside_data_is_a_malformed_dissection(name):
+    # each raised a bare KeyError, ValueError or TypeError, or was accepted
+    # and failed later (`phi` on a float m), before the types were checked
+    data = MALFORMED_DATA[name]
+    with pytest.raises(MalformedDissection) as info:
+        Dissection.from_json(data)
+    assert info.value.counterexample == data
+
+
 def test_validator_is_linear_in_the_chords_at_any_size():
     # no order table is built: a (1, 2000) fan, its reflection and a fan at
     # the last vertex each validate in one pass, well inside a second

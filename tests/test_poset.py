@@ -22,13 +22,11 @@ from polyflip import (
     apex_region,
     build_poset,
     chords_cross,
-    expected_maximal_chain_count,
     flip_up,
     fuss_catalan,
     interval_structure,
     is_final,
     make_q0,
-    maximal_chain_count,
     mobius,
     rank_polynomial,
     reflect,
@@ -37,7 +35,7 @@ from polyflip import (
     to_dot,
     to_json_dict,
 )
-from polyflip.poset import cover_count_check, inclusion_check, is_lattice
+from polyflip.poset import inclusion_check, is_lattice
 
 import oracles
 from oracles import (
@@ -49,15 +47,18 @@ from oracles import (
     apex_diagonal_set_D,
     brute_dissections,
     closure_from_covers,
+    cover_count_check,
     cover_degree_poly,
     crossing,
     cut_L,
     descend_to_fan,
     descent_check,
+    expected_maximal_chain_count,
     holder_check,
     initial_interval_poly,
     interval_decompose,
     is_distributive_lattice,
+    maximal_chain_count,
     mirror_check,
     poly_mul,
     width_and_blocks,
@@ -472,7 +473,7 @@ def _factors_with_ranges(top):
     vertices it covers: cut pieces for a non-final top, width blocks for a
     final one."""
     if is_final(top):
-        gaps = dissections_module._block_gaps(top)
+        gaps = oracles._block_gaps(top)
         return [(*_one_block_final(top, gap), gap) for gap in gaps]
     ends = [1] + [b for a, b in top.diagonals if not a] + [top.m * top.n + 1]
     return [
@@ -714,6 +715,27 @@ def test_cover_count_check_fails_with_the_element():
         cover_count_check(broken)
     assert str(info.value) == f"{fan} has 3 covers, expected 4"
     assert info.value.counterexample == fan.to_json()
+
+
+def test_a_duplicated_cover_fails_the_poset_suite(monkeypatch):
+    # The cover degrees are a corollary of `inclusion_check`, which the
+    # poset suite runs and nothing counts.  A fan cover listed twice leaves
+    # the element it reaches with two lower covers for one maximal span:
+    # (c)'s count names that element, where the old count named the fan.
+    # (A dropped cover: `test_poset_suite_fails_on_a_wrong_chain_count`.)
+    poset = build_poset(2, 3)
+    fan = poset.minimum
+    fi = poset.index[fan]
+    j = poset.covers_up[fi][0]
+    broken = _broken_covers(poset, lambda covers: covers[fi].append(j))
+    with pytest.raises(VerificationFailure) as info:
+        cover_count_check(broken)
+    assert str(info.value) == f"{fan} has 5 covers, expected 4"
+    q = poset.elements[j]
+    with pytest.raises(VerificationFailure) as info:
+        inclusion_check(broken)
+    assert (str(info.value), info.value.counterexample) == (_spans_message(q), q.to_json())
+    _assert_suite_fails_at(monkeypatch, broken, q, _spans_message(q))
 
 
 def test_no_witness_carries_the_element():

@@ -13,6 +13,7 @@ import pytest
 
 import polyflip.bijection as bijection_module
 import polyflip.cli as cli_module
+import polyflip.dissections as dissections_module
 import polyflip.polynomials as polynomials_module
 import polyflip.poset as poset_module
 import polyflip.qsym as qsym
@@ -23,6 +24,7 @@ from polyflip import (
     FactoredPoly,
     FlipPoset,
     ForestPoset,
+    Interval,
     NotDyck,
     SizeGuardExceeded,
     TruncatedSeries,
@@ -311,11 +313,26 @@ def test_poset_suite_fails_on_a_wrong_element_count(monkeypatch):
 
 
 def test_poset_suite_fails_on_a_wrong_chain_count(monkeypatch):
-    # the order has 2^2 * 2! = 8 maximal chains
-    detail = _failed_detail(
-        monkeypatch, "poset", expected_maximal_chain_count=lambda m, n: 9
+    # the order has 2^2 * 2! = 8 maximal chains, and the suite counts none:
+    # the count is a corollary of `inclusion_check`.  Dropping one of the
+    # fan's four covers leaves 6; the element it reached keeps no lower
+    # cover removing its one non-apex diagonal, and the suite names it.
+    good = build_poset(2, 3)
+    fan = good.index[good.minimum]
+    top = good.covers_up[fan][-1]
+    covers = list(good.covers_up)
+    covers[fan] = covers[fan][:-1]
+    broken = FlipPoset(2, 3, good.elements, tuple(covers))
+    assert oracles.maximal_chain_count(good) == 8
+    assert oracles.maximal_chain_count(broken) == 6
+    monkeypatch.setattr(verify_module, "_order", lambda m, n: broken)
+    (report,) = run_suite("poset", 2, 3)
+    q = good.elements[top]
+    assert not report.passed
+    assert report.detail == (
+        f"the lower covers of {q} do not remove exactly its maximal spans"
     )
-    assert detail == "8 maximal chains, expected 9"
+    assert report.counterexample == q.to_json()
 
 
 def test_poset_suite_fails_on_a_wrong_rank_census(monkeypatch):
@@ -914,27 +931,95 @@ def test_intervals_suite_glues_nothing_and_scans_no_lattice(monkeypatch):
     lattice = counting("is_lattice", poset_module.is_lattice)
     monkeypatch.setattr(poset_module, "is_lattice", lattice)
     monkeypatch.setattr(verify_module, "is_lattice", lattice)
-    for name in ("interval_structure", "mobius"):
-        real = getattr(verify_module, name)
-        monkeypatch.setattr(verify_module, name, counting(name, real))
+    structure = counting("interval_structure", verify_module.interval_structure)
+    monkeypatch.setattr(verify_module, "interval_structure", structure)
+    # Mobius values are a theorem of the certified lattices: none is computed
+    assert not hasattr(verify_module, "mobius")
+    monkeypatch.setattr(poset_module, "mobius", counting("mobius", poset_module.mobius))
     (report,) = run_suite("intervals", 2, 3)
     assert report.passed and report.detail == "31 intervals certified"
-    assert calls == {"is_lattice": 0, "interval_structure": 9, "mobius": 9}
+    assert calls == {"is_lattice": 0, "interval_structure": 9, "mobius": 0}
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (1, 6)])
+def test_intervals_suite_walks_no_region(monkeypatch, m, n):
+    # the irreducible finals are the elements of rank k - 1 with at most
+    # one lower cover, read off the certified order: no apex region walked
+    walks = {"apex_region": 0, "_walk_region": 0}
+
+    def counting(name, real):
+        def wrapped(*args):
+            walks[name] += 1
+            return real(*args)
+
+        return wrapped
+
+    for name in walks:
+        real = getattr(dissections_module, name)
+        monkeypatch.setattr(dissections_module, name, counting(name, real))
+    (report,) = run_suite("intervals", m, n)
+    assert report.passed
+    assert walks == {"apex_region": 0, "_walk_region": 0}
+
+
+def test_poset_suite_counts_no_chains_and_no_cover_degrees():
+    # both are corollaries of `inclusion_check`; only the tests' oracles
+    # count them.  Every package function the suite calls is recorded.
+    for module in (poset_module, verify_module):
+        for name in ("cover_count_check", "maximal_chain_count", "expected_maximal_chain_count"):
+            assert not hasattr(module, name)
+    package = str(Path(poset_module.__file__).parent)
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            called.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        (report,) = run_suite("poset", 2, 3)
+    finally:
+        sys.setprofile(None)
+    assert report.passed and "inclusion_check" in called
+    assert [name for name in called if "chain" in name or "cover_count" in name] == []
+
+
+def _m3_interval():
+    """M3, the non-distributive lattice of a bottom, three atoms and a
+    top, as a hand-made Interval; each element's n tells it apart and the
+    rank is its height."""
+    covers = ((1, 2, 3), (4,), (4,), (4,), ())
+    elements = tuple(
+        Dissection(1, i + 1, ((1, 1),) * h) for i, h in enumerate((0, 1, 1, 1, 2))
+    )
+    return Interval(FlipPoset(1, 5, elements, covers), 0, 4, 0b11111)
 
 
 def test_intervals_suite_reports_a_bad_mobius_value_once(monkeypatch):
+    # a Mobius value is read off Birkhoff's certificate, never computed: a
+    # patched `mobius` is not consulted and the suite passes
     calls = []
-    monkeypatch.setattr(verify_module, "mobius", lambda iv: calls.append(iv) or 2)
+    monkeypatch.setattr(poset_module, "mobius", lambda iv: calls.append(iv) or 2)
     (report,) = run_suite("intervals", 2, 2)
-    assert not report.passed
-    # the first interval certified directly, [fan, ((1, 4),)]: the fan's
-    # own is a product of its cut pieces'
+    assert report.passed and calls == []
+    # what a value outside {-1, 0, 1} would stand for, a walked interval
+    # that is no distributive lattice, fails at `interval_structure`, once
+    m3 = _m3_interval()
+    walked = []
+    monkeypatch.setattr(FlipPoset, "interval", lambda *args: walked.append(args) or m3)
+    (report,) = run_suite("intervals", 2, 2)
+    assert not report.passed and len(walked) == 1
+    assert report.detail == (
+        f"StructureViolation: 8 forest ideals for an interval of size 5 in "
+        f"[{m3.bottom_q}, {m3.top_q}]"
+    )
+    assert report.counterexample == m3.to_json()
+    # the first interval walked, [fan, ((1, 4),)]: the fan's own is a
+    # product of its cut pieces'
     poset = build_poset(2, 2)
-    fan, top = poset.minimum, poset.elements[1]
+    _, fan, top = walked[0]
+    assert (fan, top) == (poset.minimum, poset.elements[1])
     assert top.diagonals == ((1, 4),)
-    assert report.detail == f"Mobius value 2 at [{fan}, {top}]"
-    assert report.counterexample == [fan.to_json(), top.to_json()]
-    assert len(calls) == 1
 
 
 def test_intervals_suite_certifies_the_irreducibles_of_smaller_orders(monkeypatch):
