@@ -140,9 +140,7 @@ def cmd_poset(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # Unset, each suite keeps its own default guard (intervals is tighter).
-    guard = {"max_mn": _max_mn()} if ENV_MAX_MN in os.environ else {}
-    reports = run_suite(args.suite, args.m, args.n, **guard)
+    reports = run_suite(args.suite, args.m, args.n, max_mn=_max_mn())
     _emit_json([r.to_json() for r in reports])
     for r in reports:
         status = "pass" if r.passed else "FAIL"

@@ -25,11 +25,12 @@ unchecked, and enumeration is correct by construction.
 one up among the enumerated elements by chord bitmask and raises
 MalformedDissection on a miss.  No suite builds a cut piece, an interval
 core or a width block, or walks a region: the intervals suite reads each
-final's width off its lower covers.  The poset suite runs `validate` once
-on every element, and the tests check both constructions, and the cut
-pieces, gluings and blocks of their own oracles, against an independent
-face computation, and `validate` against the pairwise crossing scan, the
-region walk and the region sweep it replaced.
+element's down-set off its chords' nesting.  The poset suite runs
+`validate` once on every element, and the tests check both
+constructions, and the cut pieces, gluings and blocks of their own
+oracles, against an independent face computation, and `validate` against
+the pairwise crossing scan, the region walk and the region sweep it
+replaced.
 
 Memory: enumeration builds each chord set as one int (`_numbering`) and
 decodes each element's mask once through the order's chord table
@@ -88,9 +89,17 @@ class Dissection:
 
     @classmethod
     def new(cls, m: int, n: int, chords) -> "Dissection":
-        """Normalize, validate and return a dissection."""
-        q = cls(m, n, tuple(sorted((a, b) for a, b in chords)))
-        validate(q)
+        """Normalize, validate and return a dissection.  Chord data of
+        another shape (no iterable, a chord that is no pair, a coordinate
+        that sorting or validating cannot compare) raises
+        MalformedDissection carrying the m, n and chords given, not the
+        bare error."""
+        try:
+            q = cls(m, n, tuple(sorted((a, b) for a, b in chords)))
+            validate(q)
+        except (TypeError, ValueError) as exc:
+            data = {"m": m, "n": n, "diagonals": chords}
+            raise MalformedDissection(f"not dissection data: {exc!r}", data) from None
         return q
 
     @property
@@ -116,14 +125,14 @@ class Dissection:
     @classmethod
     def from_json(cls, data: dict) -> "Dissection":
         """The dissection `to_json` wrote, validated.  This is where outside
-        data comes in, so data of another shape (a key missing, a chord
-        that is no pair, a coordinate that is no number, which sorting or
-        validating cannot compare) raises MalformedDissection carrying the
-        data, not the bare error."""
+        data comes in, so data of another shape raises MalformedDissection,
+        not the bare error: no mapping or a key missing carrying the data,
+        chords of another shape as `new` refuses them."""
         try:
-            return cls.new(data["m"], data["n"], data["diagonals"])
-        except (KeyError, TypeError, ValueError) as exc:
+            m, n, chords = data["m"], data["n"], data["diagonals"]
+        except (KeyError, TypeError) as exc:
             raise MalformedDissection(f"not dissection data: {exc!r}", data) from None
+        return cls.new(m, n, chords)
 
 
 def _unchecked(m: int, n: int, chords) -> Dissection:

@@ -10,11 +10,12 @@ The checks in this module certify the advertised structure exactly: the
 inclusion theorem, and interval lattices with their order-ideal forests.
 The cover degrees, the maximal chain count, the widths and the unique
 minimum are corollaries of the inclusion certificate, proved in
-`inclusion_check`'s docstring, and no function here counts them.  The
-isomorphisms that carry the interval certificate to every interval, onto
-filters and products over cut pieces and width blocks, are theorems of
-the certified inclusion order, proved in `verify.suite_intervals`; no
-function here re-checks their maps.
+`inclusion_check`'s docstring, and no function here counts them.  That
+each filter is the order of a smaller polygon, and each interval the
+ideal lattice of a forest of nested chords, are theorems of the
+certified inclusion order, proved in `verify._interval_total` and
+`verify.suite_intervals`; no function here re-checks them.
+`interval_structure` certifies one interval on its own, for the queries.
 """
 
 from dataclasses import dataclass
@@ -400,7 +401,7 @@ def inclusion_check(poset: FlipPoset) -> bool:
       one chord by (a): it is an upper cover.  By (b) these Q' are
       distinct elements, and by (c) none is listed twice, as a repeat
       among Q's upper covers is a repeat among Q''s lower covers.  Through
-      the filter isomorphism of `verify.suite_intervals`, they are the
+      the filter isomorphism of `verify._interval_total`, they are the
       M-angulations of the (m*k+2)-gon with exactly one non-apex chord
       (a, b).  No other non-apex chord lies under it, so it closes one
       (m+2)-gon: b = a + m + 1 for a = 1..m*(k-1), and the apex diagonals

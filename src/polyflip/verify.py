@@ -32,13 +32,7 @@ from .polynomials import (
     involution_image,
     poly_for_dissection,
 )
-from .poset import (
-    _order,
-    _reached,
-    inclusion_check,
-    interval_structure,
-    is_lattice,
-)
+from .poset import _order, _reached, inclusion_check, is_lattice
 from .qsym import DEFAULT_MAX_COLUMNS, _check_columns, verify_basis_graded
 from .series import (
     fuss_catalan,
@@ -52,7 +46,10 @@ from .series import (
 
 SERIES_ORDER = 8
 DIVISION_SAMPLES = 120
-INTERVAL_SUITE_MAX_MN = 10
+# The series suite counts the intervals by walking each element's up-set
+# over the covers, the one interval count that does not rest on the
+# inclusion theorem; the walks take about N^2 / 2 steps, so only here.
+SERIES_WALK_MAX_MN = 10
 
 
 @dataclass
@@ -103,11 +100,11 @@ def _guard(suite: str, m: int, n: int, max_mn: int) -> None:
     suite's before the first one runs, so no report is thrown away.  Every
     suite but series caps m*n at max_mn, and qsym also caps the columns of
     its top degree, the largest.  Series runs its brute-force parts only
-    for small m*n, and caps m*n at max_mn only where it counts intervals,
-    m*n <= INTERVAL_SUITE_MAX_MN; that refuses nothing that the poset
-    suite's guard lets through.
+    for small m*n, and caps m*n at max_mn only where it walks the
+    intervals, m*n <= SERIES_WALK_MAX_MN; that refuses nothing that the
+    poset suite's guard lets through.
     """
-    if suite != "series" or m * n <= INTERVAL_SUITE_MAX_MN:
+    if suite != "series" or m * n <= SERIES_WALK_MAX_MN:
         check_size_guard(m, n, max_mn)
     if suite == "qsym":
         _check_columns(m * n, n, DEFAULT_MAX_COLUMNS)
@@ -115,13 +112,57 @@ def _guard(suite: str, m: int, n: int, max_mn: int) -> None:
 
 def _interval_total(poset) -> int:
     """The intervals of an inclusion order holding every M-angulation, from
-    its rank census.  Q's up-set is the M-angulations holding D(Q)
-    (`inclusion_check`); those rank(Q) chords each close one (m+2)-gon
-    cell of Q and leave the region around the apex, Q's other n - rank(Q)
-    cells merged, with m*(n - rank(Q)) + 2 vertices: FC(m, n - rank(Q))
-    M-angulations hold D(Q)."""
+    its rank census: the filter above each bottom P holds FC(m, k)
+    elements, k = n - rank(P).
+
+    Filter.  By `inclusion_check`, the filter above P is every
+    M-angulation holding D(P), P's non-apex diagonals.  Those rank(P)
+    chords each close one (m+2)-gon cell of P and leave one region around
+    the apex, P's other k cells merged, with m*k + 2 vertices.  Numbering
+    that region's vertices in increasing order keeps the apex and the
+    cyclic order, so it takes (m+2)-gon cells to cells and non-apex chords
+    to non-apex chords, both ways, and takes the dissections of the region
+    onto the M-angulations of the (m*k+2)-gon.  It preserves and reflects
+    inclusion, so the filter is the k-piece order with P at the fan.
+    """
     census = Counter(poset.ranks)
     return sum(k * fuss_catalan(poset.m, poset.n - r) for r, k in census.items())
+
+
+def _forest_ideals(chords, top: int) -> int:
+    """The order ideals of the nesting forest of non-crossing chords, all
+    ending by `top`, sorted as a Dissection holds them; apex chords are
+    skipped.  One stack pass: the stack holds the open chords, outermost
+    first, under a sentinel around them all, each with the product of its
+    closed subtrees' counts.  The chords from one vertex come inner first,
+    so each goes in under the last; a chord is closed once a start reaches
+    its end, and its tree's count, 1 + that product, multiplies into the
+    chord under it on the stack, its parent."""
+    ends, grown, start = [top + 1], [1], 0
+    for a, b in chords:
+        if a != start:
+            while ends[-1] <= a:  # that chord does not hold the chords from a
+                ends.pop()
+                g = grown.pop()
+                grown[-1] *= g + 1
+            base, start = len(ends), a
+        elif not a:
+            continue
+        ends.insert(base, b)
+        grown.insert(base, 1)
+    while len(ends) > 1:
+        ends.pop()
+        g = grown.pop()
+        grown[-1] *= g + 1
+    return grown[0]
+
+
+def _down_set_total(poset) -> int:
+    """The intervals of an inclusion order holding every M-angulation, from
+    its elements' chords: Q's down-set is the order ideals of the nesting
+    forest of D(Q) (`suite_intervals`)."""
+    top = poset.m * poset.n + 1
+    return sum(_forest_ideals(q.diagonals, top) for q in poset.elements)
 
 
 def suite_poset(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationReport:
@@ -313,82 +354,70 @@ def suite_qsym(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationRepo
     return _run("qsym", m, n, check)
 
 
-def suite_intervals(
-    m: int, n: int, max_mn: int = INTERVAL_SUITE_MAX_MN
-) -> VerificationReport:
-    """Every interval is a distributive forest-ideal lattice with Mobius
-    value in {-1, 0, 1}, certified once per isomorphism class.
+def suite_intervals(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationReport:
+    """Every interval is the distributive lattice of order ideals of a
+    forest of chords, with Mobius value in {-1, 0, 1}; the intervals are
+    counted from their tops and from their bottoms, and both counts must be
+    the I series'.  Only the order n is built, and no interval is walked.
 
-    Each order k <= n, the suite's own first, must hold FC(m, k) elements,
-    and `inclusion_check` certifies it as inclusion of non-apex diagonal
-    sets, so it holds every M-angulation.  Over such orders the canonical
-    maps below are isomorphisms; they are theorems, and no map is checked.
+    The order must hold FC(m, n) elements, and `inclusion_check` certifies
+    it as inclusion of non-apex diagonal sets, so it holds every
+    M-angulation and P <= Q exactly when D(P) lies in D(Q).  The rest are
+    theorems of such an order, and no map is checked.
 
-    Filter.  By `inclusion_check`, the filter above b is every M-angulation
-    holding D(b), b's non-apex diagonals.  Those chords leave (m+2)-gons
-    and one region around the apex with m*k + 2 vertices, k = n - rank(b)
-    = |cut(b)|: the apex regions of b's cut pieces merged along the cuts.
-    Numbering that region's vertices in increasing order keeps the apex
-    and the cyclic order, so it takes (m+2)-gon cells to cells and
-    non-apex chords to non-apex chords, both ways, and takes the
-    dissections of the region onto the M-angulations of the (m*k+2)-gon,
-    which the k-piece order holds.  It preserves and reflects inclusion,
-    so the filter is the k-piece order with b at the fan, each [b, t] is
-    an initial interval [fan_k, core(t)], and the filter has FC(m, k)
-    elements.
+    Nest closure.  Call a chord of D(Q) nested under another when it lies
+    in the sub-polygon that one cuts off away from the apex, and call S, a
+    subset of D(Q), closed when it holds every chord of D(Q) nested under
+    one of its own.  D(P) is closed for every P <= Q: under a chord d of P,
+    P and Q dissect the same polygon into (m+2)-gons by non-apex chords,
+    P's among Q's, and every such dissection of one polygon has equally
+    many chords, so the two agree.  Conversely a closed S is D(R) for an
+    M-angulation R.  Under each chord of S, S holds Q's chords there,
+    which cut that polygon into (m+2)-gons.  S's chords nested under none
+    of its own bound, with sides, one region around the apex; each of its
+    sides spans 1 mod m, so it has m*k + 2 vertices, and the apex
+    diagonals fan it into k (m+2)-gons, with no chord of S crossed.  So
+    the down-set of Q is J(F_Q), the order ideals of the nesting forest
+    F_Q: D(Q) under nesting, where a chord's parent is the innermost chord
+    of D(Q) it is nested under.  It is a forest, as Q's chords do not
+    cross: two chords above a third nest one in the other.
 
-    Products.  Cut along its apex diagonals, a non-final t gives pieces on
-    the vertices lo..hi between them, each numbered v - lo + 1; a final t
-    of two or more width blocks gives one one-block final per block,
-    keeping the apex region and that block, numbered in increasing order.
-    Every non-apex chord of t lies in exactly one part, and these
-    sub-polygons meet in no chord.  An s <= t has D(s) inside D(t), so its
-    chords in each part, with the apex chords they leave, dissect that
-    factor's polygon: an element below the factor in its complete order.
-    Conversely any tuple of elements below the factors glues back to an
-    M-angulation s with D(s) inside D(t), so s <= t.  The map from s to
-    its tuple is onto, injective because D is, and preserves and reflects
-    inclusion part by part: [fan, t] is the product of its factors'
-    initial intervals, each from a smaller order.
+    Intervals.  The ideals of F_Q holding the ideal D(P) are D(P) and an
+    ideal of F_Q - D(P), an up-set of a forest, so itself a forest: [P, Q]
+    is isomorphic to J(F_Q - D(P)), a distributive lattice (Birkhoff
+    1937).  In J(F), mu(I, I') is (-1)^|I' - I| when I' - I is an
+    antichain of F and 0 otherwise (Rota 1964; Stanley, EC1 3.9), so
+    mu(P, Q) is read off D(Q) - D(P): (-1)^|D(Q) - D(P)| when none of those
+    chords is nested under another of them, else 0.  It is -1, 0 or 1.
 
-    So the initial intervals [fan_k, t] that are no product, the finals of
-    width at most 1, are the only ones walked, each by
-    `interval_structure`.  They are read off the certified order with no
-    region walked: the elements of rank k - 1 with at most one lower
-    cover, by the width corollary of `inclusion_check`.  Forest-ideal
-    lattices multiply as the ideal lattices of disjoint unions, so by
-    strong induction on k every initial interval, and so every interval,
-    is one.
-
-    Mobius values need no recursion.  In the ideal lattice J(F) of a
-    finite poset F, mu(I, I') is (-1)^|I' - I| when I' - I is an antichain
-    and 0 otherwise (Rota 1964; Stanley, EC1 3.9).  Every interval is such
-    a lattice, by `interval_structure` on the walked ones and the
-    induction above for the rest, so mu(bottom, top) is -1, 0 or 1.
-
-    The filter sizes, read from the rank census (`_interval_total`), add
-    up to the interval count, checked against the I series.
+    Counts.  An ideal of a tree holds its root, and then the whole tree,
+    or is an ideal of each subtree, so a tree has 1 + the product of its
+    subtrees' counts, and a forest the product of its trees'
+    (`ForestPoset.ideal_count`): `_down_set_total` adds this up over the
+    tops Q, from each element's chords alone.  `_interval_total` adds up
+    the up-sets FC(m, n - rank P) over the bottoms P, from the rank census
+    alone.  Both count the pairs P <= Q, so each must be the I series'
+    coefficient.  `interval_structure` certifies one interval on its own,
+    for the order's queries; the tests run it on every interval.
     """
 
     def check():
         _guard("intervals", m, n, max_mn)
         poset = _order(m, n)
-        for k in range(n, 0, -1):
-            order = _order(m, k)
-            size, want = len(order.elements), fuss_catalan(m, k)
-            if size != want:
-                _fail(
-                    f"the size-{k} order has {size} elements, expected {want}",
-                    {"m": m, "n": k, "elements": size},
-                )
-            inclusion_check(order)
-            for i, top in enumerate(order.elements):
-                if order.ranks[i] == k - 1 and len(order.covers_down[i]) <= 1:
-                    interval_structure(order.interval(order.minimum, top))
-        count = _interval_total(poset)
+        size, want = len(poset.elements), fuss_catalan(m, n)
+        if size != want:
+            _fail(
+                f"the size-{n} order has {size} elements, expected {want}",
+                {"m": m, "n": n, "elements": size},
+            )
+        inclusion_check(poset)
         expect = series_I(m, n).coefficient(n)
+        count = _interval_total(poset)
         if count != expect:
             _fail(f"{count} intervals, series says {expect}")
+        tops = _down_set_total(poset)
+        if tops != expect:
+            _fail(f"the down-sets hold {tops} intervals, series says {expect}")
         return f"{count} intervals certified"
 
     return _run("intervals", m, n, check)
@@ -419,7 +448,7 @@ def suite_series(m: int, n: int, max_mn: int = DEFAULT_MAX_MN) -> VerificationRe
             if len(finals) != f.coefficient(n):
                 _fail(f"{len(finals)} final dissections, series says "
                       f"{f.coefficient(n)}")
-        if m * n <= INTERVAL_SUITE_MAX_MN:
+        if m * n <= SERIES_WALK_MAX_MN:
             # An interval is a bottom and a top above it: the up-set sizes.
             covers = _order(m, n).covers_up
             count = sum(len(_reached(covers, i)) for i in range(len(covers)))
@@ -444,6 +473,5 @@ def run_suite(name: str, m: int, n: int, **kwargs) -> list[VerificationReport]:
     if name != "all":
         return [SUITES[name](m, n, **kwargs)]
     for suite in SUITES:
-        default = INTERVAL_SUITE_MAX_MN if suite == "intervals" else DEFAULT_MAX_MN
-        _guard(suite, m, n, kwargs.get("max_mn", default))
+        _guard(suite, m, n, kwargs.get("max_mn", DEFAULT_MAX_MN))
     return [fn(m, n, **kwargs) for fn in SUITES.values()]

@@ -28,7 +28,9 @@ upper covers) and `maximal_chain_count` (against
 `poset.inclusion_check`; `holder_check` (each P_Q has rank-many distinct
 factors, with the holders of its non-apex diagonals) and `mirror_check`
 (the mirror involution takes each P_Q to +-P_{reflect Q}), implied by the
-chord checks of `verify.suite_divisibility`.
+chord checks of `verify.suite_divisibility`.  `initial_interval_walk`
+is the intervals suite's certificate before the nesting forest, implied
+by the suite's inclusion check and counts.
 """
 
 from collections import Counter
@@ -49,6 +51,7 @@ from polyflip import (
     flip_up,
     fundamental_qsym,
     fuss_catalan,
+    interval_structure,
     involution_image,
     is_final,
     make_q0,
@@ -56,7 +59,7 @@ from polyflip import (
     reflect,
 )
 from polyflip.dissections import _chord_ends, _unchecked, _walk_region
-from polyflip.poset import _bits, _derived_miss, _order
+from polyflip.poset import _bits, _derived_miss, _order, inclusion_check
 from polyflip.qsym import _fundamental_terms, monomials_of_degree
 
 
@@ -760,4 +763,39 @@ def mirror_check(poset):
             raise VerificationFailure(
                 f"involution image of {q} is not its mirror", q.to_json()
             )
+    return True
+
+
+def initial_interval_walk(m, n, order_of=_order):
+    """Certify every interval of the (m, n) order the way the intervals
+    suite did before it read them off the nesting forests.
+
+    Each order k <= n, from n down, must hold FC(m, k) elements and pass
+    `inclusion_check`, and `interval_structure` certifies [fan_k, t] for
+    each final t of width at most 1: the elements of rank k - 1 with at
+    most one lower cover.  The other intervals follow by isomorphism.  A
+    filter [b, ->) is the k-piece order, k = |cut(b)|: the chords of b
+    leave one region around the apex with m*k + 2 vertices, whose
+    dissections are those of the (m*k+2)-gon (`interval_decompose` reads
+    the map).  An initial interval [fan, t] is the product of its
+    factors' initial intervals: t's cut pieces, or for a final of width
+    two or more its one-block finals, each from a smaller order.  Forest
+    ideal lattices multiply as the ideal lattices of disjoint unions, so
+    by induction on k every interval is one.
+
+    Raises VerificationFailure naming an order, or what the certificates
+    raise.
+    """
+    for k in range(n, 0, -1):
+        order = order_of(m, k)
+        size, want = len(order.elements), fuss_catalan(m, k)
+        if size != want:
+            raise VerificationFailure(
+                f"the size-{k} order has {size} elements, expected {want}",
+                {"m": m, "n": k, "elements": size},
+            )
+        inclusion_check(order)
+        for i, top in enumerate(order.elements):
+            if order.ranks[i] == k - 1 and len(order.covers_down[i]) <= 1:
+                interval_structure(order.interval(order.minimum, top))
     return True

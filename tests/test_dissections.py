@@ -477,6 +477,19 @@ def test_malformed_outside_data_is_a_malformed_dissection(name):
     assert info.value.counterexample == data
 
 
+@pytest.mark.parametrize(
+    "chords",
+    [[("1", 4), (4, 7)], [(1,)], None],
+    ids=["a string coordinate", "a chord (1,)", "no chords"],
+)
+def test_new_on_malformed_chords_is_a_malformed_dissection(chords):
+    # each raised a bare TypeError or ValueError from the sort, the
+    # unpacking or the iteration before `new` caught them
+    with pytest.raises(MalformedDissection, match="^not dissection data: ") as info:
+        Dissection.new(2, 3, chords)
+    assert info.value.counterexample == {"m": 2, "n": 3, "diagonals": chords}
+
+
 def test_validator_is_linear_in_the_chords_at_any_size():
     # no order table is built: a (1, 2000) fan, its reflection and a fan at
     # the last vertex each validate in one pass, well inside a second

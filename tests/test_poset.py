@@ -3,7 +3,7 @@ import re
 import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError
-from itertools import product
+from itertools import combinations, product
 from math import prod
 
 import pytest
@@ -313,10 +313,11 @@ def test_initial_intervals_factor_by_cover_degree_polynomials(m, n):
 
 @pytest.mark.parametrize("m,n", PAIRS)
 def test_factorized_initial_intervals_carry_ideal_counts_and_mobius(m, n):
-    # The intervals suite certifies [fan, t] directly only for a final t of
-    # width at most 1 and carries the rest through the factorizations.
-    # Computed directly, every other initial interval's forest-ideal count
-    # and Mobius value are the products of its factors'.
+    # The interval walk the intervals suite replaced
+    # (`initial_interval_walk`) certifies [fan, t] directly only for a
+    # final t of width at most 1 and carries the rest through the
+    # factorizations.  Computed directly, every other initial interval's
+    # forest-ideal count and Mobius value are the products of its factors'.
     def direct(q):
         order = build_poset(m, q.n)
         iv = order.interval(order.minimum, q)
@@ -654,6 +655,38 @@ def test_a_down_set_element_outside_the_product_fails_the_factorization(monkeypa
     _assert_suite_fails_at(monkeypatch, broken, top, _spans_message(top), "intervals")
 
 
+def _nested_under(c, d):
+    """c lies in the sub-polygon the chord d cuts off away from the apex."""
+    return c != d and d[0] <= c[0] and c[1] <= d[1]
+
+
+@pytest.mark.parametrize(
+    "m,n", [(1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3), (2, 4), (2, 5), (3, 3), (4, 3)]
+)
+def test_down_sets_are_the_nest_closed_chord_sets(m, n):
+    # The intervals suite's theorem, against the covers' closure: Q's
+    # down-set holds exactly the elements whose non-apex diagonals are a
+    # subset of D(Q) holding every chord of D(Q) nested under one of its
+    # own, and the suite's stack pass counts them.
+    poset = build_poset(m, n)
+    size = len(poset.elements)
+    below = [[] for _ in range(size)]
+    for i, above in enumerate(closure_from_covers(size, poset.covers_up)):
+        for t in above:
+            below[t].append(i)
+    chords = [frozenset(d for d in q.diagonals if d[0]) for q in poset.elements]
+    for t, q in enumerate(poset.elements):
+        D = sorted(chords[t])
+        closed = {
+            frozenset(s)
+            for r in range(len(D) + 1)
+            for s in combinations(D, r)
+            if all(c in s for d in s for c in D if _nested_under(c, d))
+        }
+        assert {chords[i] for i in below[t]} == closed and len(below[t]) == len(closed)
+        assert verify_module._forest_ideals(q.diagonals, m * n + 1) == len(closed)
+
+
 def test_the_certificates_walk_no_up_set_or_down_set(monkeypatch):
     # `inclusion_check` reads chords and each element's own covers, and the
     # filter sizes are closed-form counts: no DFS
@@ -881,9 +914,12 @@ def test_interval_structure_agrees_with_the_lattice_oracle(m, n):
 
 @pytest.mark.parametrize("m,n", PAIRS)
 def test_every_interval_certifies_like_its_initial_class(m, n):
-    # The exhaustive oracle of the intervals suite, which certifies only the
-    # initial intervals [fan_k, t] and reaches [b, t] by isomorphism: each
-    # interval, certified on its own, matches [fan_k, core(t)].
+    # The exhaustive oracle of the intervals suite's theorems.  Each
+    # interval, certified on its own, matches [fan_k, core(t)], as the
+    # interval walk the suite replaced (`initial_interval_walk`) reaches it
+    # by isomorphism, and its Mobius value is the one the suite's docstring
+    # reads off D(top) - D(bottom): (-1)^|difference| when none of those
+    # chords is nested under another, else 0.
     poset = build_poset(m, n)
     count = 0
     for iv in poset.all_intervals():
@@ -895,6 +931,9 @@ def test_every_interval_certifies_like_its_initial_class(m, n):
         _, initial_forest = interval_structure(initial)
         got = (iv.size, forest.ideal_count(), mobius(iv))
         assert got == (initial.size, initial_forest.ideal_count(), mobius(initial))
+        diff = {d for d in iv.top_q.diagonals if d[0]} - set(iv.bottom_q.diagonals)
+        antichain = not any(_nested_under(c, d) for c in diff for d in diff)
+        assert mobius(iv) == ((-1) ** len(diff) if antichain else 0)
     (report,) = run_suite("intervals", m, n)
     assert report.passed and report.detail == f"{count} intervals certified"
 

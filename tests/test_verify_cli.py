@@ -27,6 +27,7 @@ from polyflip import (
     Interval,
     NotDyck,
     SizeGuardExceeded,
+    StructureViolation,
     TruncatedSeries,
     VerificationFailure,
     binomial_for_diagonal,
@@ -228,9 +229,19 @@ def test_cli_verify_env_tightens_guard(capsys, monkeypatch):
 
 
 def test_cli_verify_env_lifts_interval_cap(capsys, monkeypatch):
+    # the intervals suite takes the default guard, m*n <= 16, as the poset
+    # suite does: (4, 3) passes with the variable unset, which exited 2
+    # while the intervals suite had a guard of its own, m*n <= 10
     monkeypatch.delenv("POLYFLIP_MAX_MN", raising=False)
-    code, _, err = run_cli(capsys, "verify", "--suite", "intervals", "--m", "4", "--n", "3")
-    assert code == 2 and "size guard" in err  # the intervals default stays 10
+    code, out, _ = run_cli(capsys, "verify", "--suite", "intervals", "--m", "4", "--n", "3")
+    assert code == 0
+    (report,) = json.loads(out)
+    assert report["pass"] is True and report["detail"] == "101 intervals certified"
+    # the variable still tightens the guard, with its hint, and lifts it
+    monkeypatch.setenv("POLYFLIP_MAX_MN", "11")
+    code, out, err = run_cli(capsys, "verify", "--suite", "intervals", "--m", "4", "--n", "3")
+    assert code == 2 and out == ""
+    assert "size guard" in err and "POLYFLIP_MAX_MN" in err
     monkeypatch.setenv("POLYFLIP_MAX_MN", "12")
     code, out, _ = run_cli(capsys, "verify", "--suite", "intervals", "--m", "4", "--n", "3")
     assert code == 0
@@ -240,10 +251,11 @@ def test_cli_verify_env_lifts_interval_cap(capsys, monkeypatch):
 
 @pytest.mark.parametrize("m,n", [(2, 3), (1, 5)])
 def test_intervals_suite_builds_each_order_once(m, n):
+    # the suite's own order, once; no smaller order is built
     build_poset.cache_clear()
     (report,) = run_suite("intervals", m, n)
     assert report.passed
-    assert build_poset.cache_info().misses == n  # sizes 1..n, each once
+    assert build_poset.cache_info().misses == 1
 
 
 def test_poset_suite_validates_each_element_once(monkeypatch):
@@ -365,17 +377,24 @@ def test_cli_qsym_column_cap_refuses_before_any_work(capsys, monkeypatch):
 
 
 def test_cli_structure_failure_carries_counterexample(capsys, monkeypatch):
+    # Birkhoff's certificate with a forest counted to no ideals.  The suite
+    # counts the nesting forests' ideals in its own stack pass, so it still
+    # passes; the interval walk the suite replaced fails at the first
+    # interval it certifies and carries it
     monkeypatch.setattr(ForestPoset, "ideal_count", lambda self: 0)
     code, out, _ = run_cli(capsys, "verify", "--m", "2", "--n", "2", "--suite", "intervals")
-    assert code == 1
+    assert code == 0
     (report,) = json.loads(out)
-    assert report["detail"].startswith("StructureViolation: ")
+    assert report["detail"] == "5 intervals certified"
+    with pytest.raises(StructureViolation) as info:
+        oracles.initial_interval_walk(2, 2)
     # the first interval certified directly: [fan, fan] is a product of its
     # two cut pieces', [fan, ((1, 4),)] a final of width 1
     poset = build_poset(2, 2)
     fan, top = poset.minimum, poset.elements[1]
     assert not is_final(fan) and is_final(top) and top.diagonals == ((1, 4),)
-    assert report["counterexample"] == [fan.to_json(), top.to_json()]
+    assert str(info.value) == f"0 forest ideals for an interval of size 2 in [{fan}, {top}]"
+    assert info.value.counterexample == [fan.to_json(), top.to_json()]
 
 
 def test_decomposition_failure_carries_counterexample(monkeypatch):
@@ -399,7 +418,7 @@ def test_run_all_builds_each_order_once():
     build_poset.cache_clear()
     reports = run_suite("all", 1, 5)
     assert all(r.passed for r in reports)
-    assert build_poset.cache_info().misses == 5  # sizes 1..5, each once
+    assert build_poset.cache_info().misses == 1  # the order (1, 5) alone
 
 
 def _divisibility_fault(monkeypatch, name, fake):
@@ -713,9 +732,33 @@ def test_intervals_suite_checks_the_filter_sizes_against_the_interval_series(mon
     assert report.counterexample is None
 
 
+def test_intervals_suite_fails_on_a_wrong_nesting_test(monkeypatch):
+    # The down-set count fails on its own.  A nesting test wrong for one
+    # chord, (2, 5) not under (1, 6), makes it a root of its element's
+    # forest: an antichain of two chords, four ideals, where the chain has
+    # three.  The rank census is untouched, so the up-set count still
+    # matches the series and only the down-sets disagree.
+    q = Dissection.new(2, 3, ((1, 6), (2, 5)))
+    chain, antichain = ForestPoset((0, 1), (-1, 0)), ForestPoset((0, 1), (-1, -1))
+    assert verify_module._forest_ideals(q.diagonals, 7) == chain.ideal_count() == 3
+    real = verify_module._forest_ideals
+
+    def miscounted(chords, top):
+        return antichain.ideal_count() if chords == q.diagonals else real(chords, top)
+
+    monkeypatch.setattr(verify_module, "_forest_ideals", miscounted)
+    (report,) = run_suite("intervals", 2, 3)
+    assert not report.passed
+    assert report.detail == "the down-sets hold 32 intervals, series says 31"
+    assert report.counterexample is None
+    assert verify_module._interval_total(build_poset(2, 3)) == series_I(2, 3).coefficient(3) == 31
+
+
 def test_intervals_suite_walks_one_initial_interval_per_irreducible_final(monkeypatch):
-    # [fan_k, t] for each final t of width at most 1 in each order k <= 4,
-    # and nothing else: no cut piece, no glue frame, no interval enumeration
+    # The suite walks no interval at all.  The interval walk it replaced,
+    # kept as an oracle, walks [fan_k, t] for each final t of width at most
+    # 1 in each order k <= 4, and nothing else: no cut piece, no glue
+    # frame, no interval enumeration
     def refuse(*args, **kwargs):
         raise AssertionError("the intervals suite cuts, glues or enumerates intervals")
 
@@ -731,6 +774,8 @@ def test_intervals_suite_walks_one_initial_interval_per_irreducible_final(monkey
     )
     (report,) = run_suite("intervals", 2, 4)
     assert report.passed and report.detail == "211 intervals certified"
+    assert walked == []
+    oracles.initial_interval_walk(2, 4)
     want = [
         (k, order.minimum, t)
         for k in (4, 3, 2, 1)
@@ -894,8 +939,12 @@ def test_series_payload_builds_one_series(monkeypatch, which, m, order, want):
 def test_structure_checks_and_suites_share_one_cache_key():
     build_poset.cache_clear()
     (intervals,) = run_suite("intervals", 1, 5)
-    (poset,) = run_suite("poset", 1, 4)
+    (poset,) = run_suite("poset", 1, 5)
     assert intervals.passed and poset.passed
+    assert build_poset.cache_info().misses == 1
+    oracles.initial_interval_walk(1, 5)
+    (poset,) = run_suite("poset", 1, 4)
+    assert poset.passed
     assert build_poset.cache_info().misses == 5  # sizes 1..5, each once
 
 
@@ -912,12 +961,12 @@ def test_a_callers_order_is_the_one_the_suites_use(monkeypatch):
 
 
 def test_intervals_suite_glues_nothing_and_scans_no_lattice(monkeypatch):
-    # and certifies one interval per isomorphism class directly: of the
-    # FC(2, k) = 1 + 3 + 12 intervals [fan_k, t] of the orders k = 1, 2, 3,
-    # the 1 + 2 + 6 with t final of width at most 1, the others being
-    # products of smaller ones; tops reach their cores by chord-bit
-    # translation, not by gluing (the package defines no gluing: glue_G is
-    # a test oracle)
+    # and certifies no interval directly, nor computes a Mobius value.  The
+    # interval walk it replaced certifies one interval per isomorphism
+    # class: of the FC(2, k) = 1 + 3 + 12 intervals [fan_k, t] of the
+    # orders k = 1, 2, 3, the 1 + 2 + 6 with t final of width at most 1,
+    # the others being products of smaller ones (the package defines no
+    # gluing: glue_G is a test oracle)
     calls = {"is_lattice": 0, "interval_structure": 0, "mobius": 0}
 
     def counting(name, real):
@@ -931,13 +980,17 @@ def test_intervals_suite_glues_nothing_and_scans_no_lattice(monkeypatch):
     lattice = counting("is_lattice", poset_module.is_lattice)
     monkeypatch.setattr(poset_module, "is_lattice", lattice)
     monkeypatch.setattr(verify_module, "is_lattice", lattice)
-    structure = counting("interval_structure", verify_module.interval_structure)
-    monkeypatch.setattr(verify_module, "interval_structure", structure)
-    # Mobius values are a theorem of the certified lattices: none is computed
-    assert not hasattr(verify_module, "mobius")
+    structure = counting("interval_structure", poset_module.interval_structure)
+    monkeypatch.setattr(poset_module, "interval_structure", structure)
+    monkeypatch.setattr(oracles, "interval_structure", structure)
+    # Mobius values are a theorem of the nesting forests: none is computed
+    for name in ("mobius", "interval_structure"):
+        assert not hasattr(verify_module, name)
     monkeypatch.setattr(poset_module, "mobius", counting("mobius", poset_module.mobius))
     (report,) = run_suite("intervals", 2, 3)
     assert report.passed and report.detail == "31 intervals certified"
+    assert calls == {"is_lattice": 0, "interval_structure": 0, "mobius": 0}
+    oracles.initial_interval_walk(2, 3)
     assert calls == {"is_lattice": 0, "interval_structure": 9, "mobius": 0}
 
 
@@ -996,24 +1049,27 @@ def _m3_interval():
 
 
 def test_intervals_suite_reports_a_bad_mobius_value_once(monkeypatch):
-    # a Mobius value is read off Birkhoff's certificate, never computed: a
+    # a Mobius value is read off the nesting forest, never computed: a
     # patched `mobius` is not consulted and the suite passes
     calls = []
     monkeypatch.setattr(poset_module, "mobius", lambda iv: calls.append(iv) or 2)
     (report,) = run_suite("intervals", 2, 2)
     assert report.passed and calls == []
-    # what a value outside {-1, 0, 1} would stand for, a walked interval
-    # that is no distributive lattice, fails at `interval_structure`, once
+    # what a value outside {-1, 0, 1} would stand for, an interval that is
+    # no distributive lattice, the suite never walks; the interval walk it
+    # replaced fails at `interval_structure`, once
     m3 = _m3_interval()
     walked = []
     monkeypatch.setattr(FlipPoset, "interval", lambda *args: walked.append(args) or m3)
     (report,) = run_suite("intervals", 2, 2)
-    assert not report.passed and len(walked) == 1
-    assert report.detail == (
-        f"StructureViolation: 8 forest ideals for an interval of size 5 in "
-        f"[{m3.bottom_q}, {m3.top_q}]"
+    assert report.passed and walked == []
+    with pytest.raises(StructureViolation) as info:
+        oracles.initial_interval_walk(2, 2)
+    assert len(walked) == 1
+    assert str(info.value) == (
+        f"8 forest ideals for an interval of size 5 in [{m3.bottom_q}, {m3.top_q}]"
     )
-    assert report.counterexample == m3.to_json()
+    assert info.value.counterexample == m3.to_json()
     # the first interval walked, [fan, ((1, 4),)]: the fan's own is a
     # product of its cut pieces'
     poset = build_poset(2, 2)
@@ -1024,8 +1080,10 @@ def test_intervals_suite_reports_a_bad_mobius_value_once(monkeypatch):
 
 def test_intervals_suite_certifies_the_irreducibles_of_smaller_orders(monkeypatch):
     # Birkhoff's certificate miscounts the forest ideals of one interval
-    # [fan, t] of the 3-piece order, t final of width 1; the suite on (2,4)
-    # certifies it directly, after the 4-piece order, and names it
+    # [fan, t] of the 3-piece order, t final of width 1.  The suite on
+    # (2, 4) reads its intervals off the 4-piece order's nesting forests
+    # and passes; the interval walk it replaced certifies [fan, t]
+    # directly, after the 4-piece order, and names it
     small = build_poset(2, 3)
     fan = small.minimum
     top = [q for q in small.elements if is_final(q) and width_and_blocks(q)[0] == 1][-1]
@@ -1034,12 +1092,13 @@ def test_intervals_suite_certifies_the_irreducibles_of_smaller_orders(monkeypatc
     real = ForestPoset.ideal_count
     monkeypatch.setattr(ForestPoset, "ideal_count", lambda f: real(f) + (f == forest))
     (report,) = run_suite("intervals", 2, 4)
-    assert not report.passed
-    assert report.detail == (
-        f"StructureViolation: {iv.size + 1} forest ideals for an interval of "
-        f"size {iv.size} in [{fan}, {top}]"
+    assert report.passed
+    with pytest.raises(StructureViolation) as info:
+        oracles.initial_interval_walk(2, 4)
+    assert str(info.value) == (
+        f"{iv.size + 1} forest ideals for an interval of size {iv.size} in [{fan}, {top}]"
     )
-    assert report.counterexample == [fan.to_json(), top.to_json()]
+    assert info.value.counterexample == [fan.to_json(), top.to_json()]
 
 
 def test_intervals_suite_fails_on_a_wrong_cover_inside_a_non_initial_interval(
@@ -1083,28 +1142,31 @@ def _without(order, x):
 
 
 def test_intervals_suite_fails_on_a_missing_top(monkeypatch):
-    # The 3-piece order without its last maximal element still passes the
-    # local inclusion certificate, and its filters and products would all
-    # translate; only the count of M-angulations tells the order is not
-    # all of them, and the suite names the order.
-    small = build_poset(2, 3)
-    x = max(i for i, ups in enumerate(small.covers_up) if not ups)
-    broken = _without(small, x)
-    assert poset_module.inclusion_check(broken)
-    real = verify_module._order
-    monkeypatch.setattr(
-        verify_module, "_order", lambda m, k: broken if k == 3 else real(m, k)
-    )
-    (report,) = run_suite("intervals", 2, 4)
-    assert not report.passed
-    assert report.detail == "the size-3 order has 11 elements, expected 12"
-    assert report.counterexample == {"m": 2, "n": 3, "elements": 11}
-    # the suite's own order, without a maximal element, fails first of all
+    # An order without its last maximal element still passes the local
+    # inclusion certificate, and its down-sets are still nest-closed; only
+    # the count of M-angulations tells the order is not all of them, and
+    # the suite names the order.
     own = build_poset(2, 4)
     y = max(i for i, ups in enumerate(own.covers_up) if not ups)
-    monkeypatch.setattr(verify_module, "_order", lambda m, n: _without(own, y))
+    broken = _without(own, y)
+    assert poset_module.inclusion_check(broken)
+    monkeypatch.setattr(verify_module, "_order", lambda m, n: broken)
     (report,) = run_suite("intervals", 2, 4)
+    assert not report.passed
     assert report.detail == "the size-4 order has 54 elements, expected 55"
+    assert report.counterexample == {"m": 2, "n": 4, "elements": 54}
+    # the interval walk the suite replaced builds the smaller orders too,
+    # and names the 3-piece order without its last maximal element
+    small = build_poset(2, 3)
+    x = max(i for i, ups in enumerate(small.covers_up) if not ups)
+    smaller = _without(small, x)
+    assert poset_module.inclusion_check(smaller)
+    with pytest.raises(VerificationFailure) as info:
+        oracles.initial_interval_walk(
+            2, 4, lambda m, k: smaller if k == 3 else build_poset(m, k)
+        )
+    assert str(info.value) == "the size-3 order has 11 elements, expected 12"
+    assert info.value.counterexample == {"m": 2, "n": 3, "elements": 11}
 
 
 def test_cli_qsym_honours_the_env_guard(capsys, monkeypatch):
@@ -1148,22 +1210,33 @@ def test_poset_suite_builds_no_reachability_table(m, n):
 
 
 def test_intervals_suite_certifies_the_inclusion_theorem_on_each_order(monkeypatch):
-    # the chord-bit translation is an isomorphism only between inclusion
-    # orders, so a failure on the order k = 2 fails the (2, 4) suite
-    real = verify_module.inclusion_check
+    # the nest closure describes the down-sets of an inclusion order only,
+    # so a failure on the suite's own order fails the (2, 4) suite; the
+    # interval walk it replaced, whose chord-bit translation is an
+    # isomorphism only between inclusion orders, fails on the order k = 2
     seen = []
 
-    def check(order):
-        seen.append(order.n)
-        if order.n == 2:
-            raise VerificationFailure("not an inclusion order", order.minimum.to_json())
-        return real(order)
+    def failing_at(k, real):
+        def check(order):
+            seen.append(order.n)
+            if order.n == k:
+                raise VerificationFailure("not an inclusion order", order.minimum.to_json())
+            return real(order)
 
-    monkeypatch.setattr(verify_module, "inclusion_check", check)
+        return check
+
+    real = poset_module.inclusion_check
+    monkeypatch.setattr(verify_module, "inclusion_check", failing_at(4, real))
     (report,) = run_suite("intervals", 2, 4)
-    assert not report.passed and seen == [4, 3, 2]
+    assert not report.passed and seen == [4]
     assert report.detail == "not an inclusion order"
-    assert report.counterexample == build_poset(2, 2).minimum.to_json()
+    assert report.counterexample == build_poset(2, 4).minimum.to_json()
+    seen.clear()
+    monkeypatch.setattr(oracles, "inclusion_check", failing_at(2, real))
+    with pytest.raises(VerificationFailure, match="not an inclusion order") as info:
+        oracles.initial_interval_walk(2, 4)
+    assert seen == [4, 3, 2]
+    assert info.value.counterexample == build_poset(2, 2).minimum.to_json()
 
 
 @pytest.mark.parametrize("m,n", [(1, 5), (2, 3), (3, 2)])
